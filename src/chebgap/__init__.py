@@ -10,7 +10,6 @@ to their asymptotic growth rates.
 __version__ = "0.1.0"
 
 from .andrievskii import (
-    AndrievskiiConfig,
     AndrievskiiResult,
     BruteForceReport,
     ResidualSeries,
@@ -30,7 +29,6 @@ from .chebyshev import (
 from .envelope import (
     DiagramResult,
     DiagramRow,
-    EnvelopeConfig,
     EnvelopePoint,
     akhiezer_curve,
     delta_star,
@@ -46,14 +44,12 @@ from .errors import ConsistencyError, DomainError, QuadratureError, SolverError
 from .extremal import (
     ExtremalResult,
     FeasibilityReport,
-    OracleConfig,
     n_extension,
     solve_extremal,
     verify_feasibility,
 )
 from .green import (
     GreenEval,
-    QuadratureConfig,
     c_dot,
     critical_point_c,
     dalpha_green,
@@ -67,26 +63,25 @@ from .intervals import (
     Interval,
     discretize,
     make_gap_set,
-    measure,
     random_multigap_set,
 )
 
 __all__ = [
-    "AndrievskiiConfig", "AndrievskiiResult", "BruteForceReport",
+    "AndrievskiiResult", "BruteForceReport",
     "ResidualSeries", "L_n_delta", "brute_force_theorem1",
     "residual_tail_slope", "totik_widom_residuals",
     "ChebPoly", "akhiezer_even_value", "cheb_T", "cheb_eval",
     "remez_constant", "remez_poly_value",
-    "DiagramResult", "DiagramRow", "EnvelopeConfig", "EnvelopePoint",
+    "DiagramResult", "DiagramRow", "EnvelopePoint",
     "akhiezer_curve", "delta_star", "diagram", "diagram_to_csv",
     "diagram_to_json", "switching_point", "upper_envelope", "x0_of_alpha",
     "x_star",
     "ConsistencyError", "DomainError", "QuadratureError", "SolverError",
-    "ExtremalResult", "FeasibilityReport", "OracleConfig", "n_extension",
+    "ExtremalResult", "FeasibilityReport", "n_extension",
     "solve_extremal", "verify_feasibility",
-    "GreenEval", "QuadratureConfig", "c_dot", "critical_point_c",
+    "GreenEval", "c_dot", "critical_point_c",
     "dalpha_green", "green_eval", "green_single_interval",
     "green_two_interval",
     "CompactSet", "GapParams", "Interval", "discretize", "make_gap_set",
-    "measure", "random_multigap_set",
+    "random_multigap_set",
 ]

@@ -12,7 +12,11 @@ _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/golden ratio
 
 
 def bisect_root(f, lo: float, hi: float, xtol: float, f_lo=None, f_hi=None) -> float:
-    """Root of f on [lo, hi] by bisection; requires a sign change."""
+    """Root of f on [lo, hi] by bisection; requires a sign change.
+
+    Sides are chosen by comparing signs, never by multiplying values, so
+    f values near the under- or overflow limits bisect correctly.
+    """
     if f_lo is None:
         f_lo = f(lo)
     if f_hi is None:
@@ -21,7 +25,7 @@ def bisect_root(f, lo: float, hi: float, xtol: float, f_lo=None, f_hi=None) -> f
         return lo
     if f_hi == 0.0:
         return hi
-    if f_lo * f_hi > 0.0:
+    if np.sign(f_lo) * np.sign(f_hi) > 0.0:
         raise SolverError(
             f"no sign change on [{lo}, {hi}]: f(lo)={f_lo}, f(hi)={f_hi}"
         )
@@ -32,7 +36,7 @@ def bisect_root(f, lo: float, hi: float, xtol: float, f_lo=None, f_hi=None) -> f
         f_mid = f(mid)
         if f_mid == 0.0:
             return mid
-        if f_lo * f_mid < 0.0:
+        if np.sign(f_lo) * np.sign(f_mid) < 0.0:
             hi, f_hi = mid, f_mid
         else:
             lo, f_lo = mid, f_mid
@@ -108,19 +112,20 @@ def bisect_many(f, los, his, iters: int = 80):
 
     `f` maps an array of abscissae to an array of values; every bracket must
     carry a sign change (checked).  Runs a fixed number of halvings, which at
-    80 exhausts double precision for any bracket of O(1) width.
+    80 exhausts double precision for any bracket of O(1) width.  Signs are
+    compared, never multiplied, as in bisect_root.
     """
     los = np.asarray(los, dtype=float).copy()
     his = np.asarray(his, dtype=float).copy()
     f_lo = f(los)
     f_hi = f(his)
-    bad = f_lo * f_hi > 0.0
+    bad = np.sign(f_lo) * np.sign(f_hi) > 0.0
     if np.any(bad):
         raise SolverError(f"{int(bad.sum())} bracket(s) without sign change")
     for _ in range(iters):
         mids = 0.5 * (los + his)
         f_mid = f(mids)
-        left = f_lo * f_mid <= 0.0
+        left = np.sign(f_lo) * np.sign(f_mid) <= 0.0
         his = np.where(left, mids, his)
         f_hi = np.where(left, f_mid, f_hi)
         los = np.where(left, los, mids)

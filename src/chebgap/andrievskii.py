@@ -27,27 +27,20 @@ import numpy as np
 
 from ._search import golden_max
 from .chebyshev import remez_poly_value
-from .envelope import DEFAULT_ENVELOPE, EnvelopeConfig, upper_envelope
+from .envelope import upper_envelope
 from .errors import DomainError
-from .extremal import DEFAULT_ORACLE, OracleConfig, solve_extremal
+from .extremal import solve_extremal
 from .green import green_single_interval
 from .intervals import CompactSet, GapParams, make_gap_set, random_multigap_set
 
 BEST_REMEZ = "remez"
 BEST_AKHIEZER = "akhiezer"
 
-
-@dataclass(frozen=True)
-class AndrievskiiConfig:
-    oracle: OracleConfig = OracleConfig(compute_extension=False)
-    envelope: EnvelopeConfig = DEFAULT_ENVELOPE
-    alpha_coarse: int = 33       # coarse scan points over admissible alpha
-    alpha_tol: float = 1e-6      # golden-section width in alpha
-    gap_margin: float = 1e-9     # keep x0 strictly inside candidate gaps
-    boundary_clip: float = 1e-4  # keep alpha away from delta-1 (dominated there)
-
-
-DEFAULT_CONFIG = AndrievskiiConfig()
+_ALPHA_COARSE = 33        # coarse scan points over admissible alpha
+_ALPHA_TOL = 1e-6         # golden-section width in alpha
+_GAP_MARGIN = 1e-9        # keep x0 strictly inside candidate gaps
+_BOUNDARY_CLIP = 1e-4     # keep alpha away from delta-1 (dominated there)
+_VALUE_TOL = 1e-9         # relative accuracy of the oracle values
 
 
 @dataclass(frozen=True)
@@ -57,7 +50,7 @@ class AndrievskiiResult:
     best_alpha: float | None
     remez_value: float | None
     akhiezer_profile: tuple[tuple[float, float], ...]   # (alpha, M_n) samples
-    near_ties: tuple[float, ...]    # alphas within 10*value_tol of the winner
+    near_ties: tuple[float, ...]    # alphas within 10*_VALUE_TOL of the winner
 
     def to_json(self) -> str:
         return json.dumps(
@@ -138,8 +131,7 @@ def _check_point(x0, delta):
         raise DomainError(f"x0 must lie in [-1, 0], got {x0}")
 
 
-def L_n_delta(x0: float, delta: float, n: int,
-              cfg: AndrievskiiConfig = DEFAULT_CONFIG) -> AndrievskiiResult:
+def L_n_delta(x0: float, delta: float, n: int) -> AndrievskiiResult:
     """Best value over the two structured configuration families.
 
     The Remez candidate is the closed form (present when x0 < -1+2*delta);
@@ -157,8 +149,8 @@ def L_n_delta(x0: float, delta: float, n: int,
     # Near alpha = delta-1 the two-interval configuration degenerates and is
     # dominated by the closed-form boundary candidate, so the scan is
     # clipped a fixed distance away from that edge.
-    lo = max(delta - 1.0 + cfg.boundary_clip, x0 - delta + cfg.gap_margin)
-    hi = min(0.0, x0 + delta - cfg.gap_margin)
+    lo = max(delta - 1.0 + _BOUNDARY_CLIP, x0 - delta + _GAP_MARGIN)
+    hi = min(0.0, x0 + delta - _GAP_MARGIN)
     profile = []
     best_alpha = None
     best_val = -math.inf
@@ -167,17 +159,18 @@ def L_n_delta(x0: float, delta: float, n: int,
 
         def m_of_alpha(alpha):
             E = make_gap_set(GapParams(alpha, delta))
-            res = solve_extremal(E, x0, n, cfg.oracle, warm_start=last_active[0])
+            res = solve_extremal(E, x0, n, extension=False,
+                                 warm_start=last_active[0])
             last_active[0] = res.active_points
             return res.value
 
-        alphas = np.linspace(lo, hi, cfg.alpha_coarse)
+        alphas = np.linspace(lo, hi, _ALPHA_COARSE)
         vals = [m_of_alpha(al) for al in alphas]
         profile = list(zip(alphas.tolist(), vals))
         i = int(np.argmax(vals))
         blo = alphas[max(i - 1, 0)]
         bhi = alphas[min(i + 1, len(alphas) - 1)]
-        best_alpha, best_val = golden_max(m_of_alpha, blo, bhi, cfg.alpha_tol)
+        best_alpha, best_val = golden_max(m_of_alpha, blo, bhi, _ALPHA_TOL)
         if vals[i] > best_val:
             best_alpha, best_val = float(alphas[i]), vals[i]
 
@@ -186,7 +179,7 @@ def L_n_delta(x0: float, delta: float, n: int,
             f"no admissible configuration for x0={x0}, delta={delta}"
         )
 
-    tie_band = 10.0 * cfg.oracle.value_tol * max(1.0, abs(best_val))
+    tie_band = 10.0 * _VALUE_TOL * max(1.0, abs(best_val))
     near_ties = tuple(
         float(a) for a, v in profile if best_val - v <= tie_band and a != best_alpha
     )
@@ -204,7 +197,6 @@ def L_n_delta(x0: float, delta: float, n: int,
 
 
 def totik_widom_residuals(x0: float, delta: float, n_list,
-                          cfg: AndrievskiiConfig = DEFAULT_CONFIG,
                           method: str = "lp") -> ResidualSeries:
     """Residuals r_n = log(2 L_n) - n Phi(x0) along a degree list.
 
@@ -235,10 +227,10 @@ def totik_widom_residuals(x0: float, delta: float, n_list,
 
     if method != "lp":
         raise DomainError(f"unknown residual method {method!r}")
-    phi = upper_envelope(delta, x0, cfg.envelope).phi
+    phi = upper_envelope(delta, x0).phi
     entries = []
     for n in n_list:
-        ln = L_n_delta(x0, delta, n, cfg).value
+        ln = L_n_delta(x0, delta, n).value
         r = math.log(2.0 * ln) - n * phi
         entries.append((n, float(ln), float(r)))
     return ResidualSeries(delta=delta, x0=x0, phi=phi, entries=tuple(entries))
@@ -260,21 +252,20 @@ def residual_tail_slope(series: ResidualSeries, n_min: int) -> float:
 
 
 def brute_force_theorem1(x0: float, delta: float, n: int, trials: int,
-                         seed: int,
-                         cfg: AndrievskiiConfig = DEFAULT_CONFIG) -> BruteForceReport:
+                         seed: int) -> BruteForceReport:
     """Random multi-gap sets against the structured maximum.
 
     Draws `trials` seeded random sets with measure 2-2*delta and 1 to 4
     gaps, keeping only draws where x0 falls strictly inside a gap, and
-    checks M_n(x0, E) <= L_n + 10*value_tol.  Violations are collected and
+    checks M_n(x0, E) <= L_n + 10*_VALUE_TOL.  Violations are collected and
     reported, never raised: they would indicate either solver inaccuracy or
     a counterexample to the structure theorem, and both deserve eyes.
     """
     _check_point(x0, delta)
     if trials < 1:
         raise DomainError(f"trials must be >= 1, got {trials}")
-    reference = L_n_delta(x0, delta, n, cfg).value
-    bound = reference + 10.0 * cfg.oracle.value_tol * max(1.0, reference)
+    reference = L_n_delta(x0, delta, n).value
+    bound = reference + 10.0 * _VALUE_TOL * max(1.0, reference)
 
     rng = np.random.default_rng(seed)
     max_ratio = -math.inf
@@ -290,11 +281,11 @@ def brute_force_theorem1(x0: float, delta: float, n: int, trials: int,
         gap_count = int(rng.integers(1, 5))
         sub_seed = int(rng.integers(0, 2**63 - 1))
         E = random_multigap_set(delta, gap_count, sub_seed)
-        if not any(lo + cfg.gap_margin < x0 < hi - cfg.gap_margin
+        if not any(lo + _GAP_MARGIN < x0 < hi - _GAP_MARGIN
                    for lo, hi in E.gaps()):
             continue
         done += 1
-        value = solve_extremal(E, x0, n, cfg.oracle).value
+        value = solve_extremal(E, x0, n, extension=False).value
         ratio = value / reference
         max_ratio = max(max_ratio, ratio)
         if value > bound:

@@ -130,8 +130,3 @@ class ChebPoly:
     def from_json(cls, text: str) -> "ChebPoly":
         data = json.loads(text)
         return cls(int(data["degree"]), tuple(data["coeffs"]))
-
-
-def eval(p: ChebPoly, x):  # noqa: A001 - name fixed by the module contract
-    """Evaluate a ChebPoly at x (scalar or array) by Clenshaw recurrence."""
-    return cheb_eval(p.coeffs, x)

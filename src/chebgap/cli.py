@@ -23,7 +23,6 @@ import numpy as np
 
 from . import __version__
 from .andrievskii import (
-    AndrievskiiConfig,
     L_n_delta,
     brute_force_theorem1,
     residual_tail_slope,
@@ -31,54 +30,17 @@ from .andrievskii import (
 )
 from .chebyshev import akhiezer_even_value, cheb_T, remez_constant
 from .envelope import (
-    EnvelopeConfig,
     akhiezer_curve,
     delta_star,
     diagram,
     diagram_to_csv,
     diagram_to_json,
-    upper_envelope,
     x0_of_alpha,
 )
 from .errors import ConsistencyError, DomainError, QuadratureError, SolverError
-from .extremal import OracleConfig, solve_extremal
-from .green import QuadratureConfig, green_eval, green_single_interval, green_two_interval
+from .extremal import solve_extremal
+from .green import green_eval, green_two_interval
 from .intervals import CompactSet, GapParams, make_gap_set
-
-_QUAD_KEYS = {"abs_tol": float, "rel_tol": float, "max_depth": int, "base_nodes": int}
-_ORACLE_KEYS = {"feas_tol": float, "value_tol": float, "refine_rounds": int,
-                "grid_density": int}
-_ENV_KEYS = {"tie_tol": float, "alpha_tol": float, "boundary_clip": float,
-             "root_tol": float, "switch_tol": float, "coarse_alpha": int}
-
-
-def _load_config(path):
-    """Flat key=value override file; unknown keys are rejected."""
-    out = {}
-    known = {**_QUAD_KEYS, **_ORACLE_KEYS, **_ENV_KEYS}
-    with open(path, encoding="utf-8") as fh:
-        for line_no, line in enumerate(fh, 1):
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if "=" not in line:
-                raise DomainError(f"{path}:{line_no}: expected key=value, got {line!r}")
-            key, _, value = line.partition("=")
-            key = key.strip()
-            if key not in known:
-                raise DomainError(f"{path}:{line_no}: unknown config key {key!r}")
-            out[key] = known[key](value.strip())
-    return out
-
-
-def _configs(args):
-    over = _load_config(args.config) if getattr(args, "config", None) else {}
-    quad = QuadratureConfig(**{k: over[k] for k in _QUAD_KEYS if k in over})
-    env_kw = {k: over[k] for k in _ENV_KEYS if k in over}
-    env = EnvelopeConfig(quad=quad, **env_kw)
-    oracle_kw = {k: over[k] for k in _ORACLE_KEYS if k in over}
-    oracle = OracleConfig(compute_extension=False, **oracle_kw)
-    return quad, env, oracle
 
 
 def _emit(args, text):
@@ -101,8 +63,7 @@ def _fmt(v):
 
 
 def cmd_green(args) -> int:
-    quad, _, _ = _configs(args)
-    ev = green_eval(args.alpha, args.delta, args.x, quad)
+    ev = green_eval(args.alpha, args.delta, args.x)
     if args.format == "csv":
         lines = [
             "alpha,delta,x,g,dg_dalpha,c,c_dot,err_estimate",
@@ -194,8 +155,7 @@ def render_svg(result, curve_pts) -> str:
 
 
 def cmd_diagram(args) -> int:
-    quad, env, _ = _configs(args)
-    result = diagram(args.delta, args.points, env)
+    result = diagram(args.delta, args.points)
     if result.degenerate:
         print(
             f"warning: delta={args.delta} >= 0.5, the four-region taxonomy "
@@ -207,12 +167,12 @@ def cmd_diagram(args) -> int:
     elif args.format == "json":
         _emit(args, diagram_to_json(result) + "\n")
     else:
-        lo = args.delta - 1.0 + max(env.boundary_clip, 1e-6)
+        lo = args.delta - 1.0 + 1e-6
         alpha_grid = np.concatenate([
             lo + (0.0 - lo) * np.linspace(0.0, 1.0, 49) ** 2.0,
             np.linspace(lo, 0.0, 17)[1:-1],
         ])
-        pts = [p for p in akhiezer_curve(args.delta, np.unique(alpha_grid), quad)
+        pts = [p for p in akhiezer_curve(args.delta, np.unique(alpha_grid))
                if p is not None]
         pts.sort()
         _emit(args, render_svg(result, pts))
@@ -234,17 +194,8 @@ def _parse_set(args) -> CompactSet:
 
 
 def cmd_extremal(args) -> int:
-    _, _, oracle = _configs(args)
-    kw = {}
-    if args.density is not None:
-        kw["grid_density"] = args.density
-    if args.rounds is not None:
-        kw["refine_rounds"] = args.rounds
-    cfg = OracleConfig(compute_extension=not args.no_extension,
-                       feas_tol=oracle.feas_tol, value_tol=oracle.value_tol,
-                       **kw)
     E = _parse_set(args)
-    res = solve_extremal(E, args.x0, args.n, cfg)
+    res = solve_extremal(E, args.x0, args.n, extension=not args.no_extension)
     if args.format == "csv":
         lines = [
             "value,case_tag,degree,degree_deficient",
@@ -258,9 +209,7 @@ def cmd_extremal(args) -> int:
 
 
 def cmd_andrievskii(args) -> int:
-    quad, env, oracle = _configs(args)
-    cfg = AndrievskiiConfig(oracle=oracle, envelope=env)
-    res = L_n_delta(args.x0, args.delta, args.n, cfg)
+    res = L_n_delta(args.x0, args.delta, args.n)
     if args.format == "csv":
         lines = [
             "x0,delta,n,value,best,best_alpha",
@@ -280,11 +229,11 @@ def cmd_andrievskii(args) -> int:
 # ----------------------------------------------------------------------
 
 
-def _suite_closed_forms(checks, quad):
+def _suite_closed_forms(checks):
     ds = delta_star(1e-8)
     checks.append(("delta_star", abs(ds - 0.543689) <= 1e-5, f"{ds:.8f}"))
     worst = max(
-        abs(green_two_interval(0.0, d, 0.0, quad) - 0.5 * math.log((1 + d) / (1 - d)))
+        abs(green_two_interval(0.0, d, 0.0) - 0.5 * math.log((1 + d) / (1 - d)))
         for d in (0.2, 0.5, 0.8)
     )
     checks.append(("symmetric_green", worst <= 1e-8, f"max dev {worst:.2e}"))
@@ -299,28 +248,26 @@ def _suite_closed_forms(checks, quad):
          abs(akhiezer_even_value(4, 0.5, 0.0) - cheb_T(4, 5.0 / 3.0)) < 1e-12,
          f"{akhiezer_even_value(4, 0.5, 0.0):.12g}")
     )
-    cfg = OracleConfig(compute_extension=False)
     E1 = CompactSet.from_json("[[-0.2, 1.0]]")
     worst = max(
-        abs(solve_extremal(E1, -1.0, n, cfg).value - remez_constant(n, 0.4))
+        abs(solve_extremal(E1, -1.0, n, extension=False).value - remez_constant(n, 0.4))
         / remez_constant(n, 0.4)
         for n in (4, 8)
     )
     checks.append(("lp_vs_remez", worst <= 1e-9, f"max rel {worst:.2e}"))
     E2 = make_gap_set(GapParams(0.0, 0.5))
     worst = max(
-        abs(solve_extremal(E2, 0.0, 2 * m, cfg).value - cheb_T(m, 5.0 / 3.0))
+        abs(solve_extremal(E2, 0.0, 2 * m, extension=False).value - cheb_T(m, 5.0 / 3.0))
         / cheb_T(m, 5.0 / 3.0)
         for m in (2, 4)
     )
     checks.append(("lp_vs_akhiezer", worst <= 1e-9, f"max rel {worst:.2e}"))
-    x00 = x0_of_alpha(0.0, 0.5, 1e-10, quad)
+    x00 = x0_of_alpha(0.0, 0.5)
     checks.append(("symmetric_stationary_point", abs(x00) <= 1e-8, f"{x00:.2e}"))
 
 
-def _suite_brute_force(checks, args, oracle):
-    cfg = AndrievskiiConfig(oracle=oracle)
-    rep = brute_force_theorem1(args.x0, args.delta, args.n, args.trials, args.seed, cfg)
+def _suite_brute_force(checks, args):
+    rep = brute_force_theorem1(args.x0, args.delta, args.n, args.trials, args.seed)
     checks.append(
         ("brute_force_structure",
          rep.ok,
@@ -329,15 +276,13 @@ def _suite_brute_force(checks, args, oracle):
     )
 
 
-def _suite_residuals(checks, args, oracle):
+def _suite_residuals(checks, args):
     series = totik_widom_residuals(-0.95, 0.4, [25, 50, 100, 200], method="remez")
     rs = [r for _, _, r in series.entries]
     ok = all(abs(b) < abs(a) for a, b in zip(rs, rs[1:])) and abs(rs[-1]) < 0.05
     checks.append(("residuals_boundary_branch", ok,
                    f"|r| = {', '.join(f'{abs(r):.2e}' for r in rs)}"))
-    cfg = AndrievskiiConfig(oracle=oracle)
-    series = totik_widom_residuals(args.x0, args.delta, range(6, 37, 6),
-                                   cfg, method="lp")
+    series = totik_widom_residuals(args.x0, args.delta, range(6, 37, 6), method="lp")
     slope = residual_tail_slope(series, 18)
     spread = max(r for _, _, r in series.entries) - min(r for _, _, r in series.entries)
     checks.append(
@@ -348,14 +293,13 @@ def _suite_residuals(checks, args, oracle):
 
 
 def cmd_verify(args) -> int:
-    quad, _, oracle = _configs(args)
     checks = []
     if args.suite in ("closed-forms", "all"):
-        _suite_closed_forms(checks, quad)
+        _suite_closed_forms(checks)
     if args.suite in ("brute-force", "all"):
-        _suite_brute_force(checks, args, oracle)
+        _suite_brute_force(checks, args)
     if args.suite in ("residuals", "all"):
-        _suite_residuals(checks, args, oracle)
+        _suite_residuals(checks, args)
     width = max(len(name) for name, _, _ in checks)
     lines = []
     for name, ok, detail in checks:
@@ -373,7 +317,6 @@ def cmd_verify(args) -> int:
 
 def _add_common(p):
     p.add_argument("--output", help="write to this file instead of stdout")
-    p.add_argument("--config", help="flat key=value file overriding tolerances")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -406,8 +349,6 @@ def build_parser() -> argparse.ArgumentParser:
     e.add_argument("--set-file", dest="set_file", help="file holding the JSON set")
     e.add_argument("--x0", type=float, required=True)
     e.add_argument("--n", type=int, required=True)
-    e.add_argument("--density", type=int, default=None)
-    e.add_argument("--rounds", type=int, default=None)
     e.add_argument("--no-extension", action="store_true",
                    help="skip the n-extension computation")
     e.add_argument("--format", choices=["json", "csv"], default="json")

@@ -34,31 +34,18 @@ import numpy as np
 
 from ._search import bisect_root, golden_max
 from .errors import DomainError, SolverError
-from .green import (
-    DEFAULT_QUAD,
-    QuadratureConfig,
-    dalpha_green,
-    green_single_interval,
-    green_two_interval,
-)
+from .green import dalpha_green, green_single_interval, green_two_interval
 
 SOURCE_REMEZ = "remez"
 SOURCE_AKHIEZER = "akhiezer"
 SOURCE_TIE = "tie"
 
-
-@dataclass(frozen=True)
-class EnvelopeConfig:
-    quad: QuadratureConfig = DEFAULT_QUAD
-    coarse_alpha: int = 64          # coarse grid points per maximization
-    alpha_tol: float = 1e-10        # golden-section width in alpha
-    tie_tol: float = 1e-9           # branch values closer than this tie
-    boundary_clip: float = 1e-8     # keep alpha >= delta-1+clip
-    root_tol: float = 1e-10         # bisection width for x0(alpha)
-    switch_tol: float = 1e-9        # bisection width for x_s
-
-
-DEFAULT_ENVELOPE = EnvelopeConfig()
+_COARSE_ALPHA = 64        # coarse grid points per maximization
+_ALPHA_TOL = 1e-10        # golden-section width in alpha
+_TIE_TOL = 1e-9           # branch values closer than this tie
+_BOUNDARY_CLIP = 1e-8     # keep alpha >= delta-1+clip
+_ROOT_TOL = 1e-10         # bisection width for x0(alpha)
+_SWITCH_TOL = 1e-9        # bisection width for x_s
 
 
 @dataclass(frozen=True)
@@ -116,8 +103,7 @@ def delta_star(tol: float = 1e-8) -> float:
     return 0.5 * (lo + hi)
 
 
-def x0_of_alpha(alpha: float, delta: float, tol: float = 1e-10,
-                q: QuadratureConfig = DEFAULT_QUAD) -> float:
+def x0_of_alpha(alpha: float, delta: float, tol: float = _ROOT_TOL) -> float:
     """Unique zero of x -> dG/dalpha in the gap (alpha-delta, alpha+delta).
 
     The map is strictly increasing from -inf to +inf, so bisection on a
@@ -127,7 +113,7 @@ def x0_of_alpha(alpha: float, delta: float, tol: float = 1e-10,
     b = alpha + delta
     h = max(1e-8 * (b - a), 2e-10)
     lo, hi = a + h, b - h
-    f = lambda x: dalpha_green(alpha, delta, x, q)
+    f = lambda x: dalpha_green(alpha, delta, x)
     f_lo, f_hi = f(lo), f(hi)
     if not (f_lo < 0.0 < f_hi):
         raise SolverError(
@@ -137,7 +123,7 @@ def x0_of_alpha(alpha: float, delta: float, tol: float = 1e-10,
     return bisect_root(f, lo, hi, tol, f_lo, f_hi)
 
 
-def akhiezer_curve(delta, alpha_grid, q: QuadratureConfig = DEFAULT_QUAD):
+def akhiezer_curve(delta, alpha_grid):
     """Parametric curve (x0(alpha), G(x0(alpha))) sampled on an alpha grid.
 
     Rows where the stationary-point solve breaks down are returned as None
@@ -146,65 +132,71 @@ def akhiezer_curve(delta, alpha_grid, q: QuadratureConfig = DEFAULT_QUAD):
     out = []
     for alpha in alpha_grid:
         try:
-            x0 = x0_of_alpha(alpha, delta, q=q)
-            out.append((x0, green_two_interval(alpha, delta, x0, q)))
+            x0 = x0_of_alpha(alpha, delta)
+            out.append((x0, green_two_interval(alpha, delta, x0)))
         except (SolverError, DomainError):
             out.append(None)
     return out
 
 
 @lru_cache(maxsize=256)
-def _shared_alpha_grid(delta: float, clip: float, n: int):
-    return np.linspace(delta - 1.0 + clip, 0.0, n)
+def _shared_alpha_grid(delta: float):
+    return np.linspace(delta - 1.0 + _BOUNDARY_CLIP, 0.0, 4 * _COARSE_ALPHA)
 
 
-def _interior_max(delta: float, x: float, cfg: EnvelopeConfig):
+def _interior_max(delta: float, x: float):
     """Maximize alpha -> G_{alpha,delta}(x) over admissible interior alpha.
 
     Returns (alpha, value, at_clip) or None when no alpha admits x in its
     gap.  at_clip flags maximizers stuck at the clipped left boundary, where
     the supremum is really the boundary (single-interval) limit.
     """
-    clip_lo = delta - 1.0 + cfg.boundary_clip
+    clip_lo = delta - 1.0 + _BOUNDARY_CLIP
     lo = max(clip_lo, x - delta)
     hi = min(0.0, x + delta)
     if hi - lo < 1e-12:
         return None
+    # x - delta + delta need not round back to x: step each bracket end one
+    # ulp inward until x lies in that alpha's closed gap.  Every alpha in
+    # between then admits x too, since float addition rounds monotonically.
+    while not (lo - delta <= x <= lo + delta):
+        lo = math.nextafter(lo, hi)
+    while not (hi - delta <= x <= hi + delta):
+        hi = math.nextafter(hi, lo)
 
-    grid = _shared_alpha_grid(delta, cfg.boundary_clip, 4 * cfg.coarse_alpha)
+    grid = _shared_alpha_grid(delta)
     cand = grid[(grid > lo) & (grid < hi)]
-    if cand.size > int(1.5 * cfg.coarse_alpha):
-        stride = int(math.ceil(cand.size / cfg.coarse_alpha))
+    if cand.size > int(1.5 * _COARSE_ALPHA):
+        stride = int(math.ceil(cand.size / _COARSE_ALPHA))
         cand = cand[::stride]
     if cand.size < 16:
-        cand = np.linspace(lo, hi, cfg.coarse_alpha)[1:-1]
+        cand = np.linspace(lo, hi, _COARSE_ALPHA)[1:-1]
     alphas = np.concatenate(([lo], cand, [hi]))
 
-    g = lambda al: green_two_interval(al, delta, x, cfg.quad)
+    g = lambda al: green_two_interval(al, delta, x)
     vals = np.array([g(al) for al in alphas])
     i = int(np.argmax(vals))
     blo = alphas[max(i - 1, 0)]
     bhi = alphas[min(i + 1, len(alphas) - 1)]
-    alpha_star, g_star = golden_max(g, blo, bhi, cfg.alpha_tol)
+    alpha_star, g_star = golden_max(g, blo, bhi, _ALPHA_TOL)
     if vals[i] > g_star:
         alpha_star, g_star = alphas[i], vals[i]
     at_clip = alpha_star - clip_lo < 1e-6
     return float(alpha_star), float(g_star), at_clip
 
 
-def upper_envelope(delta: float, x: float,
-                   cfg: EnvelopeConfig = DEFAULT_ENVELOPE) -> EnvelopePoint:
+def upper_envelope(delta: float, x: float) -> EnvelopePoint:
     """Phi_delta(x) with its source tag, for x in (-1, 0].
 
     Interior maximization (coarse grid + golden section) against the
-    closed-form boundary branch; branches closer than tie_tol are tagged tie.
+    closed-form boundary branch; branches closer than _TIE_TOL are tagged tie.
     """
     if not (0.0 < delta < 1.0):
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
     if not (-1.0 < x <= 0.0):
         raise DomainError(f"x must lie in (-1, 0], got {x}")
 
-    interior = _interior_max(delta, x, cfg)
+    interior = _interior_max(delta, x)
     g_rem = None
     if x <= -1.0 + 2.0 * delta:
         g_rem = green_single_interval(delta, x)
@@ -217,16 +209,16 @@ def upper_envelope(delta: float, x: float,
         return EnvelopePoint(x=x, phi=max(g_rem, 0.0), source=SOURCE_REMEZ)
 
     alpha_star, g_int, _ = interior
-    if g_rem is None or g_int > g_rem + cfg.tie_tol:
+    if g_rem is None or g_int > g_rem + _TIE_TOL:
         return EnvelopePoint(x=x, phi=max(g_int, 0.0), source=SOURCE_AKHIEZER,
                              alpha=alpha_star)
-    if g_rem > g_int + cfg.tie_tol:
+    if g_rem > g_int + _TIE_TOL:
         return EnvelopePoint(x=x, phi=max(g_rem, 0.0), source=SOURCE_REMEZ)
     return EnvelopePoint(x=x, phi=max(g_rem, g_int, 0.0), source=SOURCE_TIE,
                          alpha=alpha_star)
 
 
-def switching_point(delta: float, cfg: EnvelopeConfig = DEFAULT_ENVELOPE) -> float:
+def switching_point(delta: float) -> float:
     """Abscissa x_s where the boundary branch ties the interior branch.
 
     Bisection on the signed branch difference over (-1, -1+2*delta); raises
@@ -237,11 +229,11 @@ def switching_point(delta: float, cfg: EnvelopeConfig = DEFAULT_ENVELOPE) -> flo
     edge = -1.0 + 2.0 * delta
 
     def diff(x):
-        interior = _interior_max(delta, x, cfg)
+        interior = _interior_max(delta, x)
         best = interior[1] if interior is not None else 0.0
         return green_single_interval(delta, x) - best
 
-    lo = -1.0 + max(1e-4, 4.0 * cfg.boundary_clip)
+    lo = -1.0 + 1e-4
     hi = min(edge, 0.0) - 1e-6
     f_lo, f_hi = diff(lo), diff(hi)
     if not (f_lo > 0.0 > f_hi):
@@ -249,10 +241,10 @@ def switching_point(delta: float, cfg: EnvelopeConfig = DEFAULT_ENVELOPE) -> flo
             f"no switching point for delta={delta}: branch difference is "
             f"{f_lo:.3g} at {lo} and {f_hi:.3g} at {hi}"
         )
-    return bisect_root(diff, lo, hi, cfg.switch_tol, f_lo, f_hi)
+    return bisect_root(diff, lo, hi, _SWITCH_TOL, f_lo, f_hi)
 
 
-def x_star(delta: float, cfg: EnvelopeConfig = DEFAULT_ENVELOPE) -> float:
+def x_star(delta: float) -> float:
     """Leftmost stationary point x_*(delta) = inf over alpha of x0(alpha).
 
     Coarse alpha scan refined around the minimizer; alphas where the
@@ -260,13 +252,13 @@ def x_star(delta: float, cfg: EnvelopeConfig = DEFAULT_ENVELOPE) -> float:
     """
     if not (0.0 < delta < 1.0):
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    lo = delta - 1.0 + max(cfg.boundary_clip, 1e-8)
+    lo = delta - 1.0 + _BOUNDARY_CLIP
 
     def sweep(alphas):
         best_alpha, best_x0 = None, math.inf
         for al in alphas:
             try:
-                x0 = x0_of_alpha(al, delta, cfg.root_tol, cfg.quad)
+                x0 = x0_of_alpha(al, delta)
             except (SolverError, DomainError):
                 continue
             if x0 < best_x0:
@@ -298,8 +290,7 @@ def _classify(x, x_st, x_sw, edge):
     return "d"
 
 
-def diagram(delta: float, x_grid_size: int = 400,
-            cfg: EnvelopeConfig = DEFAULT_ENVELOPE) -> DiagramResult:
+def diagram(delta: float, x_grid_size: int = 400) -> DiagramResult:
     """Tabulate the envelope over [-1, 0] with region classification.
 
     For delta < 1/2 the breakpoints {x_*, x_s, -1+2*delta} are inserted into
@@ -316,8 +307,8 @@ def diagram(delta: float, x_grid_size: int = 400,
     xs = list(np.linspace(-1.0, 0.0, x_grid_size))
     x_st = x_sw = None
     if not degenerate:
-        x_st = x_star(delta, cfg)
-        x_sw = switching_point(delta, cfg)
+        x_st = x_star(delta)
+        x_sw = switching_point(delta)
         for bp in (x_st, x_sw, edge):
             if bp not in xs:
                 xs.append(bp)
@@ -326,10 +317,10 @@ def diagram(delta: float, x_grid_size: int = 400,
     rows = []
     for x in xs:
         g_rem = green_single_interval(delta, x) if x <= edge else None
-        if x <= -1.0 + 4.0 * cfg.boundary_clip:
+        if x <= -1.0 + 4.0 * _BOUNDARY_CLIP:
             point = EnvelopePoint(x=x, phi=max(g_rem, 0.0), source=SOURCE_REMEZ)
         else:
-            point = upper_envelope(delta, x, cfg)
+            point = upper_envelope(delta, x)
         region = None if degenerate else _classify(x, x_st, x_sw, edge)
         interior_won = point.source in (SOURCE_AKHIEZER, SOURCE_TIE)
         rows.append(

@@ -10,7 +10,7 @@ class DomainError(ValueError):
 
 
 class QuadratureError(RuntimeError):
-    """Adaptive quadrature failed to converge within max_depth.
+    """Adaptive quadrature failed to converge within its bisection depth.
 
     Carries the partial estimate accumulated so far in ``partial``.
     """

@@ -56,23 +56,8 @@ CASE_TAGS = ("right_interval", "extend_right", "extend_left", "left_interval", "
 # returned a polynomial of lower effective degree.
 DEGREE_DEFICIENCY_REL = 1e-10
 
-
-@dataclass(frozen=True)
-class OracleConfig:
-    grid_density: int | None = None   # per interval; None = max(64, 20(n+1)/#intervals)
-    refine_rounds: int = 3
-    feas_tol: float = 1e-9
-    value_tol: float = 1e-9
-    compute_extension: bool = True
-
-    def __post_init__(self):
-        if self.feas_tol <= 0 or self.value_tol <= 0:
-            raise DomainError("tolerances must be positive")
-        if self.refine_rounds < 0:
-            raise DomainError("refine_rounds must be >= 0")
-
-
-DEFAULT_ORACLE = OracleConfig()
+_REFINE_ROUNDS = 3        # exchange rounds after the grid solve
+_FEAS_TOL = 1e-9          # promised bound 1 + _FEAS_TOL on |P| over E
 
 
 @dataclass(frozen=True)
@@ -280,16 +265,14 @@ class _ExchangeLP:
         m = len(self.points)
         if m < self.r:
             raise SolverError(
-                f"grid supplies {m} points for {self.r} coefficients; "
-                f"increase grid_density"
+                f"grid supplies {m} points for {self.r} coefficients"
             )
         if self.basis is None:
             self._initial_basis(seed_points)
         max_iter = 2000 + 60 * self.r
         seen = set()
         bland_left = 0
-        for it in range(max_iter):
-            self.last_iters = it + 1
+        for _ in range(max_iter):
             # Degenerate pivots are routine here; a revisited basis is the
             # real cycling signal, and only then is Bland's rule worth its
             # slowness (for a window, to break the loop).
@@ -341,7 +324,7 @@ class _ExchangeLP:
             if not np.any(pos):
                 raise SolverError(
                     "simplex direction unbounded; the grid does not pin the "
-                    "polynomial at x0 (increase grid_density)"
+                    "polynomial at x0"
                 )
             ratios = np.where(pos, lam_hat / np.where(pos, u_hat, 1.0), math.inf)
             theta = float(ratios.min())
@@ -354,7 +337,8 @@ class _ExchangeLP:
         raise SolverError(f"simplex exceeded {max_iter} iterations")
 
 
-def _default_density(n, k_intervals):
+def _grid_density(n, k_intervals):
+    """Grid points per interval for the initial LP."""
     return max(64, int(math.ceil(20 * (n + 1) / max(k_intervals, 1))))
 
 
@@ -402,15 +386,15 @@ def _scan_abs_max(evaluate, E, n, known=None):
     return np.array(found), worst
 
 
-def solve_extremal(E: CompactSet, x0: float, n: int,
-                   cfg: OracleConfig = DEFAULT_ORACLE,
+def solve_extremal(E: CompactSet, x0: float, n: int, *, extension: bool = True,
                    warm_start=None) -> ExtremalResult:
     """M_n(x0, E) with the extremal polynomial, active points and extension.
 
     x0 inside E short-circuits to value 1 (the constant polynomial);
     otherwise the dual LP is solved on a Chebyshev grid and sharpened by
     exchange rounds.  The returned polynomial satisfies P(x0) = value > 0
-    and |P| <= 1 + feas_tol on E.
+    and |P| <= 1 + _FEAS_TOL on E.  `extension` also computes the
+    n-extension P^{-1}([-1, 1]) and its case tag.
 
     `warm_start` takes the active points of a solve on a nearby instance;
     sweeps over slowly moving sets converge in a handful of pivots from it.
@@ -426,8 +410,7 @@ def solve_extremal(E: CompactSet, x0: float, n: int,
             n_extension=E, case_tag="none",
         )
 
-    density = cfg.grid_density or _default_density(n, len(E.intervals))
-    grid = discretize(E, density)
+    grid = discretize(E, _grid_density(n, len(E.intervals)))
     lp = _ExchangeLP(grid, n, x0)
     seeds = np.asarray(warm_start, dtype=float) if warm_start is not None else None
     try:
@@ -438,7 +421,7 @@ def solve_extremal(E: CompactSet, x0: float, n: int,
         lp.basis = None
         t, s, logw, signw = lp.solve()
 
-    for _ in range(cfg.refine_rounds):
+    for _ in range(_REFINE_ROUNDS):
         ev = lambda xs: _bary_values(t, s, logw, signw, xs)
         peaks, worst = _scan_abs_max(ev, E, n, known=lp.points)
         if worst <= 1.0 + 10.0 * _ExchangeLP._EPS_RC or peaks.size == 0:
@@ -460,7 +443,7 @@ def solve_extremal(E: CompactSet, x0: float, n: int,
     if seeds is not None and float(raw.min()) < -1e-6 * max(float(raw.max()), 1e-300):
         # a corrupted warm basis shows up as a visibly infeasible solution;
         # one cold retry restores the invariant
-        return solve_extremal(E, x0, n, cfg, warm_start=None)
+        return solve_extremal(E, x0, n, extension=extension)
     total = float(np.maximum(raw, 0.0).sum())
     value = float(math.exp(math.log(total) + L0)) if total > 0.0 else 0.0
 
@@ -477,8 +460,8 @@ def solve_extremal(E: CompactSet, x0: float, n: int,
         n_extension=None,
         case_tag="none",
     )
-    if cfg.compute_extension:
-        ext, tag = n_extension(poly, E, tol=cfg.feas_tol, _result=result)
+    if extension:
+        ext, tag = n_extension(poly, E, _result=result)
         result = ExtremalResult(
             value=value, poly=poly,
             active_points=result.active_points, active_signs=result.active_signs,
@@ -498,7 +481,7 @@ def _effective_coeffs(poly: ChebPoly):
     return c[: d + 1], d < len(c) - 1
 
 
-def n_extension(poly: ChebPoly, E: CompactSet, tol: float = 1e-9, _result=None):
+def n_extension(poly: ChebPoly, E: CompactSet, tol: float = _FEAS_TOL, _result=None):
     """Preimage P^{-1}([-1,1]) on the real line and its case tag.
 
     Components are bounded by transversal crossings of P with the levels
@@ -594,7 +577,7 @@ def n_extension(poly: ChebPoly, E: CompactSet, tol: float = 1e-9, _result=None):
 
 
 def verify_feasibility(result, E: CompactSet, probes: int = 100_000,
-                       feas_tol: float = 1e-9) -> FeasibilityReport:
+                       feas_tol: float = _FEAS_TOL) -> FeasibilityReport:
     """Dense sampling check of |P| <= 1 + feas_tol over E (report only).
 
     Solved results are evaluated through their stable active-point form;

@@ -48,22 +48,12 @@ ENDPOINT_REFUSAL = 1e-10
 # Gap-to-edge distances below this trigger the eps-split of the psi-range.
 _NEAR_BOUNDARY = 1e-4
 
-
-@dataclass(frozen=True)
-class QuadratureConfig:
-    abs_tol: float = 1e-11
-    rel_tol: float = 1e-11
-    max_depth: int = 30
-    base_nodes: int = 32
-
-    def __post_init__(self):
-        if not (self.abs_tol > 0 and self.rel_tol > 0):
-            raise DomainError("quadrature tolerances must be positive")
-        if self.max_depth < 1 or self.base_nodes < 4:
-            raise DomainError("need max_depth >= 1 and base_nodes >= 4")
-
-
-DEFAULT_QUAD = QuadratureConfig()
+# Adaptive quadrature: absolute and relative tolerance, bisection depth and
+# Gauss-Legendre nodes per panel.
+_ABS_TOL = 1e-11
+_REL_TOL = 1e-11
+_MAX_DEPTH = 30
+_BASE_NODES = 32
 
 
 @dataclass(frozen=True)
@@ -114,32 +104,32 @@ def _panel_estimates(f, los, his, nodes, weights):
     return (vals * weights[None, None, :]).sum(axis=2) * half[None, :]
 
 
-def integrate_adaptive(f, lo: float, hi: float, cfg: QuadratureConfig = DEFAULT_QUAD,
-                       presplit=()):
+def integrate_adaptive(f, lo: float, hi: float, presplit=()):
     """Adaptive Gauss-Legendre integration of a vector integrand on [lo, hi].
 
     `f` maps a 1-D array of abscissae to a (k, len) array of integrand rows.
     Panels are bisected until the discrepancy between the one-panel and
-    two-panel estimates drops below max(abs_tol, rel_tol*|whole integral|)
+    two-panel estimates drops below max(_ABS_TOL, _REL_TOL*|whole integral|)
     prorated by panel length, separately for every component.  Returns
-    (values, err) as two length-k arrays.
+    (values, err) as two length-k arrays.  The module constants are read at
+    call time.
     """
     probe = f(np.array([0.5 * (lo + hi) if hi > lo else lo]))
     k = probe.shape[0]
     if hi <= lo:
         return np.zeros(k), np.zeros(k)
-    nodes, weights = _gl_rule(cfg.base_nodes)
+    nodes, weights = _gl_rule(_BASE_NODES)
     bounds = [lo] + sorted(p for p in presplit if lo < p < hi) + [hi]
     los = np.asarray(bounds[:-1], dtype=float)
     his = np.asarray(bounds[1:], dtype=float)
     parents = _panel_estimates(f, los, his, nodes, weights)
     total0 = np.abs(parents).sum(axis=1)
-    tol = np.maximum(cfg.abs_tol, cfg.rel_tol * total0)
+    tol = np.maximum(_ABS_TOL, _REL_TOL * total0)
     span = hi - lo
 
     acc = np.zeros(k)
     err = np.zeros(k)
-    for depth in range(cfg.max_depth + 1):
+    for depth in range(_MAX_DEPTH + 1):
         mids = 0.5 * (los + his)
         p = len(los)
         child = _panel_estimates(
@@ -157,9 +147,9 @@ def integrate_adaptive(f, lo: float, hi: float, cfg: QuadratureConfig = DEFAULT_
         if ok.all():
             return acc, err
         bad = ~ok
-        if depth == cfg.max_depth:
+        if depth == _MAX_DEPTH:
             raise QuadratureError(
-                f"quadrature did not converge within depth {cfg.max_depth}",
+                f"quadrature did not converge within depth {_MAX_DEPTH}",
                 partial=acc + sums[:, bad].sum(axis=1),
             )
         los = np.concatenate([los[bad], mids[bad]])
@@ -222,7 +212,7 @@ def _phi_of_x(alpha, delta, x):
 
 
 @lru_cache(maxsize=65536)
-def _c_core(alpha: float, delta: float, cfg: QuadratureConfig):
+def _c_core(alpha: float, delta: float):
     """Critical point c = alpha - delta*u/v plus the raw integrals (u, v)."""
     _check_gap(alpha, delta)
 
@@ -231,7 +221,7 @@ def _c_core(alpha: float, delta: float, cfg: QuadratureConfig):
         inv = 1.0 / np.sqrt(op * om)
         return np.stack([np.cos(phi) * inv, inv])
 
-    (u, v), (eu, ev) = integrate_adaptive(f, 0.0, math.pi, cfg, _presplit(alpha, delta))
+    (u, v), (eu, ev) = integrate_adaptive(f, 0.0, math.pi, _presplit(alpha, delta))
     c = alpha - delta * u / v
     if not (alpha - delta < c < alpha + delta):
         raise ConsistencyError(
@@ -242,7 +232,7 @@ def _c_core(alpha: float, delta: float, cfg: QuadratureConfig):
 
 
 @lru_cache(maxsize=65536)
-def _c_dot_core(alpha: float, delta: float, cfg: QuadratureConfig):
+def _c_dot_core(alpha: float, delta: float):
     """d c / d alpha through the determinant of complete integrals.
 
     cdot = 1 + (J1*v - J2*J3) / v^2 with
@@ -263,7 +253,7 @@ def _c_dot_core(alpha: float, delta: float, cfg: QuadratureConfig):
         )
 
     (j1, j2, j3, v), (e1, e2, e3, ev) = integrate_adaptive(
-        f, 0.0, math.pi, cfg, _presplit(alpha, delta)
+        f, 0.0, math.pi, _presplit(alpha, delta)
     )
     det = j1 * v - j2 * j3
     cd = 1.0 + det / (v * v)
@@ -280,20 +270,19 @@ def _c_dot_core(alpha: float, delta: float, cfg: QuadratureConfig):
 # ----------------------------------------------------------------------
 
 
-def critical_point_c(alpha: float, delta: float, q: QuadratureConfig = DEFAULT_QUAD) -> float:
+def critical_point_c(alpha: float, delta: float) -> float:
     """Zero of the Green differential inside the gap (a, b)."""
-    c, _, _, _ = _c_core(float(alpha), float(delta), q)
+    c, _, _, _ = _c_core(float(alpha), float(delta))
     return c
 
 
-def c_dot(alpha: float, delta: float, q: QuadratureConfig = DEFAULT_QUAD) -> float:
+def c_dot(alpha: float, delta: float) -> float:
     """Derivative of the critical point with respect to alpha; always > 1."""
-    cd, _ = _c_dot_core(float(alpha), float(delta), q)
+    cd, _ = _c_dot_core(float(alpha), float(delta))
     return cd
 
 
-def green_two_interval(alpha: float, delta: float, x: float,
-                       q: QuadratureConfig = DEFAULT_QUAD) -> float:
+def green_two_interval(alpha: float, delta: float, x: float) -> float:
     """Green function of the complement of E(alpha, delta) on the closed gap.
 
     Vanishes at both gap endpoints and is positive inside.
@@ -307,14 +296,14 @@ def green_two_interval(alpha: float, delta: float, x: float,
     phi_x = _phi_of_x(alpha, delta, x)
     if phi_x >= math.pi:
         return 0.0
-    c, _, _, _ = _c_core(alpha, delta, q)
+    c, _, _, _ = _c_core(alpha, delta)
     shift = alpha - c
 
     def f(phi):
         op, om = _one_pm_xi(alpha, delta, phi)
         return ((shift - delta * np.cos(phi)) / np.sqrt(op * om))[None, :]
 
-    (g,), _ = integrate_adaptive(f, phi_x, math.pi, q, _presplit(alpha, delta))
+    (g,), _ = integrate_adaptive(f, phi_x, math.pi, _presplit(alpha, delta))
     return float(g)
 
 
@@ -334,8 +323,7 @@ def green_single_interval(delta: float, x: float) -> float:
     return math.acosh(max(1.0, y))
 
 
-def dalpha_green(alpha: float, delta: float, x: float,
-                 q: QuadratureConfig = DEFAULT_QUAD) -> float:
+def dalpha_green(alpha: float, delta: float, x: float) -> float:
     """Partial derivative of the two-interval Green function in alpha.
 
     Computed as I1 + I2 - cdot * I3 with
@@ -355,8 +343,8 @@ def dalpha_green(alpha: float, delta: float, x: float,
             f"x={x} within {ENDPOINT_REFUSAL} of a gap endpoint; the boundary "
             f"term of dG/dalpha is singular there"
         )
-    c, _, _, _ = _c_core(alpha, delta, q)
-    cd, _ = _c_dot_core(alpha, delta, q)
+    c, _, _, _ = _c_core(alpha, delta)
+    cd, _ = _c_dot_core(alpha, delta)
     phi_x = _phi_of_x(alpha, delta, x)
 
     def f(phi):
@@ -365,23 +353,22 @@ def dalpha_green(alpha: float, delta: float, x: float,
         sq = np.sqrt(op * om)
         return np.stack([(1.0 - c * xi) / (op * om * sq), 1.0 / sq])
 
-    (i1, i3), _ = integrate_adaptive(f, phi_x, math.pi, q, _presplit(alpha, delta))
+    (i1, i3), _ = integrate_adaptive(f, phi_x, math.pi, _presplit(alpha, delta))
     i2 = (x - c) / math.sqrt((1.0 - x) * (1.0 + x) * (b - x) * (x - a))
     return float(i1 + i2 - cd * i3)
 
 
-def green_eval(alpha: float, delta: float, x: float,
-               q: QuadratureConfig = DEFAULT_QUAD) -> GreenEval:
+def green_eval(alpha: float, delta: float, x: float) -> GreenEval:
     """Bundle G, dG/dalpha, c, cdot at one point with an error estimate."""
     alpha = float(alpha)
     delta = float(delta)
-    g = green_two_interval(alpha, delta, x, q)
-    c, _, _, ec = _c_core(alpha, delta, q)
-    cd, ecd = _c_dot_core(alpha, delta, q)
+    g = green_two_interval(alpha, delta, x)
+    c, _, _, ec = _c_core(alpha, delta)
+    cd, ecd = _c_dot_core(alpha, delta)
     a, b = alpha - delta, alpha + delta
     if min(x - a, b - x) < ENDPOINT_REFUSAL:
         dg = None
     else:
-        dg = dalpha_green(alpha, delta, x, q)
-    err = ec * math.pi + ecd + max(q.abs_tol, q.rel_tol * abs(g))
+        dg = dalpha_green(alpha, delta, x)
+    err = ec * math.pi + ecd + max(_ABS_TOL, _REL_TOL * abs(g))
     return GreenEval(g=g, dg_dalpha=dg, c=c, c_dot=cd, err_estimate=float(err))

@@ -140,11 +140,6 @@ def make_gap_set(p: GapParams) -> CompactSet:
     return CompactSet((Interval(-1.0, p.a), Interval(p.b, 1.0)))
 
 
-def measure(E: CompactSet) -> float:
-    """Total length of the set."""
-    return E.measure
-
-
 def discretize(E: CompactSet, density: int) -> np.ndarray:
     """Chebyshev-node grid on E with `density` points per interval.
 

@@ -19,7 +19,7 @@ from chebgap.andrievskii import (
 )
 from chebgap.chebyshev import cheb_T, remez_constant
 from chebgap.envelope import delta_star, diagram, switching_point, x0_of_alpha, x_star
-from chebgap.extremal import OracleConfig, solve_extremal
+from chebgap.extremal import solve_extremal
 from chebgap.green import (
     c_dot,
     critical_point_c,
@@ -85,17 +85,16 @@ def test_criterion_03_boundary_limit():
 
 def test_criterion_04_lp_vs_closed_forms():
     t0 = time.perf_counter()
-    cfg = OracleConfig(compute_extension=False)
     d = 0.4
     E = CompactSet((Interval(-1.0 + 2.0 * d, 1.0),))
     worst_a = max(
-        abs(solve_extremal(E, -1.0, n, cfg).value - remez_constant(n, d))
+        abs(solve_extremal(E, -1.0, n, extension=False).value - remez_constant(n, d))
         / remez_constant(n, d)
         for n in range(1, 21)
     )
     E2 = make_gap_set(GapParams(0.0, 0.5))
     worst_b = max(
-        abs(solve_extremal(E2, 0.0, 2 * m, cfg).value - cheb_T(m, 5.0 / 3.0))
+        abs(solve_extremal(E2, 0.0, 2 * m, extension=False).value - cheb_T(m, 5.0 / 3.0))
         / cheb_T(m, 5.0 / 3.0)
         for m in range(1, 11)
     )

@@ -12,7 +12,6 @@ from chebgap.chebyshev import (
     cheb_T,
     cheb_derivative,
     cheb_eval,
-    eval as cheb_poly_eval,
     remez_constant,
     remez_poly_value,
 )
@@ -125,7 +124,7 @@ class TestAkhiezerEven:
 class TestChebPoly:
     def test_identity_poly(self):
         p = ChebPoly(1, (0.0, 1.0))
-        assert cheb_poly_eval(p, 0.3) == pytest.approx(0.3, abs=1e-15)
+        assert p(0.3) == pytest.approx(0.3, abs=1e-15)
 
     def test_constant(self):
         p = ChebPoly(0, (1.0,))

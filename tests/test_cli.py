@@ -3,6 +3,7 @@ import math
 
 import pytest
 
+from chebgap import green
 from chebgap.chebyshev import cheb_T
 from chebgap.cli import main
 
@@ -42,11 +43,18 @@ class TestGreenCommand:
         assert len(lines) == 2
         assert "\r" not in out
 
-    def test_quadrature_failure_exits_3(self, capsys, tmp_path):
-        cfg = tmp_path / "hard.cfg"
-        cfg.write_text("max_depth=1\nabs_tol=1e-300\nrel_tol=1e-300\nbase_nodes=4\n")
-        rc, _, err = run(capsys, "green", "--alpha", "-0.599999", "--delta", "0.4",
-                         "--x", "-0.9", "--config", str(cfg))
+    def test_quadrature_failure_exits_3(self, capsys, monkeypatch):
+        for name, value in (("_MAX_DEPTH", 1), ("_ABS_TOL", 1e-300),
+                            ("_REL_TOL", 1e-300), ("_BASE_NODES", 4)):
+            monkeypatch.setattr(green, name, value)
+        try:
+            rc, _, err = run(capsys, "green", "--alpha", "-0.599999", "--delta", "0.4",
+                             "--x", "-0.9")
+        finally:
+            # the cores are cached per (alpha, delta): drop what the coarse
+            # settings computed
+            green._c_core.cache_clear()
+            green._c_dot_core.cache_clear()
         assert rc == 3
         assert "numerical failure" in err
 
@@ -155,11 +163,3 @@ class TestVerifyCommand:
 class TestArgumentHandling:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
-
-    def test_unknown_config_key(self, capsys, tmp_path):
-        cfg = tmp_path / "bad.cfg"
-        cfg.write_text("nonsense=1\n")
-        rc, _, err = run(capsys, "green", "--alpha", "0", "--delta", "0.5",
-                         "--x", "0", "--config", str(cfg))
-        assert rc == 2
-        assert "nonsense" in err

@@ -4,7 +4,6 @@ import numpy as np
 import pytest
 
 from chebgap.envelope import (
-    DEFAULT_ENVELOPE,
     akhiezer_curve,
     delta_star,
     diagram,
@@ -123,6 +122,23 @@ class TestUpperEnvelope:
             p = upper_envelope(d, x)
             assert p.phi >= green_single_interval(d, x) - 1e-9
 
+    # Grid abscissae np.linspace(-1, 0, 99)[k] at which a bracket end
+    # alpha = x -+ delta of the interior maximization does not round back to
+    # x, so x fell outside that alpha's gap and the envelope raised.
+    @pytest.mark.parametrize("d,x", [
+        (0.2, -0.9897959183673469),
+        (0.2, -0.8775510204081632),
+        (0.2, -0.7346938775510204),
+        (0.2, -0.4897959183673469),
+        (0.3, -0.37755102040816335),
+        (0.3, -0.26530612244897966),
+    ])
+    def test_gap_edge_rounding(self, d, x):
+        p = upper_envelope(d, x)
+        neighbour = upper_envelope(d, math.nextafter(x, 0.0))
+        assert p.source == neighbour.source
+        assert p.phi == pytest.approx(neighbour.phi, abs=1e-9)
+
     def test_domain(self):
         with pytest.raises(DomainError):
             upper_envelope(0.4, 0.5)
@@ -166,11 +182,15 @@ class TestXStar:
             assert v <= x0_of_alpha(float(alpha), d) + 1e-9
 
     def test_grid_refinement_stability(self):
-        from chebgap.envelope import EnvelopeConfig
-
-        a = x_star(0.4, EnvelopeConfig())
-        b = x_star(0.4, EnvelopeConfig(coarse_alpha=96))
-        assert a == pytest.approx(b, abs=1e-6)
+        # brute force: a 65-point alpha scan, then 41 alphas within 0.01 of
+        # its argmin; the coarse scan alone is about 3e-5 above x_*
+        d = 0.4
+        coarse = np.linspace(d - 1.0 + 1e-8, 0.0, 65)
+        i = int(np.argmin([x0_of_alpha(float(al), d) for al in coarse]))
+        fine = np.linspace(max(coarse[i] - 0.01, coarse[0]),
+                           min(coarse[i] + 0.01, 0.0), 41)
+        brute_min = min(x0_of_alpha(float(al), d) for al in fine)
+        assert 0.0 <= brute_min - x_star(d) <= 1e-6
 
 
 @pytest.fixture(scope="module")

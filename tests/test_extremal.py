@@ -3,18 +3,18 @@ import math
 import numpy as np
 import pytest
 
+from chebgap import extremal
 from chebgap.chebyshev import ChebPoly, cheb_T, cheb_eval, remez_constant, remez_poly_value
 from chebgap.errors import DomainError, SolverError
 from chebgap.extremal import (
     ExtremalResult,
-    OracleConfig,
     n_extension,
     solve_extremal,
     verify_feasibility,
 )
 from chebgap.intervals import CompactSet, GapParams, Interval, make_gap_set, random_multigap_set
 
-FAST = OracleConfig(compute_extension=False)
+VALUE_TOL = 1e-9
 
 
 def single_interval(delta):
@@ -29,29 +29,29 @@ class TestClosedForms:
 
     def test_remez_instance(self):
         d = 0.4
-        res = solve_extremal(single_interval(d), -1.0, 6, FAST)
+        res = solve_extremal(single_interval(d), -1.0, 6, extension=False)
         assert res.value == pytest.approx(remez_constant(6, d), rel=1e-9)
 
     def test_even_akhiezer_instance(self):
-        res = solve_extremal(make_gap_set(GapParams(0.0, 0.5)), 0.0, 6, FAST)
+        res = solve_extremal(make_gap_set(GapParams(0.0, 0.5)), 0.0, 6, extension=False)
         assert res.value == pytest.approx(cheb_T(3, 5.0 / 3.0), rel=1e-9)
 
     @pytest.mark.parametrize("n", [1, 2, 5, 13, 20])
     def test_remez_sweep(self, n):
         d = 0.4
-        res = solve_extremal(single_interval(d), -1.0, n, FAST)
+        res = solve_extremal(single_interval(d), -1.0, n, extension=False)
         assert res.value == pytest.approx(remez_constant(n, d), rel=1e-9)
 
     def test_degree_zero(self):
-        res = solve_extremal(single_interval(0.4), -1.0, 0, FAST)
+        res = solve_extremal(single_interval(0.4), -1.0, 0, extension=False)
         assert res.value == pytest.approx(1.0, rel=1e-12)
 
     def test_value_at_least_one(self):
-        res = solve_extremal(make_gap_set(GapParams(-0.3, 0.4)), -0.5, 4, FAST)
+        res = solve_extremal(make_gap_set(GapParams(-0.3, 0.4)), -0.5, 4, extension=False)
         assert res.value >= 1.0 - 1e-12
 
     def test_normalization_positive(self):
-        res = solve_extremal(make_gap_set(GapParams(-0.3, 0.4)), -0.3, 9, FAST)
+        res = solve_extremal(make_gap_set(GapParams(-0.3, 0.4)), -0.3, 9, extension=False)
         assert res.value > 0.0
         assert cheb_eval(res.poly.coeffs, -0.3) == pytest.approx(res.value, rel=1e-9)
 
@@ -59,49 +59,51 @@ class TestClosedForms:
 class TestStructure:
     def test_active_point_count(self):
         n = 9
-        res = solve_extremal(make_gap_set(GapParams(-0.3, 0.4)), -0.3, n, FAST)
+        res = solve_extremal(make_gap_set(GapParams(-0.3, 0.4)), -0.3, n, extension=False)
         assert len(res.active_points) == n + 1
         assert len(res.active_signs) == n + 1
 
     def test_active_points_lie_in_E(self):
         E = make_gap_set(GapParams(-0.3, 0.4))
-        res = solve_extremal(E, -0.3, 8, FAST)
+        res = solve_extremal(E, -0.3, 8, extension=False)
         for t in res.active_points:
             assert E.contains(t, tol=1e-12)
 
     def test_stable_evaluate_matches_coeffs_at_small_scale(self):
         E = make_gap_set(GapParams(-0.3, 0.4))
-        res = solve_extremal(E, -0.3, 8, FAST)
+        res = solve_extremal(E, -0.3, 8, extension=False)
         xs = np.linspace(-1, 1, 50)
         assert np.allclose(res.evaluate(xs), cheb_eval(res.poly.coeffs, xs),
                            rtol=1e-9, atol=1e-9)
 
-    def test_grid_refinement_convergence(self):
+    def test_grid_refinement_convergence(self, monkeypatch):
         E = make_gap_set(GapParams(-0.3, 0.4))
-        a = solve_extremal(E, -0.3, 8, OracleConfig(grid_density=96, compute_extension=False))
-        b = solve_extremal(E, -0.3, 8, OracleConfig(grid_density=192, compute_extension=False))
-        assert abs(a.value - b.value) <= 10 * FAST.value_tol * max(1.0, a.value)
+        monkeypatch.setattr(extremal, "_grid_density", lambda n, k: 96)
+        a = solve_extremal(E, -0.3, 8, extension=False)
+        monkeypatch.setattr(extremal, "_grid_density", lambda n, k: 192)
+        b = solve_extremal(E, -0.3, 8, extension=False)
+        assert abs(a.value - b.value) <= 10 * VALUE_TOL * max(1.0, a.value)
 
     def test_monotone_in_E(self):
         # fewer constraints -> larger value
         big = make_gap_set(GapParams(-0.3, 0.4))
         small = CompactSet((Interval(-1.0, -0.75), Interval(0.2, 1.0)))  # subset
         x0, n = -0.4, 7
-        v_big = solve_extremal(big, x0, n, FAST).value
-        v_small = solve_extremal(small, x0, n, FAST).value
-        assert v_small >= v_big - FAST.value_tol * max(1.0, v_big)
+        v_big = solve_extremal(big, x0, n, extension=False).value
+        v_small = solve_extremal(small, x0, n, extension=False).value
+        assert v_small >= v_big - VALUE_TOL * max(1.0, v_big)
 
     def test_monotone_in_n(self):
         E = make_gap_set(GapParams(-0.2, 0.35))
-        vals = [solve_extremal(E, -0.2, n, FAST).value for n in range(1, 11)]
+        vals = [solve_extremal(E, -0.2, n, extension=False).value for n in range(1, 11)]
         for a, b in zip(vals, vals[1:]):
-            assert b >= a - FAST.value_tol * max(1.0, a)
+            assert b >= a - VALUE_TOL * max(1.0, a)
 
     def test_gap_independence(self):
         # the extremizer depends on the gap, not on which x0 inside it
         E = make_gap_set(GapParams(-0.3, 0.4))
-        r1 = solve_extremal(E, -0.5, 8, FAST)
-        r2 = solve_extremal(E, -0.15, 8, FAST)
+        r1 = solve_extremal(E, -0.5, 8, extension=False)
+        r2 = solve_extremal(E, -0.15, 8, extension=False)
         probes = np.linspace(-0.95, 0.95, 20)
         p1 = r1.evaluate(probes)
         p2 = r2.evaluate(probes)
@@ -118,22 +120,27 @@ class TestStructure:
         assert E.measure == pytest.approx(2.0 - 2.0 * d, abs=1e-15)
         for x0 in (-0.7, -0.35):
             for n in (5, 8):
-                v = solve_extremal(E, x0, n, FAST).value
-                assert v < remez_poly_value(n, d, x0) + FAST.value_tol * max(1.0, v)
+                v = solve_extremal(E, x0, n, extension=False).value
+                assert v < remez_poly_value(n, d, x0) + VALUE_TOL * max(1.0, v)
 
     def test_sparse_grid_error(self):
         E = CompactSet((Interval(0.0, 0.0), Interval(0.5, 0.5)))
         with pytest.raises(SolverError):
-            solve_extremal(E, -1.0, 5, FAST)
+            solve_extremal(E, -1.0, 5, extension=False)
 
-    def test_config_validation(self):
+    def test_negative_degree_rejected(self):
         with pytest.raises(DomainError):
-            OracleConfig(feas_tol=0.0)
-        with pytest.raises(DomainError):
-            solve_extremal(single_interval(0.4), -1.0, -1, FAST)
+            solve_extremal(single_interval(0.4), -1.0, -1, extension=False)
 
 
 class TestNExtension:
+    @pytest.mark.xfail(strict=True, raises=SolverError,
+                       reason="D1: Clenshaw noise makes spurious +-1 crossings")
+    def test_extension_at_moderate_degree(self):
+        E = make_gap_set(GapParams(-0.3, 0.4))
+        res = solve_extremal(E, -0.3, 50)
+        assert res.n_extension.contains(-0.8)
+
     def test_remez_instance_no_extension(self):
         d = 0.4
         res = solve_extremal(single_interval(d), -1.0, 6)
@@ -184,7 +191,7 @@ class TestNExtension:
 class TestVerifyFeasibility:
     def test_solved_instance(self):
         E = make_gap_set(GapParams(-0.3, 0.4))
-        res = solve_extremal(E, -0.3, 10, FAST)
+        res = solve_extremal(E, -0.3, 10, extension=False)
         rep = verify_feasibility(res, E, probes=100_000)
         assert rep.ok
         assert rep.max_violation <= 1e-9
@@ -194,7 +201,7 @@ class TestVerifyFeasibility:
         # active-point form must stay clean
         d = 0.4
         E = single_interval(d)
-        res = solve_extremal(E, -1.0, 20, FAST)
+        res = solve_extremal(E, -1.0, 20, extension=False)
         rep = verify_feasibility(res, E, probes=50_000)
         assert rep.max_violation <= 1e-9
 
@@ -205,7 +212,7 @@ class TestVerifyFeasibility:
 
     def test_corrupted_poly_detected(self):
         E = make_gap_set(GapParams(-0.3, 0.4))
-        res = solve_extremal(E, -0.3, 6, FAST)
+        res = solve_extremal(E, -0.3, 6, extension=False)
         coeffs = list(res.poly.coeffs)
         coeffs[2] += 0.1
         bad = ChebPoly(6, tuple(coeffs))

@@ -3,10 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from chebgap import green
 from chebgap.errors import DomainError, QuadratureError
 from chebgap.green import (
-    DEFAULT_QUAD,
-    QuadratureConfig,
     c_dot,
     critical_point_c,
     dalpha_green,
@@ -43,21 +42,15 @@ class TestQuadratureEngine:
         val, err = integrate_adaptive(lambda t: t[None, :], 1.0, 1.0)
         assert val[0] == 0.0
 
-    def test_nonconvergence_raises(self):
-        cfg = QuadratureConfig(max_depth=2)
+    def test_nonconvergence_raises(self, monkeypatch):
+        monkeypatch.setattr(green, "_MAX_DEPTH", 2)
         with pytest.raises(QuadratureError) as exc_info:
             # step discontinuity with an irrational break resists depth 2
             integrate_adaptive(
                 lambda t: (np.where(t < 1 / math.sqrt(2), 0.0, 1.0))[None, :],
-                0.0, 1.0, cfg,
+                0.0, 1.0,
             )
         assert exc_info.value.partial is not None
-
-    def test_config_validation(self):
-        with pytest.raises(DomainError):
-            QuadratureConfig(abs_tol=0.0)
-        with pytest.raises(DomainError):
-            QuadratureConfig(max_depth=0)
 
 
 class TestCriticalPoint:
@@ -111,8 +104,8 @@ class TestGreenTwoInterval:
     @pytest.mark.parametrize("alpha,delta", DYADIC_PAIRS)
     def test_vanishes_at_gap_endpoints(self, alpha, delta):
         # dyadic parameters make the endpoint arccos argument exactly +-1
-        assert abs(green_two_interval(alpha, delta, alpha - delta)) <= DEFAULT_QUAD.abs_tol
-        assert abs(green_two_interval(alpha, delta, alpha + delta)) <= DEFAULT_QUAD.abs_tol
+        assert abs(green_two_interval(alpha, delta, alpha - delta)) <= green._ABS_TOL
+        assert abs(green_two_interval(alpha, delta, alpha + delta)) <= green._ABS_TOL
 
     def test_positive_inside(self):
         for alpha, delta in ((-0.25, 0.375), (-0.5, 0.25), (0.0, 0.75)):

@@ -10,7 +10,6 @@ from chebgap.intervals import (
     Interval,
     discretize,
     make_gap_set,
-    measure,
     random_multigap_set,
 )
 
@@ -56,16 +55,16 @@ class TestMakeGapSet:
     def test_symmetric(self):
         E = make_gap_set(GapParams(0.0, 0.5))
         assert [(iv.lo, iv.hi) for iv in E.intervals] == [(-1.0, -0.5), (0.5, 1.0)]
-        assert measure(E) == 1.0
+        assert E.measure == 1.0
 
     def test_shifted(self):
         E = make_gap_set(GapParams(-0.3, 0.4))
         flat = [v for iv in E.intervals for v in (iv.lo, iv.hi)]
         assert flat == pytest.approx([-1.0, -0.7, 0.1, 1.0], abs=1e-15)
-        assert measure(E) == pytest.approx(1.2, abs=1e-15)
+        assert E.measure == pytest.approx(1.2, abs=1e-15)
 
     def test_measure_alpha_independent(self):
-        assert measure(make_gap_set(GapParams(-0.59, 0.4))) == pytest.approx(1.2, abs=1e-15)
+        assert make_gap_set(GapParams(-0.59, 0.4)).measure == pytest.approx(1.2, abs=1e-15)
 
     def test_gap_touching_minus_one_rejected(self):
         with pytest.raises(DomainError):
@@ -73,15 +72,15 @@ class TestMakeGapSet:
 
     @pytest.mark.parametrize("alpha,delta", [(-0.1, 0.2), (-0.5, 0.45), (0.0, 0.9), (-0.05, 0.1)])
     def test_measure_exact(self, alpha, delta):
-        assert abs(measure(make_gap_set(GapParams(alpha, delta))) - (2 - 2 * delta)) < 1e-14
+        assert abs(make_gap_set(GapParams(alpha, delta)).measure - (2 - 2 * delta)) < 1e-14
 
 
 class TestMeasure:
     def test_full_interval(self):
-        assert measure(CompactSet((Interval(-1.0, 1.0),))) == 2.0
+        assert CompactSet((Interval(-1.0, 1.0),)).measure == 2.0
 
     def test_empty(self):
-        assert measure(CompactSet(())) == 0.0
+        assert CompactSet(()).measure == 0.0
 
 
 class TestDiscretize:
