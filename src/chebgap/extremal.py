@@ -26,6 +26,9 @@ Chebyshev coefficients and evaluating near |P| = 1 loses eps * value
 absolutely, and the value reaches 1e13 already at degree 20 on the sets of
 interest.  The optimal value sum_i s_i l_i(x0) is a same-sign sum, computed
 through logs, so the reported value keeps full relative precision.
+A pivot moves one basis node, so the pricing values come from a Cauchy
+matrix 1/(x_j - t_i) built once per solve and updated by one column per
+pivot.
 
 Exchange rounds then locate the true local maxima of |P| on E by golden
 section, append them as grid columns, and re-optimize; the previous basis
@@ -261,6 +264,39 @@ class _ExchangeLP:
         logw, signw = _bary_logweights(t)
         return t, s, logw, signw
 
+    def _cauchy(self):
+        """Pricing matrix C[j, i] = 1/(x_j - t_i) over grid points and slots.
+
+        The grid points are distinct, so the only exact node hit in column i
+        is the row of basis node i itself; it is stored as 0 instead of inf
+        and its pricing value is set by index in `_price`.
+        """
+        rows = [j >> 1 for j in self.basis]
+        with np.errstate(divide="ignore"):
+            C = 1.0 / (self.points[:, None] - self.points[rows][None, :])
+        C[rows, np.arange(self.r)] = 0.0
+        return C
+
+    def _cauchy_column(self, C, i):
+        """Refill column i of C after basis slot i changed node."""
+        p = self.basis[i] >> 1
+        with np.errstate(divide="ignore"):
+            C[:, i] = 1.0 / (self.points - self.points[p])
+        C[p, i] = 0.0
+
+    def _price(self, C, t, s, logw, signw):
+        """Interpolant values at every grid point, as `_bary_values` gives
+        them, from the cached pricing matrix."""
+        wt = signw * np.exp(logw - logw.max())
+        with np.errstate(divide="ignore", invalid="ignore"):
+            vals = (C @ (wt * s)) / (C @ wt)
+        vals[[j >> 1 for j in self.basis]] = s
+        bad = ~np.isfinite(vals)
+        if bad.any():
+            for j in np.flatnonzero(bad):
+                vals[j] = s[int(np.argmin(np.abs(self.points[j] - t)))]
+        return vals
+
     def solve(self, seed_points=None):
         m = len(self.points)
         if m < self.r:
@@ -269,6 +305,7 @@ class _ExchangeLP:
             )
         if self.basis is None:
             self._initial_basis(seed_points)
+        C = self._cauchy()
         max_iter = 2000 + 60 * self.r
         seen = set()
         bland_left = 0
@@ -285,7 +322,7 @@ class _ExchangeLP:
             if bland:
                 bland_left -= 1
             t, s, logw, signw = self._state()
-            pv = _bary_values(t, s, logw, signw, self.points)
+            pv = self._price(C, t, s, logw, signw)
             d_plus = 1.0 - pv
             d_minus = 1.0 + pv
             # Basic columns have reduced cost exactly 0; mask out roundoff.
@@ -334,12 +371,21 @@ class _ExchangeLP:
             else:
                 leave = max(ties, key=lambda i: u_hat[i])
             self.basis[leave] = enter
+            self._cauchy_column(C, leave)
         raise SolverError(f"simplex exceeded {max_iter} iterations")
 
 
 def _grid_density(n, k_intervals):
     """Grid points per interval for the initial LP."""
     return max(64, int(math.ceil(20 * (n + 1) / max(k_intervals, 1))))
+
+
+def _nearest_distance(points, xs):
+    """Distance from each x to the nearest of `points`, found among its two
+    neighbours in sorted order."""
+    pts = np.sort(points)
+    right = np.clip(np.searchsorted(pts, xs), 1, len(pts) - 1)
+    return np.minimum(np.abs(xs - pts[right - 1]), np.abs(xs - pts[right]))
 
 
 def _scan_abs_max(evaluate, E, n, known=None):
@@ -370,11 +416,13 @@ def _scan_abs_max(evaluate, E, n, known=None):
         interior = np.flatnonzero(
             (vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])
         ) + 1
-        for i in interior:
+        if known is not None:
+            first = np.searchsorted(known, xs[interior - 1], side="right")
+            stop = np.searchsorted(known, xs[interior + 1], side="left")
+        for k, i in enumerate(interior):
             cuts = [xs[i - 1], xs[i + 1]]
             if known is not None:
-                inside = known[(known > xs[i - 1]) & (known < xs[i + 1])]
-                cuts = [xs[i - 1], *inside.tolist(), xs[i + 1]]
+                cuts = [xs[i - 1], *known[first[k]:stop[k]].tolist(), xs[i + 1]]
             for lo, hi in zip(cuts[:-1], cuts[1:]):
                 if hi - lo >= 1e-15:
                     brackets.append((lo, hi))
@@ -428,9 +476,7 @@ def solve_extremal(E: CompactSet, x0: float, n: int, *, extension: bool = True,
             break
         peaks = np.sort(peaks)
         peaks = peaks[np.concatenate(([True], np.diff(peaks) > 1e-12))]
-        fresh = peaks[
-            np.min(np.abs(peaks[:, None] - lp.points[None, :]), axis=1) > 1e-13
-        ]
+        fresh = peaks[_nearest_distance(lp.points, peaks) > 1e-13]
         if fresh.size == 0:
             break
         lp.append_points(fresh)

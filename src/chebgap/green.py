@@ -114,15 +114,15 @@ def integrate_adaptive(f, lo: float, hi: float, presplit=()):
     (values, err) as two length-k arrays.  The module constants are read at
     call time.
     """
-    probe = f(np.array([0.5 * (lo + hi) if hi > lo else lo]))
-    k = probe.shape[0]
     if hi <= lo:
+        k = f(np.array([lo])).shape[0]
         return np.zeros(k), np.zeros(k)
     nodes, weights = _gl_rule(_BASE_NODES)
     bounds = [lo] + sorted(p for p in presplit if lo < p < hi) + [hi]
     los = np.asarray(bounds[:-1], dtype=float)
     his = np.asarray(bounds[1:], dtype=float)
     parents = _panel_estimates(f, los, his, nodes, weights)
+    k = parents.shape[0]
     total0 = np.abs(parents).sum(axis=1)
     tol = np.maximum(_ABS_TOL, _REL_TOL * total0)
     span = hi - lo

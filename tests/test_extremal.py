@@ -12,9 +12,22 @@ from chebgap.extremal import (
     solve_extremal,
     verify_feasibility,
 )
-from chebgap.intervals import CompactSet, GapParams, Interval, make_gap_set, random_multigap_set
+from chebgap.intervals import (
+    CompactSet,
+    GapParams,
+    Interval,
+    discretize,
+    make_gap_set,
+    random_multigap_set,
+)
 
 VALUE_TOL = 1e-9
+
+TWO_GAP = CompactSet((Interval(-1.0, -0.55), Interval(-0.25, 0.25), Interval(0.55, 1.0)))
+FOUR_GAP = CompactSet((
+    Interval(-1.0, -0.8), Interval(-0.6, -0.4), Interval(-0.2, 0.2),
+    Interval(0.4, 0.6), Interval(0.8, 1.0),
+))
 
 
 def single_interval(delta):
@@ -133,6 +146,74 @@ class TestStructure:
             solve_extremal(single_interval(0.4), -1.0, -1, extension=False)
 
 
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+class TestPricingCache:
+    """The simplex prices from a Cauchy matrix kept across pivots; pricing
+    from scratch at every pivot must give the same bytes."""
+
+    CASES = {
+        "interval": (single_interval(0.4), -1.0),
+        "two-gap(0.3)": (TWO_GAP, -0.4),
+        "four-gap(0.4)": (FOUR_GAP, -0.7),
+    }
+
+    @staticmethod
+    def _price_from_scratch(monkeypatch):
+        monkeypatch.setattr(
+            extremal._ExchangeLP, "_price",
+            lambda self, C, t, s, logw, signw: extremal._bary_values(
+                t, s, logw, signw, self.points),
+        )
+
+    @staticmethod
+    def _spy(monkeypatch, name):
+        calls = []
+        method = getattr(extremal._ExchangeLP, name)
+
+        def spy(self, *args):
+            calls.append(args)
+            return method(self, *args)
+
+        monkeypatch.setattr(extremal._ExchangeLP, name, spy)
+        return calls
+
+    @pytest.mark.parametrize("n", [12, 50])
+    @pytest.mark.parametrize("case", CASES)
+    def test_matches_scratch_pricing(self, case, n, monkeypatch):
+        E, x0 = self.CASES[case]
+        appended = self._spy(monkeypatch, "append_points")
+        cached = solve_extremal(E, x0, n, extension=False).to_json()
+        assert appended, "no exchange round re-solved after append_points"
+        self._price_from_scratch(monkeypatch)
+        assert solve_extremal(E, x0, n, extension=False).to_json() == cached
+
+    @pytest.mark.parametrize("case, pick", [
+        ("interval", lambda grid, r: grid[::2]),
+        ("two-gap(0.3)", lambda grid, r: grid[-r:]),
+    ])
+    def test_warm_start_cold_retry(self, case, pick, monkeypatch):
+        # these seeds lead the seeded simplex into an unbounded direction, so
+        # the solve restarts from a fresh basis (lp.basis = None)
+        E, x0 = self.CASES[case]
+        n = 12
+        grid = discretize(E, extremal._grid_density(n, len(E.intervals)))
+        seeds = pick(grid, n + 1)
+        starts = self._spy(monkeypatch, "_initial_basis")
+        cached = solve_extremal(E, x0, n, extension=False, warm_start=seeds).to_json()
+        assert [a[0] is None for a in starts] == [False, True]
+        self._price_from_scratch(monkeypatch)
+        assert solve_extremal(E, x0, n, extension=False, warm_start=seeds).to_json() == cached
+
+
+@pytest.mark.parametrize("m", [1, 2, 7, 400])
+def test_nearest_distance_matches_dense(m):
+    rng = np.random.default_rng(m)
+    points = rng.uniform(-1.0, 1.0, m)
+    xs = np.concatenate([rng.uniform(-1.5, 1.5, 300), points[::3], [-2.0, 2.0]])
+    dense = np.min(np.abs(xs[:, None] - points[None, :]), axis=1)
+    assert np.array_equal(extremal._nearest_distance(points, xs), dense)
+
+
 class TestNExtension:
     @pytest.mark.xfail(strict=True, raises=SolverError,
                        reason="D1: Clenshaw noise makes spurious +-1 crossings")
@@ -204,6 +285,18 @@ class TestVerifyFeasibility:
         res = solve_extremal(E, -1.0, 20, extension=False)
         rep = verify_feasibility(res, E, probes=50_000)
         assert rep.max_violation <= 1e-9
+
+    @pytest.mark.xfail(strict=True,
+                       reason="D4: |P| reaches 1 + 6.2e-6 on this set, beyond feas_tol")
+    def test_seeded_four_interval_set(self):
+        E = CompactSet((
+            Interval(-1.0, -0.721244534446349),
+            Interval(-0.6055333608644459, -0.35573206407362123),
+            Interval(-0.2516300376828912, 0.5521556746812406),
+            Interval(0.8363519060278394, 1.0),
+        ))
+        res = solve_extremal(E, -0.6810723933289962, 50, extension=False)
+        assert verify_feasibility(res, E).ok
 
     def test_constant_one(self):
         E = make_gap_set(GapParams(0.0, 0.5))
