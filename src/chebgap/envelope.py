@@ -32,16 +32,24 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._search import bisect_root, golden_max
+from ._search import bisect_root, brent_max
 from .errors import DomainError, SolverError
-from .green import dalpha_green, green_single_interval, green_two_interval
+from .green import (
+    _check_gap,
+    c_cdot_rows,
+    c_rows,
+    dg_rows,
+    g_rows,
+    green_single_interval,
+    green_two_interval,
+)
 
 SOURCE_REMEZ = "remez"
 SOURCE_AKHIEZER = "akhiezer"
 SOURCE_TIE = "tie"
 
 _COARSE_ALPHA = 64        # coarse grid points per maximization
-_ALPHA_TOL = 1e-10        # golden-section width in alpha
+_ALPHA_TOL = 1e-10        # Brent bracket width in alpha
 _TIE_TOL = 1e-9           # branch values closer than this tie
 _BOUNDARY_CLIP = 1e-8     # keep alpha >= delta-1+clip
 _ROOT_TOL = 1e-10         # bisection width for x0(alpha)
@@ -103,24 +111,65 @@ def delta_star(tol: float = 1e-8) -> float:
     return 0.5 * (lo + hi)
 
 
+def x0_many(alphas, delta: float, tol: float = _ROOT_TOL):
+    """x0(alpha) for an array of alphas by lockstep bisection.
+
+    Each bracket is the gap pulled in by max(1e-8*(b-a), 2e-10) at both
+    ends, where the strictly increasing map x -> dG/dalpha goes from
+    negative to positive.  c and cdot come from one quadrature for the whole
+    batch, and each bisection step evaluates dG/dalpha at the midpoints of
+    all open brackets in one quadrature.  Rows with an inadmissible alpha,
+    or without that sign change (numerical breakdown near the boundary),
+    come back as nan.
+    """
+    alphas = np.asarray(alphas, dtype=float)
+    out = np.full(alphas.shape, np.nan)
+    ok = np.flatnonzero((0.0 < delta < 1.0) & (delta - 1.0 < alphas) & (alphas <= 0.0))
+    if ok.size == 0:
+        return out
+    al = alphas[ok]
+    c, cd, _, _ = c_cdot_rows(al, delta)
+    a, b = al - delta, al + delta
+    h = np.maximum(1e-8 * (b - a), 2e-10)
+    lo, hi = a + h, b - h
+    # both bracket ends of every row in one quadrature
+    f = dg_rows(np.concatenate([al, al]), delta, np.concatenate([lo, hi]),
+                np.concatenate([c, c]), np.concatenate([cd, cd]))
+    root = np.full(al.shape, np.nan)
+    rows = np.flatnonzero((f[: al.size] < 0.0) & (0.0 < f[al.size :]))
+    al, c, cd, lo, hi = al[rows], c[rows], cd[rows], lo[rows], hi[rows]
+    while rows.size:
+        mid = 0.5 * (lo + hi)
+        done = (hi - lo <= tol) | (mid <= lo) | (mid >= hi)
+        if not done.any():
+            f = dg_rows(al, delta, mid, c, cd)
+            up = f > 0.0
+            lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
+            done = f == 0.0
+            if not done.any():
+                continue
+        # a row is done when its bracket is narrow enough or it hit a root
+        root[rows[done]] = mid[done]
+        keep = ~done
+        rows, al, c, cd, lo, hi = rows[keep], al[keep], c[keep], cd[keep], lo[keep], hi[keep]
+    out[ok] = root
+    return out
+
+
 def x0_of_alpha(alpha: float, delta: float, tol: float = _ROOT_TOL) -> float:
     """Unique zero of x -> dG/dalpha in the gap (alpha-delta, alpha+delta).
 
     The map is strictly increasing from -inf to +inf, so bisection on a
-    bracket pulled slightly inside the gap always applies.
+    bracket pulled slightly inside the gap always applies (see x0_many).
     """
-    a = alpha - delta
-    b = alpha + delta
-    h = max(1e-8 * (b - a), 2e-10)
-    lo, hi = a + h, b - h
-    f = lambda x: dalpha_green(alpha, delta, x)
-    f_lo, f_hi = f(lo), f(hi)
-    if not (f_lo < 0.0 < f_hi):
+    _check_gap(alpha, delta)
+    x0 = x0_many(np.array([float(alpha)]), delta, tol)[0]
+    if math.isnan(x0):
         raise SolverError(
-            f"dG/dalpha shows no sign change on [{lo}, {hi}] for alpha={alpha}, "
+            f"dG/dalpha shows no sign change on the gap for alpha={alpha}, "
             f"delta={delta} (numerical breakdown near the boundary)"
         )
-    return bisect_root(f, lo, hi, tol, f_lo, f_hi)
+    return float(x0)
 
 
 def akhiezer_curve(delta, alpha_grid):
@@ -129,13 +178,14 @@ def akhiezer_curve(delta, alpha_grid):
     Rows where the stationary-point solve breaks down are returned as None
     rather than aborting the whole sweep.
     """
-    out = []
-    for alpha in alpha_grid:
-        try:
-            x0 = x0_of_alpha(alpha, delta)
-            out.append((x0, green_two_interval(alpha, delta, x0)))
-        except (SolverError, DomainError):
-            out.append(None)
+    alphas = np.asarray(alpha_grid, dtype=float)
+    x0 = x0_many(alphas, delta)
+    ok = np.flatnonzero(~np.isnan(x0))
+    out = [None] * len(alphas)
+    if ok.size:
+        y = g_rows(alphas[ok], delta, x0[ok])
+        for i, yi in zip(ok, y):
+            out[i] = (float(x0[i]), float(yi))
     return out
 
 
@@ -144,8 +194,18 @@ def _shared_alpha_grid(delta: float):
     return np.linspace(delta - 1.0 + _BOUNDARY_CLIP, 0.0, 4 * _COARSE_ALPHA)
 
 
+@lru_cache(maxsize=256)
+def _shared_c(delta: float):
+    """c on _shared_alpha_grid(delta), reused by every x of one delta."""
+    return c_rows(_shared_alpha_grid(delta), delta)
+
+
 def _interior_max(delta: float, x: float):
     """Maximize alpha -> G_{alpha,delta}(x) over admissible interior alpha.
+
+    About 66 alphas are scanned in one quadrature (c from the cached shared
+    grid where it applies); Brent's method then polishes between the
+    neighbours of the best one.
 
     Returns (alpha, value, at_clip) or None when no alpha admits x in its
     gap.  at_clip flags maximizers stuck at the clipped left boundary, where
@@ -165,20 +225,26 @@ def _interior_max(delta: float, x: float):
         hi = math.nextafter(hi, lo)
 
     grid = _shared_alpha_grid(delta)
-    cand = grid[(grid > lo) & (grid < hi)]
+    inside = (grid > lo) & (grid < hi)
+    cand, c_cand = grid[inside], _shared_c(delta)[inside]
     if cand.size > int(1.5 * _COARSE_ALPHA):
         stride = int(math.ceil(cand.size / _COARSE_ALPHA))
-        cand = cand[::stride]
+        cand, c_cand = cand[::stride], c_cand[::stride]
     if cand.size < 16:
-        cand = np.linspace(lo, hi, _COARSE_ALPHA)[1:-1]
-    alphas = np.concatenate(([lo], cand, [hi]))
+        alphas = np.linspace(lo, hi, _COARSE_ALPHA)
+        cs = c_rows(alphas, delta)
+    else:
+        alphas = np.concatenate(([lo], cand, [hi]))
+        c_lo, c_hi = c_rows(alphas[[0, -1]], delta)
+        cs = np.concatenate(([c_lo], c_cand, [c_hi]))
 
-    g = lambda al: green_two_interval(al, delta, x)
-    vals = np.array([g(al) for al in alphas])
+    vals = g_rows(alphas, delta, x, cs)
     i = int(np.argmax(vals))
-    blo = alphas[max(i - 1, 0)]
-    bhi = alphas[min(i + 1, len(alphas) - 1)]
-    alpha_star, g_star = golden_max(g, blo, bhi, _ALPHA_TOL)
+    j, k = max(i - 1, 0), min(i + 1, len(alphas) - 1)
+    alpha_star, g_star = brent_max(
+        lambda al: green_two_interval(al, delta, x), alphas[j], alphas[k], _ALPHA_TOL,
+        vals[j], vals[k],
+    )
     if vals[i] > g_star:
         alpha_star, g_star = alphas[i], vals[i]
     at_clip = alpha_star - clip_lo < 1e-6
@@ -188,8 +254,9 @@ def _interior_max(delta: float, x: float):
 def upper_envelope(delta: float, x: float) -> EnvelopePoint:
     """Phi_delta(x) with its source tag, for x in (-1, 0].
 
-    Interior maximization (coarse grid + golden section) against the
-    closed-form boundary branch; branches closer than _TIE_TOL are tagged tie.
+    Interior maximization (one batched coarse alpha scan, then Brent's
+    method) against the closed-form boundary branch; branches closer than
+    _TIE_TOL are tagged tie.
     """
     if not (0.0 < delta < 1.0):
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
@@ -255,17 +322,11 @@ def x_star(delta: float) -> float:
     lo = delta - 1.0 + _BOUNDARY_CLIP
 
     def sweep(alphas):
-        best_alpha, best_x0 = None, math.inf
-        for al in alphas:
-            try:
-                x0 = x0_of_alpha(al, delta)
-            except (SolverError, DomainError):
-                continue
-            if x0 < best_x0:
-                best_alpha, best_x0 = al, x0
-        if best_alpha is None:
+        x0 = x0_many(alphas, delta)
+        if np.isnan(x0).all():
             raise SolverError(f"x0(alpha) failed on the whole grid for delta={delta}")
-        return best_alpha, best_x0
+        i = int(np.nanargmin(x0))
+        return alphas[i], x0[i]
 
     grid = np.linspace(lo, 0.0, 65)
     best_alpha, best_x0 = sweep(grid)

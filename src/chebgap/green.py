@@ -14,17 +14,25 @@ c = alpha - delta * u / v with
     u = integral_0^pi cos(psi)/sqrt(1 - xi^2) dpsi,
     v = integral_0^pi 1/sqrt(1 - xi^2) dpsi.
 
-The alpha-derivatives needed by the envelope layer reduce to the same kind
-of integrals: dG/dalpha = I1 + I2 - cdot * I3 and cdot = 1 + det/v^2 (see
-the individual functions).  The psi-substitution removes the square-root
+G is linear in c: G(x) = (alpha - c) V(x) - delta U(x), where U and V are
+the integrals of u and v taken from phi(x) instead of 0.  The
+alpha-derivatives needed by the envelope layer reduce to the same kind of
+integrals: dG/dalpha = I1 + I2 - cdot * I3 and cdot = 1 + det/v^2 (see the
+individual functions).  The psi-substitution removes the square-root
 singularities at the gap edges, so all integrands are smooth except for a
 spike of width eps = sqrt(2(1+a)/delta) near psi = 0 when the gap approaches
 -1; that regime is handled by pre-splitting the range at psi = eps, 2 eps,
 4 eps, ...
 
-All integrals run through one adaptive Gauss-Legendre engine (fixed-order
-panels, bisected until the two-half vs whole discrepancy passes the
-tolerance) that evaluates several integrands on shared panels at once.
+All integrals run through one adaptive Gauss-Legendre engine over rows: row
+r integrates several integrands over its own range [lo[r], hi[r]], and all
+rows share one panel partition of the unit interval, mapped affinely onto
+each range, so a whole alpha family costs one quadrature, and so do c and G
+together (rows [0, pi] and [phi(x), pi]).  The array cores `c_rows`,
+`c_cdot_rows`, `g_rows` and `dg_rows` give c, cdot, G and dG/dalpha over an
+alpha array (x broadcast); the scalar functions are one-row calls of them.
+Nothing is cached per (alpha, delta): a caller that reuses c, such as the
+envelope's shared alpha grid, keeps it itself.
 
 The single-interval Green function for [-1+2*delta, 1] has the closed form
 G(x) = arccosh((delta - x)/(1 - delta)) for x <= -1 + 2*delta.
@@ -54,6 +62,9 @@ _ABS_TOL = 1e-11
 _REL_TOL = 1e-11
 _MAX_DEPTH = 30
 _BASE_NODES = 32
+
+# Roundoff floor of a panel test, relative to the panel values.
+_NOISE = 64.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -94,72 +105,85 @@ def _gl_rule(n: int):
     return nodes, weights
 
 
-def _panel_estimates(f, los, his, nodes, weights):
-    """Gauss-Legendre estimates for a batch of panels; returns (k, p)."""
-    half = 0.5 * (his - los)
-    mid = 0.5 * (his + los)
-    phis = mid[:, None] + half[:, None] * nodes[None, :]
-    vals = f(phis.ravel())
-    vals = vals.reshape(vals.shape[0], len(los), len(nodes))
-    return (vals * weights[None, None, :]).sum(axis=2) * half[None, :]
+def _panel_estimates(f, tl, th, lo, width, nodes, weights):
+    """Gauss-Legendre estimates of every row on the unit-interval panels
+    [tl, th], mapped onto [lo, lo + width]; returns (k, rows, panels)."""
+    w = width[:, None]
+    half = w * (0.5 * (th - tl))
+    mid = lo[:, None] + w * (0.5 * (th + tl))
+    vals = f((mid[..., None] + half[..., None] * nodes).reshape(len(width), -1))
+    vals = vals.reshape(vals.shape[0], len(width), len(tl), len(nodes))
+    return (vals @ weights) * half
 
 
-def integrate_adaptive(f, lo: float, hi: float, presplit=()):
-    """Adaptive Gauss-Legendre integration of a vector integrand on [lo, hi].
+def integrate_adaptive(f, lo, hi, presplit=()):
+    """Adaptive Gauss-Legendre integration of a vector integrand over rows.
 
-    `f` maps a 1-D array of abscissae to a (k, len) array of integrand rows.
-    Panels are bisected until the discrepancy between the one-panel and
-    two-panel estimates drops below max(_ABS_TOL, _REL_TOL*|whole integral|)
-    prorated by panel length, separately for every component.  Returns
-    (values, err) as two length-k arrays.  The module constants are read at
-    call time.
+    `lo` and `hi` are scalars (one row) or 1-D arrays, one entry per row;
+    row r integrates over [lo[r], hi[r]], and a row with hi <= lo gives 0.
+    `f` maps an (rows, m) array of abscissae to a (k, rows, m) array of
+    integrand values.  All rows share one panel partition of the unit
+    interval, mapped affinely onto each row's range; `presplit` lists
+    initial breaks of it in (0, 1).  A panel is bisected while, for any
+    component of any row, the one-panel and two-panel estimates differ by
+    more than max(_ABS_TOL, _REL_TOL*|row integral|) prorated by panel
+    length, so every row ends up refined at least as finely as it would be
+    alone.  Returns (values, err): length-k arrays for scalar limits, (k,
+    rows) arrays otherwise.  The module constants are read at call time.
     """
-    if hi <= lo:
-        k = f(np.array([lo])).shape[0]
-        return np.zeros(k), np.zeros(k)
+    scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
+    lo = np.asarray(lo, dtype=float).reshape(-1)
+    width = np.maximum(np.asarray(hi, dtype=float).reshape(-1) - lo, 0.0)
     nodes, weights = _gl_rule(_BASE_NODES)
-    bounds = [lo] + sorted(p for p in presplit if lo < p < hi) + [hi]
-    los = np.asarray(bounds[:-1], dtype=float)
-    his = np.asarray(bounds[1:], dtype=float)
-    parents = _panel_estimates(f, los, his, nodes, weights)
-    k = parents.shape[0]
-    total0 = np.abs(parents).sum(axis=1)
-    tol = np.maximum(_ABS_TOL, _REL_TOL * total0)
-    span = hi - lo
-
-    acc = np.zeros(k)
-    err = np.zeros(k)
+    cuts = sorted(p for p in presplit if 0.0 < p < 1.0)
+    tl = np.array([0.0] + cuts)
+    th = np.array(cuts + [1.0])
+    mids = 0.5 * (tl + th)
+    p = len(tl)
+    # the first call estimates the initial panels and their halves at once
+    est = _panel_estimates(
+        f, np.concatenate([tl, tl, mids]), np.concatenate([th, mids, th]),
+        lo, width, nodes, weights,
+    )
+    parents, child = est[..., :p], est[..., p:]
+    tol = np.maximum(_ABS_TOL, _REL_TOL * np.abs(parents).sum(axis=2))[..., None]
+    acc = err = 0.0
     for depth in range(_MAX_DEPTH + 1):
-        mids = 0.5 * (los + his)
-        p = len(los)
-        child = _panel_estimates(
-            f, np.concatenate([los, mids]), np.concatenate([mids, his]), nodes, weights
-        )
-        sums = child[:, :p] + child[:, p:]
+        left, right = child[..., :p], child[..., p:]
+        sums = left + right
         disc = np.abs(sums - parents)
-        frac = (his - los) / span
         # Panel tolerance is prorated by length but floored at the roundoff
         # noise of the panel values, otherwise spike panels refine forever.
-        noise = 64.0 * np.finfo(float).eps * np.maximum(np.abs(sums), np.abs(parents))
-        ok = np.all(disc <= np.maximum(tol[:, None] * frac[None, :], noise), axis=0)
-        acc += sums[:, ok].sum(axis=1)
-        err += disc[:, ok].sum(axis=1)
+        noise = _NOISE * np.maximum(np.abs(sums), np.abs(parents))
+        ok = (disc <= np.maximum(tol * (th - tl), noise)).all(axis=(0, 1))
         if ok.all():
-            return acc, err
+            acc = acc + sums.sum(axis=2)
+            err = err + disc.sum(axis=2)
+            return (acc[:, 0], err[:, 0]) if scalar else (acc, err)
+        acc = acc + sums[..., ok].sum(axis=2)
+        err = err + disc[..., ok].sum(axis=2)
         bad = ~ok
         if depth == _MAX_DEPTH:
+            partial = acc + sums[..., bad].sum(axis=2)
             raise QuadratureError(
                 f"quadrature did not converge within depth {_MAX_DEPTH}",
-                partial=acc + sums[:, bad].sum(axis=1),
+                partial=partial[:, 0] if scalar else partial,
             )
-        los = np.concatenate([los[bad], mids[bad]])
-        his = np.concatenate([mids[bad], his[bad]])
-        parents = np.concatenate([child[:, :p][:, bad], child[:, p:][:, bad]], axis=1)
+        tl, th = np.concatenate([tl[bad], mids[bad]]), np.concatenate([mids[bad], th[bad]])
+        parents = np.concatenate([left[..., bad], right[..., bad]], axis=2)
+        mids = 0.5 * (tl + th)
+        p = len(tl)
+        child = _panel_estimates(
+            f, np.concatenate([tl, mids]), np.concatenate([mids, th]),
+            lo, width, nodes, weights,
+        )
     raise AssertionError("unreachable")
 
 
 # ----------------------------------------------------------------------
-# Stable integrand pieces
+# Stable integrand pieces: alpha and the per-row parameters arrive as
+# (rows, 1) columns, or as floats for one row, against (rows, m) abscissae;
+# each integrand returns its components as a (k, rows, m) array
 # ----------------------------------------------------------------------
 
 
@@ -177,18 +201,77 @@ def _one_pm_xi(alpha, delta, phi):
     return one_plus, one_minus
 
 
-def _presplit(alpha, delta):
-    """Doubling split points eps, 2 eps, 4 eps, ... near the psi = 0 spike."""
-    a1 = 1.0 + alpha - delta
-    if a1 >= _NEAR_BOUNDARY:
-        return ()
-    eps = math.sqrt(2.0 * a1 / delta)
+def _uv(phi, alpha, delta):
+    op, om = _one_pm_xi(alpha, delta, phi)
+    inv = 1.0 / np.sqrt(op * om)
+    return np.array([np.cos(phi) * inv, inv])
+
+
+def _uvj(phi, alpha, delta):
+    op, om = _one_pm_xi(alpha, delta, phi)
+    cos = np.cos(phi)
+    xi = alpha - delta * cos
+    sq = np.sqrt(op * om)
+    return np.array(
+        [cos / sq, 1.0 / sq, xi / (om * sq), xi / (op * om * sq), np.sqrt(op / om)]
+    )
+
+
+def _dg(phi, alpha, delta, c):
+    op, om = _one_pm_xi(alpha, delta, phi)
+    xi = alpha - delta * np.cos(phi)
+    sq = np.sqrt(op * om)
+    return np.array([(1.0 - c * xi) / (op * om * sq), 1.0 / sq])
+
+
+def _uv_i1(phi, alpha, delta, c):
+    op, om = _one_pm_xi(alpha, delta, phi)
+    cos = np.cos(phi)
+    sq = np.sqrt(op * om)
+    return np.array([cos / sq, 1.0 / sq, (1.0 - c * (alpha - delta * cos)) / (op * om * sq)])
+
+
+def _presplit(alpha, delta, lo, hi):
+    """The doubling points eps, 2 eps, 4 eps, ... near the psi = 0 spike
+    that fall inside [lo, hi], as fractions of that range."""
+    t = math.sqrt(2.0 * (1.0 + alpha - delta) / delta)
     pts = []
-    t = eps
     while t < 1.0:
-        pts.append(t)
+        if lo < t < hi:
+            pts.append((t - lo) / (hi - lo))
         t *= 2.0
-    return tuple(pts)
+    return pts
+
+
+def _rows(integrand, alpha, delta, lo, hi, *params):
+    """Integrate integrand(psi, alpha, delta, *params) over [lo[r], hi[r]].
+
+    alpha, lo, hi and params are arrays with one entry per row.  Rows whose
+    gap end a sits within _NEAR_BOUNDARY of -1 run one at a time with the
+    eps pre-split of their own range; all others share one quadrature.
+    """
+    near = 1.0 + alpha - delta < _NEAR_BOUNDARY
+    groups = [(slice(None), ())]
+    if near.any():
+        groups = [(~near, ())] + [
+            ([r], _presplit(alpha[r], delta, lo[r], hi[r])) for r in np.flatnonzero(near)
+        ]
+    val = err = None
+    for idx, splits in groups:
+        sub = [p[idx] for p in (alpha,) + params]
+        if len(sub[0]) == 0:
+            continue
+        # one row passes floats, which numpy broadcasts faster than columns
+        cols = [float(p[0]) for p in sub] if len(sub[0]) == 1 else [p[:, None] for p in sub]
+        v, e = integrate_adaptive(
+            lambda psi: integrand(psi, cols[0], delta, *cols[1:]), lo[idx], hi[idx], splits
+        )
+        if len(groups) == 1:
+            return v, e
+        if val is None:
+            val, err = np.empty((len(v), len(alpha))), np.empty((len(v), len(alpha)))
+        val[:, idx], err[:, idx] = v, e
+    return val, err
 
 
 def _check_gap(alpha, delta):
@@ -201,68 +284,105 @@ def _check_gap(alpha, delta):
         )
 
 
-def _phi_of_x(alpha, delta, x):
-    t = (alpha - x) / delta
-    return math.acos(min(1.0, max(-1.0, t)))
-
-
-# ----------------------------------------------------------------------
-# Cached per-(alpha, delta) cores
-# ----------------------------------------------------------------------
-
-
-@lru_cache(maxsize=65536)
-def _c_core(alpha: float, delta: float):
-    """Critical point c = alpha - delta*u/v plus the raw integrals (u, v)."""
+def _check_closed_gap(alpha, delta, x):
     _check_gap(alpha, delta)
+    if not (alpha - delta <= x <= alpha + delta):
+        raise DomainError(f"x={x} outside the closed gap [{alpha - delta}, {alpha + delta}]")
 
-    def f(phi):
-        op, om = _one_pm_xi(alpha, delta, phi)
-        inv = 1.0 / np.sqrt(op * om)
-        return np.stack([np.cos(phi) * inv, inv])
 
-    (u, v), (eu, ev) = integrate_adaptive(f, 0.0, math.pi, _presplit(alpha, delta))
+# ----------------------------------------------------------------------
+# Array cores: one row per alpha, no validation of the inputs
+# ----------------------------------------------------------------------
+
+
+def _c_of(alpha, delta, u, v):
     c = alpha - delta * u / v
-    if not (alpha - delta < c < alpha + delta):
+    if not ((alpha - delta < c) & (c < alpha + delta)).all():
+        r = int(np.argmin((alpha - delta < c) & (c < alpha + delta)))
         raise ConsistencyError(
-            f"critical point {c} fell outside the gap ({alpha - delta}, {alpha + delta})"
+            f"critical point {c[r]} fell outside the gap "
+            f"({alpha[r] - delta}, {alpha[r] + delta})"
         )
-    err = delta * (eu / v + abs(u) * ev / (v * v))
-    return c, u, v, err
+    return c
 
 
-@lru_cache(maxsize=65536)
-def _c_dot_core(alpha: float, delta: float):
-    """d c / d alpha through the determinant of complete integrals.
+def c_rows(alpha, delta):
+    """Critical points c(alpha) over an alpha array."""
+    n = len(alpha)
+    (u, v), _ = _rows(_uv, alpha, delta, np.zeros(n), np.full(n, math.pi))
+    return _c_of(alpha, delta, u, v)
 
-    cdot = 1 + (J1*v - J2*J3) / v^2 with
+
+def _cdot_err(ints, errs):
+    """Error bound of cdot from the five complete integrals and theirs."""
+    u, v, j1, j2, j3 = ints
+    eu, ev, e1, e2, e3 = errs
+    det = j1 * v - j2 * j3
+    return (e1 * v + abs(j1) * ev + e2 * abs(j3) + abs(j2) * e3) / (v * v) + 2.0 * abs(
+        det
+    ) * ev / v**3
+
+
+def c_cdot_rows(alpha, delta):
+    """(c, cdot, integrals, errors) over an alpha array, on shared panels.
+
+    cdot = dc/dalpha = 1 + (J1*v - J2*J3) / v^2 with
       J1 = int xi / ((1-xi)   sqrt(1-xi^2)) dpsi,
       J2 = int xi / ((1-xi^2) sqrt(1-xi^2)) dpsi,
       J3 = int sqrt((1+xi)/(1-xi)) dpsi,
       v  = int 1 / sqrt(1-xi^2) dpsi,
-    all over (0, pi).  Monotonicity of the gap geometry forces cdot > 1.
+    all over (0, pi); integrals and errors are the (5, rows) arrays of
+    (u, v, J1, J2, J3).  Monotonicity of the gap geometry forces cdot > 1.
     """
-    _check_gap(alpha, delta)
+    n = len(alpha)
+    ints, errs = _rows(_uvj, alpha, delta, np.zeros(n), np.full(n, math.pi))
+    u, v, j1, j2, j3 = ints
+    c = _c_of(alpha, delta, u, v)
+    cd = 1.0 + (j1 * v - j2 * j3) / (v * v)
+    # the test below can only fail where cd <= 1, so the bound waits for that
+    if (cd <= 1.0).any():
+        low = cd <= 1.0 - np.maximum(1e-8, 10.0 * _cdot_err(ints, errs))
+        if low.any():
+            raise ConsistencyError(f"computed cdot={cd[np.argmax(low)]} <= 1, outside theory")
+    return c, cd, ints, errs
 
-    def f(phi):
-        op, om = _one_pm_xi(alpha, delta, phi)
-        xi = alpha - delta * np.cos(phi)
-        sq = np.sqrt(op * om)
-        return np.stack(
-            [xi / (om * sq), xi / (op * om * sq), np.sqrt(op / om), 1.0 / sq]
-        )
 
-    (j1, j2, j3, v), (e1, e2, e3, ev) = integrate_adaptive(
-        f, 0.0, math.pi, _presplit(alpha, delta)
-    )
-    det = j1 * v - j2 * j3
-    cd = 1.0 + det / (v * v)
-    err = (e1 * v + abs(j1) * ev + e2 * abs(j3) + abs(j2) * e3) / (v * v) + 2.0 * abs(
-        det
-    ) * ev / v**3
-    if cd <= 1.0 - max(1e-8, 10.0 * err):
-        raise ConsistencyError(f"computed cdot={cd} <= 1, outside theory")
-    return cd, err
+def _phi(alpha, delta, x):
+    """phi(x) = arccos((alpha - x)/delta), one entry per alpha."""
+    return np.arccos(np.minimum(np.maximum((alpha - x) / delta, -1.0), 1.0))
+
+
+def _tail(integrand, alpha, delta, x, *params):
+    """Integrals of integrand from phi(x) to pi."""
+    n = len(alpha)
+    return _rows(integrand, alpha, delta, _phi(alpha, delta, x), np.full(n, math.pi), *params)[0]
+
+
+def _dg_of(alpha, delta, x, c, cd, i1, i3):
+    a, b = alpha - delta, alpha + delta
+    i2 = (x - c) / np.sqrt((1.0 - x) * (1.0 + x) * (b - x) * (x - a))
+    return i1 + i2 - cd * i3
+
+
+def g_rows(alpha, delta, x, c=None):
+    """G_{alpha,delta}(x) = (alpha - c) V - delta U over an alpha array; x
+    broadcasts and must lie in each row's closed gap.  When c(alpha) is not
+    given, rows over [0, pi] for it join the same quadrature."""
+    n = len(alpha)
+    if c is not None:
+        u, v = _tail(_uv, alpha, delta, x)
+        return (alpha - c) * v - delta * u
+    lo = np.concatenate([np.zeros(n), _phi(alpha, delta, x)])
+    (u, v), _ = _rows(_uv, np.concatenate([alpha, alpha]), delta, lo, np.full(2 * n, math.pi))
+    c = _c_of(alpha, delta, u[:n], v[:n])
+    return (alpha - c) * v[n:] - delta * u[n:]
+
+
+def dg_rows(alpha, delta, x, c, cd):
+    """dG/dalpha at x over an alpha array, given c and cdot; x broadcasts
+    and must lie strictly inside each row's gap."""
+    i1, i3 = _tail(_dg, alpha, delta, x, c)
+    return _dg_of(alpha, delta, x, c, cd, i1, i3)
 
 
 # ----------------------------------------------------------------------
@@ -272,14 +392,16 @@ def _c_dot_core(alpha: float, delta: float):
 
 def critical_point_c(alpha: float, delta: float) -> float:
     """Zero of the Green differential inside the gap (a, b)."""
-    c, _, _, _ = _c_core(float(alpha), float(delta))
-    return c
+    alpha, delta = float(alpha), float(delta)
+    _check_gap(alpha, delta)
+    return float(c_rows(np.array([alpha]), delta)[0])
 
 
 def c_dot(alpha: float, delta: float) -> float:
     """Derivative of the critical point with respect to alpha; always > 1."""
-    cd, _ = _c_dot_core(float(alpha), float(delta))
-    return cd
+    alpha, delta = float(alpha), float(delta)
+    _check_gap(alpha, delta)
+    return float(c_cdot_rows(np.array([alpha]), delta)[1][0])
 
 
 def green_two_interval(alpha: float, delta: float, x: float) -> float:
@@ -287,24 +409,9 @@ def green_two_interval(alpha: float, delta: float, x: float) -> float:
 
     Vanishes at both gap endpoints and is positive inside.
     """
-    alpha = float(alpha)
-    delta = float(delta)
-    _check_gap(alpha, delta)
-    a, b = alpha - delta, alpha + delta
-    if not (a <= x <= b):
-        raise DomainError(f"x={x} outside the closed gap [{a}, {b}]")
-    phi_x = _phi_of_x(alpha, delta, x)
-    if phi_x >= math.pi:
-        return 0.0
-    c, _, _, _ = _c_core(alpha, delta)
-    shift = alpha - c
-
-    def f(phi):
-        op, om = _one_pm_xi(alpha, delta, phi)
-        return ((shift - delta * np.cos(phi)) / np.sqrt(op * om))[None, :]
-
-    (g,), _ = integrate_adaptive(f, phi_x, math.pi, _presplit(alpha, delta))
-    return float(g)
+    alpha, delta = float(alpha), float(delta)
+    _check_closed_gap(alpha, delta, x)
+    return float(g_rows(np.array([alpha]), delta, x)[0])
 
 
 def green_single_interval(delta: float, x: float) -> float:
@@ -323,6 +430,11 @@ def green_single_interval(delta: float, x: float) -> float:
     return math.acosh(max(1.0, y))
 
 
+def _refused(alpha, delta, x):
+    """True when x sits within ENDPOINT_REFUSAL of a gap endpoint."""
+    return min(x - (alpha - delta), alpha + delta - x) < ENDPOINT_REFUSAL
+
+
 def dalpha_green(alpha: float, delta: float, x: float) -> float:
     """Partial derivative of the two-interval Green function in alpha.
 
@@ -332,43 +444,39 @@ def dalpha_green(alpha: float, delta: float, x: float) -> float:
       I3 = int_{phi(x)}^pi 1 / sqrt(1 - xi^2) dpsi.
     Strictly increasing in x on (a, b), from -inf at a to +inf at b.
     """
-    alpha = float(alpha)
-    delta = float(delta)
+    alpha, delta = float(alpha), float(delta)
     _check_gap(alpha, delta)
     a, b = alpha - delta, alpha + delta
     if not (a < x < b):
         raise DomainError(f"x={x} not strictly inside the gap ({a}, {b})")
-    if min(x - a, b - x) < ENDPOINT_REFUSAL:
+    if _refused(alpha, delta, x):
         raise DomainError(
             f"x={x} within {ENDPOINT_REFUSAL} of a gap endpoint; the boundary "
             f"term of dG/dalpha is singular there"
         )
-    c, _, _, _ = _c_core(alpha, delta)
-    cd, _ = _c_dot_core(alpha, delta)
-    phi_x = _phi_of_x(alpha, delta, x)
-
-    def f(phi):
-        op, om = _one_pm_xi(alpha, delta, phi)
-        xi = alpha - delta * np.cos(phi)
-        sq = np.sqrt(op * om)
-        return np.stack([(1.0 - c * xi) / (op * om * sq), 1.0 / sq])
-
-    (i1, i3), _ = integrate_adaptive(f, phi_x, math.pi, _presplit(alpha, delta))
-    i2 = (x - c) / math.sqrt((1.0 - x) * (1.0 + x) * (b - x) * (x - a))
-    return float(i1 + i2 - cd * i3)
+    al = np.array([alpha])
+    c, cd, _, _ = c_cdot_rows(al, delta)
+    return float(dg_rows(al, delta, x, c, cd)[0])
 
 
 def green_eval(alpha: float, delta: float, x: float) -> GreenEval:
-    """Bundle G, dG/dalpha, c, cdot at one point with an error estimate."""
-    alpha = float(alpha)
-    delta = float(delta)
-    g = green_two_interval(alpha, delta, x)
-    c, _, _, ec = _c_core(alpha, delta)
-    cd, ecd = _c_dot_core(alpha, delta)
-    a, b = alpha - delta, alpha + delta
-    if min(x - a, b - x) < ENDPOINT_REFUSAL:
-        dg = None
-    else:
-        dg = dalpha_green(alpha, delta, x)
-    err = ec * math.pi + ecd + max(_ABS_TOL, _REL_TOL * abs(g))
-    return GreenEval(g=g, dg_dalpha=dg, c=c, c_dot=cd, err_estimate=float(err))
+    """Bundle G, dG/dalpha, c, cdot at one point with an error estimate.
+
+    Two quadratures: c and cdot on shared panels over [0, pi], then G and
+    the two dG/dalpha integrals on shared panels over [phi(x), pi].
+    """
+    alpha, delta = float(alpha), float(delta)
+    _check_closed_gap(alpha, delta, x)
+    al = np.array([alpha])
+    c, cd, ints, errs = c_cdot_rows(al, delta)
+    u_x, i3, i1 = _tail(_uv_i1, al, delta, x, c)[:, 0].tolist()
+    c, cd = float(c[0]), float(cd[0])
+    g = (alpha - c) * i3 - delta * u_x
+    dg = None
+    if not _refused(alpha, delta, x):
+        dg = float(_dg_of(alpha, delta, x, c, cd, i1, i3))
+    ints, errs = ints[:, 0].tolist(), errs[:, 0].tolist()
+    (u, v, *_), (eu, ev, *_) = ints, errs
+    ec = delta * (eu / v + abs(u) * ev / (v * v))
+    err = ec * math.pi + _cdot_err(ints, errs) + max(_ABS_TOL, _REL_TOL * abs(g))
+    return GreenEval(g=g, dg_dalpha=dg, c=c, c_dot=cd, err_estimate=err)

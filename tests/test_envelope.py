@@ -1,4 +1,5 @@
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from chebgap.envelope import (
     diagram_to_json,
     switching_point,
     upper_envelope,
+    x0_many,
     x0_of_alpha,
     x_star,
 )
@@ -68,6 +70,28 @@ class TestStationaryPoint:
             assert abs(dalpha_green(alpha, delta, x0)) < 1e-6
 
 
+class TestX0Many:
+    # the alpha 1e-12 above the boundary shows no sign change of dG/dalpha
+    # on its pulled-in bracket, and 0.1 and -0.7 are inadmissible for 0.4
+    D = 0.4
+    SOLVABLE = [-0.6 + 1e-8, -0.55, -0.4, -0.25, -0.1, 0.0]
+    FAILING = [-0.6 + 1e-12, 0.1, -0.7]
+
+    def test_matches_x0_of_alpha_row_by_row(self):
+        x0 = x0_many(self.SOLVABLE, self.D)
+        for al, v in zip(self.SOLVABLE, x0):
+            assert v == pytest.approx(x0_of_alpha(al, self.D), abs=2e-10)
+
+    def test_nan_where_no_sign_change(self):
+        x0 = x0_many(self.FAILING + self.SOLVABLE[:2], self.D)
+        assert np.isnan(x0[:3]).all()
+        assert not np.isnan(x0[3:]).any()
+        with pytest.raises(SolverError):
+            x0_of_alpha(self.FAILING[0], self.D)
+        with pytest.raises(DomainError):
+            x0_of_alpha(self.FAILING[1], self.D)
+
+
 class TestAkhLezerCurve:
     def test_endpoint_at_alpha_zero(self):
         d = 0.4
@@ -87,6 +111,16 @@ class TestAkhLezerCurve:
         (x0b, yb), = akhiezer_curve(d, [-1.0 + d + 1e-9])
         assert abs(x0b - (-1.0 + 2 * d)) < abs(x0 - (-1.0 + 2 * d))
         assert abs(yb) < abs(y)
+
+    def test_failed_rows_are_none(self):
+        d = 0.4
+        grid = [-0.3, -0.6 + 1e-12, 0.1, 0.0]
+        rows = akhiezer_curve(d, grid)
+        assert rows[1] is None and rows[2] is None
+        for al, row in zip((grid[0], grid[3]), (rows[0], rows[3])):
+            x0 = x0_of_alpha(al, d)
+            assert row[0] == pytest.approx(x0, abs=2e-10)
+            assert row[1] == pytest.approx(green_two_interval(al, d, x0), abs=1e-9)
 
     def test_values_nonnegative(self):
         rows = akhiezer_curve(0.4, np.linspace(-0.55, 0.0, 8))
@@ -144,6 +178,23 @@ class TestUpperEnvelope:
             upper_envelope(0.4, 0.5)
         with pytest.raises(DomainError):
             upper_envelope(0.4, -1.0)
+
+
+    def test_memory_does_not_grow_with_points(self):
+        # Nothing may be cached per (alpha, delta): memory held after the
+        # 10th point of one delta stays flat through the 50th.
+        d = 0.35
+        xs = -np.linspace(0.02, 0.98, 50)
+        tracemalloc.start()
+        try:
+            for i, x in enumerate(xs):
+                upper_envelope(d, float(x))
+                if i == 9:
+                    held = tracemalloc.get_traced_memory()[0]
+            grown = tracemalloc.get_traced_memory()[0] - held
+        finally:
+            tracemalloc.stop()
+        assert grown < 64 * 1024
 
 
 class TestSwitchingPoint:

@@ -6,9 +6,13 @@ import pytest
 from chebgap import green
 from chebgap.errors import DomainError, QuadratureError
 from chebgap.green import (
+    c_cdot_rows,
     c_dot,
+    c_rows,
     critical_point_c,
     dalpha_green,
+    dg_rows,
+    g_rows,
     green_eval,
     green_single_interval,
     green_two_interval,
@@ -51,6 +55,67 @@ class TestQuadratureEngine:
                 0.0, 1.0,
             )
         assert exc_info.value.partial is not None
+
+
+class TestRowEngine:
+    @staticmethod
+    def f(t):
+        return np.stack([np.sin(3.0 * t), np.exp(-t), 1.0 / (1.0 + t * t)])
+
+    def test_rows_match_one_row_calls(self):
+        lo = np.array([0.0, 0.3, -1.0, 2.0])
+        hi = np.array([math.pi, 0.31, 4.0, 2.5])
+        vals, errs = integrate_adaptive(self.f, lo, hi)
+        assert vals.shape == errs.shape == (3, 4)
+        for r in range(4):
+            one, _ = integrate_adaptive(self.f, lo[r], hi[r])
+            assert vals[:, r] == pytest.approx(one, rel=1e-14, abs=1e-14)
+        # closed forms of the last two components
+        assert vals[1] == pytest.approx(np.exp(-lo) - np.exp(-hi), abs=1e-14)
+        assert vals[2] == pytest.approx(np.arctan(hi) - np.arctan(lo), abs=1e-14)
+
+    def test_empty_row_integrates_to_zero(self):
+        vals, errs = integrate_adaptive(self.f, np.array([0.0, 1.0]), np.array([1.0, 1.0]))
+        assert np.all(vals[:, 1] == 0.0) and np.all(errs[:, 1] == 0.0)
+        assert vals[1, 0] == pytest.approx(1.0 - math.exp(-1.0), abs=1e-14)
+
+
+class TestArrayCores:
+    # one gap per alpha; the first row is the clipped boundary alpha, whose
+    # psi-range is pre-split, and x = -0.25 lies inside every gap
+    DELTA = 0.4
+    ALPHAS = np.array([0.4 - 1.0 + 1e-8, -0.5, -0.4, -0.3, -0.1])
+    X = -0.25
+
+    def test_c_and_cdot_match_scalar_functions(self):
+        c = c_rows(self.ALPHAS, self.DELTA)
+        c2, cd, _, _ = c_cdot_rows(self.ALPHAS, self.DELTA)
+        for r, al in enumerate(self.ALPHAS):
+            assert c[r] == pytest.approx(critical_point_c(al, self.DELTA), rel=1e-13)
+            assert c2[r] == pytest.approx(c[r], rel=1e-13)
+            assert cd[r] == pytest.approx(c_dot(al, self.DELTA), rel=1e-12)
+
+    def test_g_and_dg_match_scalar_functions(self):
+        c, cd, _, _ = c_cdot_rows(self.ALPHAS, self.DELTA)
+        g = g_rows(self.ALPHAS, self.DELTA, self.X, c)
+        dg = dg_rows(self.ALPHAS, self.DELTA, self.X, c, cd)
+        for r, al in enumerate(self.ALPHAS):
+            assert g[r] == pytest.approx(green_two_interval(al, self.DELTA, self.X), abs=1e-13)
+            assert dg[r] == pytest.approx(dalpha_green(al, self.DELTA, self.X), abs=1e-11)
+        # without c, the rows for c join the quadrature of G
+        assert g_rows(self.ALPHAS, self.DELTA, self.X) == pytest.approx(g, abs=1e-13)
+        # x broadcasts: one x per row
+        xs = self.ALPHAS + 0.5 * self.DELTA
+        g_x = g_rows(self.ALPHAS, self.DELTA, xs, c)
+        for r, al in enumerate(self.ALPHAS):
+            assert g_x[r] == pytest.approx(green_two_interval(al, self.DELTA, xs[r]), abs=1e-13)
+
+    def test_g_against_midpoint_oracle(self):
+        alphas = self.ALPHAS[[0, 3]]
+        g = g_rows(alphas, self.DELTA, self.X, c_rows(alphas, self.DELTA))
+        for r, al in enumerate(alphas):
+            ref, c_ref = midpoint_green(al, self.DELTA, self.X)
+            assert g[r] == pytest.approx(ref, abs=1e-9)
 
 
 class TestCriticalPoint:
