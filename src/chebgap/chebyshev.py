@@ -5,8 +5,9 @@ hyperbolic parametrization, never through the explicit power form
 ((x + sqrt(x^2-1))^n + (x - sqrt(x^2-1))^n) / 2, which overflows and
 cancels.  Provides the rescaled single-interval (Remez) polynomial for
 [-1+2*delta, 1], the even two-interval (Akhiezer) polynomial for
-[-1,1] minus (-delta, delta), the Remez constant, and Clenshaw evaluation
-of general polynomials in the T_k basis.
+[-1,1] minus (-delta, delta), the Remez constant, Clenshaw evaluation
+of general polynomials in the T_k basis, and their coefficients from values
+at Chebyshev points.
 """
 
 from __future__ import annotations
@@ -90,9 +91,15 @@ def cheb_eval(coeffs, x):
     return out
 
 
-def cheb_derivative(coeffs) -> np.ndarray:
-    """Coefficients of the derivative, still in the T_k basis."""
-    return np.polynomial.chebyshev.chebder(np.asarray(coeffs, dtype=float))
+def cheb_interp(f, n: int) -> np.ndarray:
+    """T_k coefficients of the degree-n interpolant of a vectorized f at
+    the n+1 first-kind Chebyshev points, by a cosine transform; they carry
+    an error of eps * max |f| over the points."""
+    theta = (np.arange(n + 1) + 0.5) * (math.pi / (n + 1))
+    c = np.cos(np.outer(np.arange(n + 1), theta)) @ f(np.cos(theta))
+    c *= 2.0 / (n + 1)
+    c[0] *= 0.5
+    return c
 
 
 @dataclass(frozen=True)

@@ -34,22 +34,26 @@ Exchange rounds then locate the true local maxima of |P| on E by golden
 section, append them as grid columns, and re-optimize; the previous basis
 stays feasible, so re-solves take only a few pivots.
 
-The n-extension P^{-1}([-1,1]) is recovered from the solved polynomial by
-isolating the crossings of P = +-1 between critical points of P (sign
-scans polished by vectorized bisection) and classifying the component
-structure relative to [-1, 1].
+The answer is its active points and signs (t, s).  Off E it is evaluated
+in the first barycentric form l(x) sum_i s_i w_i / (x - t_i), l(x) kept in
+logs; the second form loses all digits in the gaps at degree 100.  The
+n-extension P^{-1}([-1,1]) comes from the peaks of |P| (P has n real roots,
+so every critical point is a peak of |P|), the crossings of P = +-1
+between them, and the component structure relative to [-1, 1].  The JSON
+T_k coefficients are a cosine transform of values at Chebyshev points.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
 from ._search import bisect_many, golden_max_many
-from .chebyshev import ChebPoly, cheb_derivative, cheb_eval
+from .chebyshev import ChebPoly, cheb_interp
 from .errors import DomainError, SolverError
 from .intervals import CompactSet, Interval, discretize
 
@@ -73,19 +77,17 @@ class ExtremalResult:
     case_tag: str
 
     def evaluate(self, x):
-        """Value of the extremal polynomial, preferring the stable form.
+        """P(x) from the active points in the first barycentric form, which
+        stays accurate off E (gaps included), unlike the coefficients and
+        the second form; P = 1 when x0 lies in E (no active points)."""
+        if not self.active_points:
+            return self.poly(x)
+        return _lagrange_values(*self._nodes, x)
 
-        When the full set of n+1 active points with signs is available the
-        polynomial is evaluated barycentrically from that data; this keeps
-        absolute accuracy O(eps) near |P| = 1 even when the coefficient
-        expansion carries eps * value noise.
-        """
-        if len(self.active_points) == self.poly.degree + 1:
-            t = np.asarray(self.active_points)
-            s = np.asarray(self.active_signs, dtype=float)
-            logw, signw = _bary_logweights(t)
-            return _bary_values(t, s, logw, signw, x)
-        return cheb_eval(self.poly.coeffs, x)
+    @cached_property
+    def _nodes(self):
+        t = np.asarray(self.active_points)
+        return (t, np.asarray(self.active_signs, dtype=float), *_bary_logweights(t))
 
     def to_json(self) -> str:
         return json.dumps(
@@ -168,17 +170,37 @@ def _lagrange_scaled(t, logw, signw, x):
 
     The common factor exp(L(x)) is dropped so the entries stay O(1) even
     when the Lagrange basis itself reaches the (huge) extremal value scale;
-    ratios and signs are preserved exactly.
+    ratios and signs are preserved exactly.  x of shape (m, 1) gives m rows.
     """
     d = x - t
     ad = np.abs(d)
     if np.any(ad == 0.0):
         raise SolverError(f"evaluation point {x} coincides with a basis node")
-    L = float(np.log(ad).sum())
-    neg = int((d < 0.0).sum())
-    sign_prod = 1.0 if neg % 2 == 0 else -1.0
-    lhat = signw * sign_prod * np.sign(d) * np.exp(logw - np.log(ad))
+    log_ad = np.log(ad)
+    L = log_ad.sum(axis=-1)
+    sign_prod = np.where((d < 0.0).sum(axis=-1) % 2 == 0, 1.0, -1.0)
+    lhat = signw * sign_prod[..., None] * np.sign(d) * np.exp(logw - log_ad)
     return lhat, L
+
+
+def _lagrange_values(t, s, logw, signw, xs):
+    """First-form barycentric values exp(L) * sum_i s_i l_i exp(-L) of the
+    interpolant of (t_i, s_i), the log of the sum added to L so that neither
+    overflows alone.  An exact node hit returns its sign."""
+    x = np.asarray(xs, dtype=float)
+    flat = x.ravel()
+    vals = np.empty(flat.size)
+    for lo in range(0, flat.size, 1024):  # bounds the (points x nodes) arrays
+        block = flat[lo:lo + 1024]
+        hit = block[:, None] == t
+        v = s[hit.argmax(axis=1)]
+        free = ~hit.any(axis=1)
+        lhat, L = _lagrange_scaled(t, logw, signw, block[free, None])
+        S = lhat @ s
+        with np.errstate(divide="ignore"):
+            v[free] = np.sign(S) * np.exp(np.log(np.abs(S)) + L)
+        vals[lo:lo + 1024] = v
+    return float(vals[0]) if x.ndim == 0 else vals.reshape(x.shape)
 
 
 # ----------------------------------------------------------------------
@@ -206,9 +228,12 @@ class _ExchangeLP:
         self.points = np.concatenate([self.points, new_points])
 
     def _initial_basis(self, seed_points=None):
-        # Interpolating the target functional on any n+1 distinct nodes and
-        # folding the weight signs into the column choice is basic feasible,
-        # so the start only needs well-spread nodes.  Seeds (active points of
+        # Folding the weight signs of T(x0) interpolated on n+1 nodes into
+        # the columns is basic feasible in exact arithmetic.  The Vandermonde
+        # signs are wrong on up to 21 of 51 nodes at n = 50 and 68-143 of 201
+        # at n = 200 on the benchmark's pinned sets, yet the simplex converges;
+        # exact signs (_lagrange_scaled) stall it on every one at n >= 100.
+        # The start needs well-spread nodes.  Seeds (active points of
         # a neighbouring solve) snap to their nearest grid points; the rest,
         # or everything without seeds, comes from a greedy farthest-point
         # subsample, which stays solvable even when the grid crams hundreds
@@ -493,7 +518,7 @@ def solve_extremal(E: CompactSet, x0: float, n: int, *, extension: bool = True,
     total = float(np.maximum(raw, 0.0).sum())
     value = float(math.exp(math.log(total) + L0)) if total > 0.0 else 0.0
 
-    coeffs = np.linalg.solve(_cheb_vandermonde(t, n), s)
+    coeffs = cheb_interp(lambda xs: _lagrange_values(t, s, logw, signw, xs), n)
     lead_ok = n == 0 or abs(coeffs[n]) >= DEGREE_DEFICIENCY_REL * float(np.abs(coeffs).max())
     poly = ChebPoly(n, tuple(coeffs), degree_deficient=not lead_ok)
 
@@ -507,28 +532,13 @@ def solve_extremal(E: CompactSet, x0: float, n: int, *, extension: bool = True,
         case_tag="none",
     )
     if extension:
-        ext, tag = n_extension(poly, E, _result=result)
-        result = ExtremalResult(
-            value=value, poly=poly,
-            active_points=result.active_points, active_signs=result.active_signs,
-            n_extension=ext, case_tag=tag,
-        )
+        ext, tag = n_extension(result, E)
+        result = replace(result, n_extension=ext, case_tag=tag)
     return result
 
 
-def _effective_coeffs(poly: ChebPoly):
-    c = np.asarray(poly.coeffs, dtype=float)
-    scale = float(np.abs(c).max())
-    if scale == 0.0:
-        return c[:1], True
-    d = len(c) - 1
-    while d > 0 and abs(c[d]) < DEGREE_DEFICIENCY_REL * scale:
-        d -= 1
-    return c[: d + 1], d < len(c) - 1
-
-
-def n_extension(poly: ChebPoly, E: CompactSet, tol: float = _FEAS_TOL, _result=None):
-    """Preimage P^{-1}([-1,1]) on the real line and its case tag.
+def n_extension(result: ExtremalResult, E: CompactSet):
+    """Preimage P^{-1}([-1,1]) of a solved result's P and its case tag.
 
     Components are bounded by transversal crossings of P with the levels
     +-(1 + slack), slack being the (tiny) feasibility excess of |P| on E,
@@ -537,22 +547,19 @@ def n_extension(poly: ChebPoly, E: CompactSet, tol: float = _FEAS_TOL, _result=N
     beyond one of the endpoints, an extension attached at an endpoint, or
     no extension at all.
     """
-    coeffs, deficient = _effective_coeffs(poly)
-    deg = len(coeffs) - 1
-    if deg == 0:
+    # equal signs at all nodes interpolate a constant
+    if len(set(result.active_signs)) <= 1:
         return E, "none"
+    deg = len(result.active_points) - 1
+    evaluate = result.evaluate
+    abs_p = lambda u: np.abs(evaluate(u))
 
-    if _result is not None:
-        stable_eval = _result.evaluate
-    else:
-        stable_eval = lambda xs: cheb_eval(coeffs, xs)
-    _, worst_on_E = _scan_abs_max(stable_eval, E, deg)
+    _, worst_on_E = _scan_abs_max(evaluate, E, deg)
     slack = max(0.0, worst_on_E - 1.0) + 1e-12
     level = 1.0 + slack
 
     R = 4.0
-    while (abs(cheb_eval(coeffs, -R)) <= 2.0 * level
-           or abs(cheb_eval(coeffs, R)) <= 2.0 * level):
+    while abs_p(-R) <= 2.0 * level or abs_p(R) <= 2.0 * level:
         R *= 4.0
         if R > 1e9:
             raise SolverError(
@@ -560,47 +567,36 @@ def n_extension(poly: ChebPoly, E: CompactSet, tol: float = _FEAS_TOL, _result=N
                 "(severe degree deficiency?)"
             )
 
-    # critical points of P between -R and R
-    dco = cheb_derivative(coeffs)
+    # critical points of P = peaks of |P| (log|P| is concave between roots)
     interior = np.cos(np.linspace(math.pi, 0.0, max(1024, 30 * deg)))
     s_out = np.linspace(0.0, math.acosh(R), max(257, 6 * deg))
     right = np.cosh(s_out)
     grid = np.unique(np.concatenate([-right[::-1], interior, right]))
-    dv = cheb_eval(dco, grid)
-    sw = np.flatnonzero(np.sign(dv[:-1]) * np.sign(dv[1:]) < 0)
-    crit = (
-        bisect_many(lambda u: cheb_eval(dco, u), grid[sw], grid[sw + 1])
-        if sw.size
-        else np.array([])
-    )
+    av = abs_p(grid)
+    peak = np.flatnonzero((av[1:-1] >= av[:-2]) & (av[1:-1] >= av[2:])) + 1
+    crit = golden_max_many(abs_p, grid[peak - 1], grid[peak + 1], 1e-12)[0]
 
     nodes = np.unique(np.concatenate([[-R], crit, [R]]))
-    pv = cheb_eval(coeffs, nodes)
-    boundaries = []
-    for target in (level, -level):
-        g = pv - target
-        idx = np.flatnonzero(np.sign(g[:-1]) * np.sign(g[1:]) < 0)
-        if idx.size:
-            roots = bisect_many(
-                lambda u: cheb_eval(coeffs, u) - target, nodes[idx], nodes[idx + 1]
-            )
-            boundaries.extend(roots.tolist())
-    boundaries = sorted(boundaries)
+    levels = np.array([level, -level])
+    g = evaluate(nodes) - levels[:, None]
+    k, idx = np.nonzero(np.sign(g[:, :-1]) * np.sign(g[:, 1:]) < 0)
+    boundaries = np.sort(bisect_many(lambda u: evaluate(u) - levels[k],
+                                     nodes[idx], nodes[idx + 1]))
 
     comps = []
-    cuts = [-R] + boundaries + [R]
-    for lo, hi in zip(cuts[:-1], cuts[1:]):
-        if hi - lo <= 0:
+    cuts = np.concatenate([[-R], boundaries, [R]])
+    inside = abs_p(0.5 * (cuts[:-1] + cuts[1:])) <= level
+    for lo, hi, keep in zip(cuts[:-1].tolist(), cuts[1:].tolist(), inside):
+        if hi - lo <= 0 or not keep:
             continue
-        if abs(cheb_eval(coeffs, 0.5 * (lo + hi))) <= level:
-            if comps and lo - comps[-1][1] < 1e-12:
-                comps[-1] = (comps[-1][0], hi)
-            else:
-                comps.append((lo, hi))
+        if comps and lo - comps[-1][1] < 1e-12:
+            comps[-1] = (comps[-1][0], hi)
+        else:
+            comps.append((lo, hi))
     if not comps:
         raise SolverError("n-extension came out empty; root isolation failed")
 
-    cover_tol = max(1e-6, 10.0 * tol)
+    cover_tol = max(1e-6, 10.0 * _FEAS_TOL)
     for iv in E.intervals:
         if not any(lo - cover_tol <= iv.lo and iv.hi <= hi + cover_tol
                    for lo, hi in comps):
@@ -609,7 +605,7 @@ def n_extension(poly: ChebPoly, E: CompactSet, tol: float = _FEAS_TOL, _result=N
                 f"n-extension {comps}; clustered +-1 crossings beyond tol"
             )
 
-    edge = max(tol, 1e-7)
+    edge = max(_FEAS_TOL, 1e-7)
     tag = "none"
     if any(lo > 1.0 + edge for lo, hi in comps):
         tag = "right_interval"
@@ -629,10 +625,7 @@ def verify_feasibility(result, E: CompactSet, probes: int = 100_000,
     Solved results are evaluated through their stable active-point form;
     bare polynomials fall back to coefficient evaluation.
     """
-    if isinstance(result, ExtremalResult):
-        evaluate = result.evaluate
-    else:
-        evaluate = lambda xs: cheb_eval(result.coeffs, xs)
+    evaluate = result.evaluate if isinstance(result, ExtremalResult) else result
     total = max(E.measure, 1e-300)
     worst_v = -math.inf
     worst_x = E.intervals[0].lo

@@ -2,10 +2,12 @@
 
 Everything here deliberately avoids the package's adaptive quadrature and
 search machinery: plain midpoint rules on huge fixed grids, cumulative-sum
-tricks, and dense scans.  Slow but simple enough to trust.
+tricks, dense scans and exact rational arithmetic.  Slow but simple enough
+to trust.
 """
 
 import math
+from fractions import Fraction
 
 import numpy as np
 
@@ -69,3 +71,25 @@ def dense_stationary_scan(alpha, delta, nodes=4096, scan=10_000):
         raise AssertionError("oracle scan found no sign change")
     j = int(sign_change[0])
     return 0.5 * (xs[j] + xs[j + 1])
+
+
+def exact_interpolant(t, s, x):
+    """Exact value at x of the polynomial that takes the value s_i at t_i.
+
+    The floats are exact dyadic rationals; scaled to a common denominator
+    they become integers, and the Lagrange formula
+    sum_i s_i prod_{k != i} (x - t_k) / (t_i - t_k) is evaluated in integer
+    and Fraction arithmetic.  Returns a Fraction.
+    """
+    pts = [Fraction(float(v)) for v in t] + [Fraction(float(x))]
+    scale = max(q.denominator for q in pts)
+    *T, X = (int(q * scale) for q in pts)
+    total = Fraction(0)
+    for i, (ti, si) in enumerate(zip(T, s)):
+        num = den = 1
+        for k, tk in enumerate(T):
+            if k != i:
+                num *= X - tk
+                den *= ti - tk
+        total += Fraction(int(si) * num, den)
+    return total

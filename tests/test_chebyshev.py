@@ -10,8 +10,8 @@ from chebgap.chebyshev import (
     ChebPoly,
     akhiezer_even_value,
     cheb_T,
-    cheb_derivative,
     cheb_eval,
+    cheb_interp,
     remez_constant,
     remez_poly_value,
 )
@@ -154,10 +154,10 @@ class TestChebPoly:
         p = ChebPoly(3, (0.5, -1.0, 0.25, 2.0))
         assert ChebPoly.from_json(p.to_json()) == p
 
-    def test_derivative(self):
-        # d/dx T_3 = 3 U_2; spot check at a few points by finite differences
-        dco = cheb_derivative((0.0, 0.0, 0.0, 1.0))
-        h = 1e-6
-        for x in (-0.7, 0.1, 0.9):
-            fd = (cheb_T(3, x + h) - cheb_T(3, x - h)) / (2 * h)
-            assert cheb_eval(dco, x) == pytest.approx(fd, rel=1e-8, abs=1e-8)
+    def test_interp_recovers_coeffs(self):
+        coeffs = np.random.default_rng(7).standard_normal(9)
+        f = lambda x: cheb_eval(coeffs, x)
+        assert np.allclose(cheb_interp(f, 8), coeffs, rtol=0, atol=1e-14)
+        padded = cheb_interp(f, 12)
+        assert np.allclose(padded[:9], coeffs, rtol=0, atol=1e-14)
+        assert np.allclose(padded[9:], 0.0, rtol=0, atol=1e-14)

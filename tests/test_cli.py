@@ -105,6 +105,14 @@ class TestExtremalCommand:
         assert payload["value"] == pytest.approx(cheb_T(3, 5.0 / 3.0), rel=1e-9)
         assert payload["case_tag"] == "none"
 
+    def test_extension_at_degree_50(self, capsys):
+        rc, out, _ = run(capsys, "extremal", "--set", "[[-1,-0.7],[0.1,1]]",
+                         "--x0", "-0.3", "--n", "50")
+        assert rc == 0
+        comps = json.loads(out)["n_extension"]
+        for lo, hi in ((-1.0, -0.7), (0.1, 1.0)):
+            assert any(a - 1e-6 <= lo and hi <= b + 1e-6 for a, b in comps)
+
     def test_set_file(self, capsys, tmp_path):
         f = tmp_path / "set.json"
         f.write_text("[[-1,-0.5],[0.5,1]]")
