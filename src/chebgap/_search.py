@@ -43,41 +43,14 @@ def bisect_root(f, lo: float, hi: float, xtol: float, f_lo=None, f_hi=None) -> f
     return 0.5 * (lo + hi)
 
 
-def golden_max(f, lo: float, hi: float, xtol: float):
-    """Maximize f on [lo, hi] by golden-section; returns (x, f(x)).
-
-    Assumes f is unimodal on the bracket; with a multimodal f the result is
-    a local maximum inside the bracket.  Endpoint values are checked too.
-    """
-    a, b = lo, hi
-    c = b - _INVPHI * (b - a)
-    d = a + _INVPHI * (b - a)
-    fc, fd = f(c), f(d)
-    while b - a > xtol:
-        if fc >= fd:
-            b, d, fd = d, c, fc
-            c = b - _INVPHI * (b - a)
-            fc = f(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + _INVPHI * (b - a)
-            fd = f(d)
-    xm, fm = (c, fc) if fc >= fd else (d, fd)
-    for xe in (lo, hi):
-        fe = f(xe)
-        if fe > fm:
-            xm, fm = xe, fe
-    return xm, fm
-
-
 def brent_max(f, lo: float, hi: float, xtol: float, f_lo=None, f_hi=None):
     """Maximize f on [lo, hi] by Brent's method; returns (x, f(x)).
 
     Parabolic steps safeguarded by golden section (Brent 1973, ch. 5) until
     the bracket lies within xtol of the best point.  First the higher end is
     compared with f one xtol inside it: a unimodal f that does not rise there
-    peaks at that end.  Known endpoint values may be passed in; they are
-    checked at the end as in golden_max.
+    peaks at that end.  Known endpoint values may be passed in; the
+    endpoints are checked against the interior maximum at the end.
     """
     if f_lo is None:
         f_lo = f(lo)

@@ -8,7 +8,8 @@ and by the structure theory the supremum is attained either by the
 single-interval (Remez) configuration [-1+2*delta, 1], whose value has the
 closed form T_n((delta - x0)/(1 - delta)), or by a one-gap (Akhiezer)
 configuration E(alpha, delta) with x0 inside the gap, found here by a
-coarse alpha scan plus golden-section refinement over LP oracle solves.
+coarse alpha scan plus a bracket search on dM_n/dalpha, which each LP
+oracle solve gives for free through its dual weights.
 
 Two experiment drivers sit on top: residual series log(2 L_n) - n Phi(x0)
 against the envelope growth rate (vanishing for boundary points, merely
@@ -25,7 +26,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ._search import golden_max
 from .chebyshev import remez_poly_value
 from .envelope import upper_envelope
 from .errors import DomainError
@@ -37,7 +37,7 @@ BEST_REMEZ = "remez"
 BEST_AKHIEZER = "akhiezer"
 
 _ALPHA_COARSE = 33        # coarse scan points over admissible alpha
-_ALPHA_TOL = 1e-6         # golden-section width in alpha
+_ALPHA_TOL = 1e-6         # final bracket width in alpha
 _GAP_MARGIN = 1e-9        # keep x0 strictly inside candidate gaps
 _BOUNDARY_CLIP = 1e-4     # keep alpha away from delta-1 (dominated there)
 _VALUE_TOL = 1e-9         # relative accuracy of the oracle values
@@ -48,6 +48,10 @@ class AndrievskiiResult:
     value: float
     best: str                       # remez | akhiezer
     best_alpha: float | None
+    # dM_n/dalpha at the Akhiezer maximum: the two one-sided slopes (+, -)
+    # of the final bracket, or the one outward slope of an end maximum;
+    # empty when Remez wins
+    dvalue_dalpha: tuple[float, ...]
     remez_value: float | None
     akhiezer_profile: tuple[tuple[float, float], ...]   # (alpha, M_n) samples
     near_ties: tuple[float, ...]    # alphas within 10*_VALUE_TOL of the winner
@@ -58,6 +62,7 @@ class AndrievskiiResult:
                 "value": self.value,
                 "best": self.best,
                 "best_alpha": self.best_alpha,
+                "dvalue_dalpha": list(self.dvalue_dalpha),
                 "remez_value": self.remez_value,
                 "akhiezer_profile": [list(p) for p in self.akhiezer_profile],
                 "near_ties": list(self.near_ties),
@@ -131,12 +136,79 @@ def _check_point(x0, delta):
         raise DomainError(f"x0 must lie in [-1, 0], got {x0}")
 
 
+def _branch_crossing(a, fa, ga, ca, b, fb, gb, cb):
+    """Where the quadratic branch models of the two bracket ends cross.
+
+    The model at a is fa + ga*(x-a) + ca*(x-a)**2/2, likewise at b.  Returns
+    None when they do not cross inside (a, b); a crossing is kept
+    _ALPHA_TOL/2 inside the bracket, so that a trial next to the kink falls
+    across it and the bracket closes.
+    """
+    h = b - a
+    # the difference of the models in t = x - a: q2 t^2 + q1 t + q0
+    q2 = 0.5 * (ca - cb)
+    q1 = ga - gb + cb * h
+    q0 = fa - fb + gb * h - 0.5 * cb * h * h
+    disc = q1 * q1 - 4.0 * q2 * q0
+    if q1 <= 0.0 or disc < 0.0:
+        return None
+    t = -2.0 * q0 / (q1 + math.sqrt(disc))   # the root next to -q0/q1
+    if not 0.0 < t < h:
+        return None
+    return a + min(max(t, 0.5 * _ALPHA_TOL), h - 0.5 * _ALPHA_TOL)
+
+
+def _alpha_max(solve, alphas, vals, slopes):
+    """Maximum over alpha from the scan samples and their slopes dM/dalpha.
+
+    Returns (alpha, M, slopes certificate).  An end argmax whose slope
+    points out of the range is taken as it is.  Otherwise the half-bracket
+    beside the argmax on the side its slope points to is narrowed on the
+    sign of dM/dalpha, + kept at the left end and - at the right, down to
+    _ALPHA_TOL.  The maxima are kinks where two smooth branches cross, so
+    the trial point is where the branch models of the two ends cross (see
+    _branch_crossing), each end's curvature taken from the slopes at its
+    last two positions (0 before it has moved).  It is the midpoint when
+    the models do not cross inside the bracket or neither of the last two
+    steps halved it.  The profile is not concave between samples, so the
+    models bound nothing: only the bracket width stops the search.
+    """
+    i = int(np.argmax(vals))
+    last = len(alphas) - 1
+    if (i == 0 and slopes[0] <= 0.0) or (i == last and slopes[last] >= 0.0):
+        return alphas[i], vals[i], (slopes[i],)
+    k = i if slopes[i] >= 0.0 and i < last else i - 1
+    a, fa, ga = alphas[k], vals[k], slopes[k]
+    b, fb, gb = alphas[k + 1], vals[k + 1], slopes[k + 1]
+    ca = cb = 0.0
+    best_alpha, best_val = alphas[i], vals[i]
+    halved = (True, True)       # did the last step, and the one before, halve it
+    while b - a > _ALPHA_TOL:
+        x = None
+        if halved[0] or halved[1]:
+            x = _branch_crossing(a, fa, ga, ca, b, fb, gb, cb)
+        if x is None:
+            x = 0.5 * (a + b)
+        fx, gx = solve(x)
+        width = b - a
+        if gx >= 0.0:
+            a, fa, ga, ca = x, fx, gx, (gx - ga) / (x - a)
+        else:
+            b, fb, gb, cb = x, fx, gx, (gb - gx) / (b - x)
+        halved = (b - a <= 0.5 * width, halved[0])
+        if fx > best_val:
+            best_alpha, best_val = x, fx
+    return best_alpha, best_val, (ga, gb)
+
+
 def L_n_delta(x0: float, delta: float, n: int) -> AndrievskiiResult:
     """Best value over the two structured configuration families.
 
     The Remez candidate is the closed form (present when x0 < -1+2*delta);
     Akhiezer candidates M_n(x0, E(alpha, delta)) are scanned on a coarse
-    alpha grid over all gaps containing x0 and refined by golden section.
+    alpha grid over all gaps containing x0, and the best is refined on the
+    sign of dM_n/dalpha, the sum of the dual sensitivities to the two gap
+    ends (see _alpha_max), which the result reports as its certificate.
     """
     _check_point(x0, delta)
     if n < 0:
@@ -154,25 +226,23 @@ def L_n_delta(x0: float, delta: float, n: int) -> AndrievskiiResult:
     profile = []
     best_alpha = None
     best_val = -math.inf
+    slopes = ()
     if hi > lo:
         last_active = [None]
 
-        def m_of_alpha(alpha):
+        def solve(alpha):
             E = make_gap_set(GapParams(alpha, delta))
             res = solve_extremal(E, x0, n, extension=False,
                                  warm_start=last_active[0])
             last_active[0] = res.active_points
-            return res.value
+            left, right = E.intervals
+            return res.value, (res.dvalue_dendpoint(left.hi)
+                               + res.dvalue_dendpoint(right.lo))
 
-        alphas = np.linspace(lo, hi, _ALPHA_COARSE)
-        vals = [m_of_alpha(al) for al in alphas]
-        profile = list(zip(alphas.tolist(), vals))
-        i = int(np.argmax(vals))
-        blo = alphas[max(i - 1, 0)]
-        bhi = alphas[min(i + 1, len(alphas) - 1)]
-        best_alpha, best_val = golden_max(m_of_alpha, blo, bhi, _ALPHA_TOL)
-        if vals[i] > best_val:
-            best_alpha, best_val = float(alphas[i]), vals[i]
+        alphas = np.linspace(lo, hi, _ALPHA_COARSE).tolist()
+        vals, ders = zip(*(solve(al) for al in alphas))
+        profile = list(zip(alphas, vals))
+        best_alpha, best_val, slopes = _alpha_max(solve, alphas, vals, ders)
 
     if remez_val is None and best_alpha is None:
         raise DomainError(
@@ -186,11 +256,12 @@ def L_n_delta(x0: float, delta: float, n: int) -> AndrievskiiResult:
     if remez_val is not None and remez_val >= best_val:
         return AndrievskiiResult(
             value=float(remez_val), best=BEST_REMEZ, best_alpha=None,
-            remez_value=float(remez_val), akhiezer_profile=tuple(profile),
-            near_ties=near_ties,
+            dvalue_dalpha=(), remez_value=float(remez_val),
+            akhiezer_profile=tuple(profile), near_ties=near_ties,
         )
     return AndrievskiiResult(
         value=float(best_val), best=BEST_AKHIEZER, best_alpha=float(best_alpha),
+        dvalue_dalpha=tuple(float(g) for g in slopes),
         remez_value=None if remez_val is None else float(remez_val),
         akhiezer_profile=tuple(profile), near_ties=near_ties,
     )

@@ -34,7 +34,9 @@ Exchange rounds then locate the true local maxima of |P| on E by golden
 section, append them as grid columns, and re-optimize; the previous basis
 stays feasible, so re-solves take only a few pivots.
 
-The answer is its active points and signs (t, s).  Off E it is evaluated
+The answer is its active points and signs (t, s), with the dual weights
+lam_i = s_i l_i(x0), which sum to the value and give dM/de for an endpoint
+e of E by the envelope theorem (`dvalue_dendpoint`).  Off E it is evaluated
 in the first barycentric form l(x) sum_i s_i w_i / (x - t_i), l(x) kept in
 logs; the second form loses all digits in the gaps at degree 100.  The
 n-extension P^{-1}([-1,1]) comes from the peaks of |P| (P has n real roots,
@@ -59,12 +61,13 @@ from .intervals import CompactSet, Interval, discretize
 
 CASE_TAGS = ("right_interval", "extend_right", "extend_left", "left_interval", "none")
 
-# Leading coefficients below this fraction of the largest one mean the LP
-# returned a polynomial of lower effective degree.
+# An interpolant of (t_i, s_i) whose leading coefficient sum_i s_i w_i is
+# below this fraction of sum_i |w_i| has lower effective degree.
 DEGREE_DEFICIENCY_REL = 1e-10
 
 _REFINE_ROUNDS = 3        # exchange rounds after the grid solve
 _FEAS_TOL = 1e-9          # promised bound 1 + _FEAS_TOL on |P| over E
+_ENDPOINT_ULPS = 4        # match of an endpoint against the active points
 
 
 @dataclass(frozen=True)
@@ -75,6 +78,7 @@ class ExtremalResult:
     active_signs: tuple[int, ...]
     n_extension: CompactSet | None
     case_tag: str
+    dual_weights: tuple[float, ...] = ()   # lam_i = s_i l_i(x0) per active point
 
     def evaluate(self, x):
         """P(x) from the active points in the first barycentric form, which
@@ -83,6 +87,26 @@ class ExtremalResult:
         if not self.active_points:
             return self.poly(x)
         return _lagrange_values(*self._nodes, x)
+
+    def dvalue_dendpoint(self, e: float) -> float:
+        """dM/de for an endpoint e of E, by the envelope theorem for the dual.
+
+        -lam_e s_e P'(e) when e is an active point, 0.0 otherwise.  e is
+        matched within a few ulps, since a grid end computed as
+        lo + length*1.0 can miss hi by one.
+        """
+        if not self.active_points:
+            return 0.0
+        t, s, logw, signw = self._nodes
+        gap = np.abs(t - e)
+        i = int(np.argmin(gap))
+        if gap[i] > _ENDPOINT_ULPS * math.ulp(max(1.0, abs(e))):
+            return 0.0
+        k = np.arange(len(t)) != i
+        # P'(t_i) = sum_{k != i} (w_k / w_i) (s_k - s_i) / (t_i - t_k)
+        ratio = signw[k] * signw[i] * np.exp(logw[k] - logw[i])
+        dp = float(np.sum(ratio * (s[k] - s[i]) / (t[i] - t[k])))
+        return -self.dual_weights[i] * s[i] * dp
 
     @cached_property
     def _nodes(self):
@@ -415,7 +439,7 @@ def _nearest_distance(points, xs):
 
 def _scan_abs_max(evaluate, E, n, known=None):
     """Local maxima of |P| on E: dense Chebyshev-spaced scan per interval,
-    each discrete peak polished by golden section.
+    each discrete peak, end samples included, polished by golden section.
 
     A peak bracket may straddle an active constraint point (where |P| = 1
     exactly) next to a genuine violation, which breaks the unimodality
@@ -441,13 +465,20 @@ def _scan_abs_max(evaluate, E, n, known=None):
         interior = np.flatnonzero(
             (vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])
         ) + 1
+        left, right = interior - 1, interior + 1
+        # an end sample that is a discrete peak may hide a bump before the
+        # next sample
+        if vals[0] >= vals[1]:
+            left, right = np.append(left, 0), np.append(right, 1)
+        if vals[-1] >= vals[-2]:
+            left, right = np.append(left, K - 2), np.append(right, K - 1)
         if known is not None:
-            first = np.searchsorted(known, xs[interior - 1], side="right")
-            stop = np.searchsorted(known, xs[interior + 1], side="left")
-        for k, i in enumerate(interior):
-            cuts = [xs[i - 1], xs[i + 1]]
+            first = np.searchsorted(known, xs[left], side="right")
+            stop = np.searchsorted(known, xs[right], side="left")
+        for k, (i, j) in enumerate(zip(left, right)):
+            cuts = [xs[i], xs[j]]
             if known is not None:
-                cuts = [xs[i - 1], *known[first[k]:stop[k]].tolist(), xs[i + 1]]
+                cuts = [xs[i], *known[first[k]:stop[k]].tolist(), xs[j]]
             for lo, hi in zip(cuts[:-1], cuts[1:]):
                 if hi - lo >= 1e-15:
                     brackets.append((lo, hi))
@@ -515,12 +546,17 @@ def solve_extremal(E: CompactSet, x0: float, n: int, *, extension: bool = True,
         # a corrupted warm basis shows up as a visibly infeasible solution;
         # one cold retry restores the invariant
         return solve_extremal(E, x0, n, extension=extension)
-    total = float(np.maximum(raw, 0.0).sum())
+    lam = np.maximum(raw, 0.0)
+    total = float(lam.sum())
     value = float(math.exp(math.log(total) + L0)) if total > 0.0 else 0.0
+    with np.errstate(divide="ignore"):
+        lam = np.exp(np.log(lam) + L0)
 
     coeffs = cheb_interp(lambda xs: _lagrange_values(t, s, logw, signw, xs), n)
-    lead_ok = n == 0 or abs(coeffs[n]) >= DEGREE_DEFICIENCY_REL * float(np.abs(coeffs).max())
-    poly = ChebPoly(n, tuple(coeffs), degree_deficient=not lead_ok)
+    # sum_i s_i w_i is the leading coefficient of the interpolant
+    wt = np.exp(logw - logw.max())
+    lead = abs(float(np.sum(s * signw * wt))) / float(wt.sum())
+    poly = ChebPoly(n, tuple(coeffs), degree_deficient=lead <= DEGREE_DEFICIENCY_REL)
 
     order = np.argsort(t)
     result = ExtremalResult(
@@ -530,6 +566,7 @@ def solve_extremal(E: CompactSet, x0: float, n: int, *, extension: bool = True,
         active_signs=tuple(int(v) for v in s[order]),
         n_extension=None,
         case_tag="none",
+        dual_weights=tuple(float(v) for v in lam[order]),
     )
     if extension:
         ext, tag = n_extension(result, E)

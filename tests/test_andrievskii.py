@@ -1,8 +1,10 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
+from chebgap import andrievskii
 from chebgap.andrievskii import (
     L_n_delta,
     brute_force_theorem1,
@@ -52,6 +54,38 @@ class TestLnDelta:
             L_n_delta(0.5, 0.4, 5)
         with pytest.raises(DomainError):
             L_n_delta(-0.1, 1.0, 5)
+
+    @pytest.mark.parametrize("n,max_solves", [(12, 38), (24, 50)])
+    def test_solve_count(self, n, max_solves, monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_extremal(*args, **kwargs)
+
+        monkeypatch.setattr(andrievskii, "solve_extremal", counted)
+        L_n_delta(-0.1, 0.4, n)
+        assert len(calls) <= max_solves
+
+    def test_interior_maximum_matches_fine_polish(self):
+        # reference: the scan's bracket polished by golden section to an
+        # alpha width of 1e-12
+        res = L_n_delta(-0.25, 0.4, 12)
+        assert res.value == pytest.approx(97.79414804609706, rel=1e-6)
+        assert res.best_alpha == pytest.approx(-0.2248366847294816, abs=1e-6)
+        assert res.value >= max(v for _, v in res.akhiezer_profile)
+
+    def test_certificate_slope_signs(self):
+        interior = L_n_delta(-0.25, 0.4, 12)
+        left, right = interior.dvalue_dalpha
+        assert left > 0.0 > right
+        # the maximum at the right end alpha = 0 has an outward slope
+        end = L_n_delta(-0.1, 0.4, 6)
+        assert end.best_alpha == 0.0
+        (outward,) = end.dvalue_dalpha
+        assert outward > 0.0
+        assert L_n_delta(-0.7, 0.4, 12).dvalue_dalpha == ()
+        assert json.loads(interior.to_json())["dvalue_dalpha"] == [left, right]
 
     @pytest.mark.xfail(strict=True, raises=SolverError,
                        reason="D2: the simplex exceeds its iteration limit")

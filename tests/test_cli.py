@@ -140,6 +140,15 @@ class TestAndrievskiiCommand:
         assert payload["best"] == "remez"
         assert payload["value"] == pytest.approx(cheb_T(10, 7.0 / 3.0), rel=1e-10)
 
+    def test_json_carries_the_alpha_certificate(self, capsys):
+        rc, out, _ = run(capsys, "andrievskii", "--x0", "-0.25", "--delta", "0.4",
+                         "--n", "6")
+        assert rc == 0
+        payload = json.loads(out)
+        assert payload["best"] == "akhiezer"
+        left, right = payload["dvalue_dalpha"]
+        assert left >= 0.0 >= right
+
     def test_csv(self, capsys):
         rc, out, _ = run(capsys, "andrievskii", "--x0", "-1", "--delta", "0.4",
                          "--n", "6", "--format", "csv")

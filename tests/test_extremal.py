@@ -313,6 +313,98 @@ class TestNExtension:
         res = solve_extremal(E, 0.0, 0)
         assert res.case_tag == "none"
 
+    def test_bump_next_to_an_interval_end(self):
+        # |P| = 1 + 9.2e-10 between the left end of the last interval and
+        # the first interior scan sample, which only an end bracket sees
+        E = CompactSet((
+            Interval(-1.0, -0.5317800507050946),
+            Interval(-0.2540935189553467, -0.018215244616132553),
+            Interval(0.543235006494954, 1.0),
+        ))
+        res = solve_extremal(E, -0.43745905780387717, 12)
+        assert res.case_tag == "left_interval"
+        assert verify_feasibility(res, E).max_violation <= 0.0
+        for iv in E.intervals:
+            assert any(c.lo - 1e-9 <= iv.lo and iv.hi <= c.hi + 1e-9
+                       for c in res.n_extension.intervals)
+
+
+class TestDegreeDeficiency:
+    @pytest.mark.parametrize("E, x0, n", [
+        (FOUR_GAP, -0.7, 5),
+        (make_gap_set(GapParams(0.0, 0.5)), 0.0, 5),  # the answer is even
+    ], ids=["four-gap(0.4)", "E(0,0.5)"])
+    def test_lower_degree_answers_flagged(self, E, x0, n):
+        assert solve_extremal(E, x0, n, extension=False).poly.degree_deficient
+
+    @pytest.mark.parametrize("E, x0, n", [
+        (single_interval(0.4), -1.0, 50),
+        (single_interval(0.4), -1.0, 100),
+        (make_gap_set(GapParams(-0.3, 0.4)), -0.3, 100),
+        (make_gap_set(GapParams(-0.1, 0.4)), -0.2, 100),
+        (make_gap_set(GapParams(-0.5, 0.3)), -0.5, 100),
+    ], ids=["remez(0.4)-50", "remez(0.4)-100", "E(-0.3,0.4)-100", "E(-0.1,0.4)-100",
+            "E(-0.5,0.3)-100"])
+    def test_full_degree_answers_not_flagged(self, E, x0, n):
+        # huge values on [-1, 1] made the T_n coefficient look negligible
+        assert not solve_extremal(E, x0, n, extension=False).poly.degree_deficient
+
+
+def move_endpoint(E, e, h):
+    return CompactSet(tuple(
+        Interval(iv.lo + h if iv.lo == e else iv.lo, iv.hi + h if iv.hi == e else iv.hi)
+        for iv in E.intervals
+    ))
+
+
+def central_difference(E, x0, n, e, h=1e-6):
+    up = solve_extremal(move_endpoint(E, e, h), x0, n, extension=False).value
+    down = solve_extremal(move_endpoint(E, e, -h), x0, n, extension=False).value
+    return (up - down) / (2.0 * h)
+
+
+class TestEndpointSensitivity:
+    @pytest.mark.parametrize("alpha", [-0.3, -0.2, -0.1, -0.001])
+    def test_gap_sets_match_central_differences(self, alpha):
+        E = make_gap_set(GapParams(alpha, 0.4))
+        res = solve_extremal(E, -0.1, 12, extension=False)
+        for e in (-1.0, E.intervals[0].hi, E.intervals[1].lo, 1.0):
+            fd = central_difference(E, -0.1, 12, e)
+            assert res.dvalue_dendpoint(e) == pytest.approx(fd, rel=1e-6, abs=1e-6)
+
+    @pytest.mark.parametrize("seed", [1, 2, 3])
+    def test_random_sets_interior_endpoints(self, seed):
+        E = random_multigap_set(0.4, 3, seed)
+        lo, hi = max(E.gaps(), key=lambda g: g[1] - g[0])
+        x0 = 0.5 * (lo + hi)
+        res = solve_extremal(E, x0, 10, extension=False)
+        for e in [v for iv in E.intervals for v in (iv.lo, iv.hi) if abs(v) != 1.0]:
+            fd = central_difference(E, x0, 10, e)
+            assert res.dvalue_dendpoint(e) == pytest.approx(fd, rel=1e-6, abs=1e-6)
+
+    def test_inactive_endpoint_gives_zero(self):
+        # at alpha = -0.001 the extremal polynomial does not reach -1 at -1
+        E = make_gap_set(GapParams(-0.001, 0.4))
+        res = solve_extremal(E, -0.1, 12, extension=False)
+        assert -1.0 not in res.active_points
+        assert res.dvalue_dendpoint(-1.0) == 0.0
+        assert res.dvalue_dendpoint(0.5) == 0.0
+
+    def test_endpoint_matched_within_ulps(self):
+        E = make_gap_set(GapParams(-0.2, 0.4))
+        res = solve_extremal(E, -0.1, 12, extension=False)
+        e = E.intervals[0].hi
+        slope = res.dvalue_dendpoint(e)
+        assert slope != 0.0
+        assert res.dvalue_dendpoint(math.nextafter(e, 1.0)) == slope
+        assert res.dvalue_dendpoint(math.nextafter(e, -1.0)) == slope
+
+    def test_dual_weights_sum_to_value(self):
+        res = solve_extremal(TWO_GAP, -0.4, 12, extension=False)
+        assert len(res.dual_weights) == len(res.active_points)
+        assert min(res.dual_weights) >= 0.0
+        assert sum(res.dual_weights) == pytest.approx(res.value, rel=1e-12)
+
 
 class TestVerifyFeasibility:
     def test_solved_instance(self):

@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from chebgap._search import bisect_many, bisect_root, brent_max, golden_max
+from chebgap._search import bisect_many, bisect_root, brent_max
 from chebgap.errors import SolverError
 
 
@@ -48,19 +48,26 @@ class Counted:
         return self.f(x)
 
 
+def peaked_at(argmax, f):
+    f.argmax = argmax
+    return f
+
+
 @pytest.mark.parametrize("f,lo,hi", [
-    (lambda x: -(x - 0.3) ** 2, 0.0, 1.0),
-    (lambda x: math.sin(x) * math.exp(-0.3 * x), 0.0, 3.0),
-    (lambda x: 1.0 / (1.0 + 50.0 * (x - 0.9) ** 2), 0.0, 1.0),
+    (peaked_at(0.3, lambda x: -(x - 0.3) ** 2), 0.0, 1.0),
+    (peaked_at(math.atan(1.0 / 0.3), lambda x: math.sin(x) * math.exp(-0.3 * x)), 0.0, 3.0),
+    (peaked_at(0.9, lambda x: 1.0 / (1.0 + 50.0 * (x - 0.9) ** 2)), 0.0, 1.0),
 ])
 def test_brent_max_agrees_with_golden_max_in_fewer_evaluations(f, lo, hi):
+    # against the closed-form argmax, and golden section's evaluation count:
+    # two to start, then one per 1/phi shrink of the bracket
     xtol = 1e-8
-    fb, fg = Counted(f), Counted(f)
+    fb = Counted(f)
     xb, vb = brent_max(fb, lo, hi, xtol)
-    xg, vg = golden_max(fg, lo, hi, xtol)
-    assert abs(xb - xg) <= xtol
-    assert vb == f(xb) and vb >= vg - 1e-15
-    assert fb.n < fg.n
+    assert abs(xb - f.argmax) <= xtol
+    assert vb == f(xb)
+    golden_evals = math.ceil(math.log((hi - lo) / xtol) / math.log((1 + math.sqrt(5)) / 2)) + 2
+    assert fb.n < golden_evals
 
 
 @pytest.mark.parametrize("f,end", [(lambda x: x, 1.0), (lambda x: -x, 0.0),
