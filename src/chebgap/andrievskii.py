@@ -9,7 +9,8 @@ single-interval (Remez) configuration [-1+2*delta, 1], whose value has the
 closed form T_n((delta - x0)/(1 - delta)), or by a one-gap (Akhiezer)
 configuration E(alpha, delta) with x0 inside the gap, found here by a
 coarse alpha scan plus a bracket search on dM_n/dalpha, which each LP
-oracle solve gives for free through its dual weights.
+oracle solve gives for free through its dual weights; it is skipped where
+Remez beats the Bernstein-Walsh bound on every Akhiezer value.
 
 Two experiment drivers sit on top: residual series log(2 L_n) - n Phi(x0)
 against the envelope growth rate (vanishing for boundary points, merely
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .chebyshev import remez_poly_value
-from .envelope import upper_envelope
+from .envelope import _interior_max, upper_envelope
 from .errors import DomainError
 from .extremal import solve_extremal
 from .green import green_single_interval
@@ -41,6 +42,7 @@ _ALPHA_TOL = 1e-6         # final bracket width in alpha
 _GAP_MARGIN = 1e-9        # keep x0 strictly inside candidate gaps
 _BOUNDARY_CLIP = 1e-4     # keep alpha away from delta-1 (dominated there)
 _VALUE_TOL = 1e-9         # relative accuracy of the oracle values
+_PRUNE_MARGIN = 1e-6      # Remez must beat the Akhiezer bound by this factor
 
 
 @dataclass(frozen=True)
@@ -172,6 +174,8 @@ def _alpha_max(solve, alphas, vals, slopes):
     the models do not cross inside the bracket or neither of the last two
     steps halved it.  The profile is not concave between samples, so the
     models bound nothing: only the bracket width stops the search.
+    A range end can be a kink whose solve reports the inward slope; when
+    the search closes on it, the other bracket end's slope is its certificate.
     """
     i = int(np.argmax(vals))
     last = len(alphas) - 1
@@ -198,6 +202,10 @@ def _alpha_max(solve, alphas, vals, slopes):
         halved = (b - a <= 0.5 * width, halved[0])
         if fx > best_val:
             best_alpha, best_val = x, fx
+    if best_alpha == b == alphas[last]:
+        return best_alpha, best_val, (ga,)
+    if best_alpha == a == alphas[0]:
+        return best_alpha, best_val, (gb,)
     return best_alpha, best_val, (ga, gb)
 
 
@@ -209,6 +217,9 @@ def L_n_delta(x0: float, delta: float, n: int) -> AndrievskiiResult:
     alpha grid over all gaps containing x0, and the best is refined on the
     sign of dM_n/dalpha, the sum of the dual sensitivities to the two gap
     ends (see _alpha_max), which the result reports as its certificate.
+    By Bernstein-Walsh M_n(x0, E(alpha, delta)) <= exp(n G_alpha(x0)), so
+    when Remez exceeds exp(n max_alpha G) (1 + _PRUNE_MARGIN) it wins with
+    no LP solve, and `akhiezer_profile` is empty.
     """
     _check_point(x0, delta)
     if n < 0:
@@ -223,6 +234,10 @@ def L_n_delta(x0: float, delta: float, n: int) -> AndrievskiiResult:
     # clipped a fixed distance away from that edge.
     lo = max(delta - 1.0 + _BOUNDARY_CLIP, x0 - delta + _GAP_MARGIN)
     hi = min(0.0, x0 + delta - _GAP_MARGIN)
+    if remez_val is not None:
+        top = _interior_max(delta, x0)  # max G over a range holding [lo, hi]
+        if top and math.log(remez_val) >= n * top[1] + math.log1p(_PRUNE_MARGIN):
+            hi = lo   # no Akhiezer value reaches Remez: skip the scan
     profile = []
     best_alpha = None
     best_val = -math.inf

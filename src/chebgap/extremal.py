@@ -30,9 +30,10 @@ A pivot moves one basis node, so the pricing values come from a Cauchy
 matrix 1/(x_j - t_i) built once per solve and updated by one column per
 pivot.
 
-Exchange rounds then locate the true local maxima of |P| on E by golden
-section, append them as grid columns, and re-optimize; the previous basis
-stays feasible, so re-solves take only a few pivots.
+Exchange rounds then locate the true local maxima of |P| on E by lockstep
+Newton on P' (Berrut & Trefethen, SIAM Rev. 2004, section 9), append them
+as grid columns, and re-optimize until a scan certifies |P| <= 1 + 1e-10;
+the previous basis stays feasible, so re-solves take only a few pivots.
 
 The answer is its active points and signs (t, s), with the dual weights
 lam_i = s_i l_i(x0), which sum to the value and give dM/de for an endpoint
@@ -65,9 +66,12 @@ CASE_TAGS = ("right_interval", "extend_right", "extend_left", "left_interval", "
 # below this fraction of sum_i |w_i| has lower effective degree.
 DEGREE_DEFICIENCY_REL = 1e-10
 
-_REFINE_ROUNDS = 3        # exchange rounds after the grid solve
+_REFINE_ROUNDS = 8        # cap on exchange rounds after the grid solve
 _FEAS_TOL = 1e-9          # promised bound 1 + _FEAS_TOL on |P| over E
 _ENDPOINT_ULPS = 4        # match of an endpoint against the active points
+_NEWTON_STEPS = 12        # Newton steps per peak before golden section
+_PEAK_GAIN = 1e-14        # predicted |P| gain that ends a Newton lane
+_ROW_BLOCK = 256          # rows per block of the derivative temporaries
 
 
 @dataclass(frozen=True)
@@ -79,6 +83,12 @@ class ExtremalResult:
     n_extension: CompactSet | None
     case_tag: str
     dual_weights: tuple[float, ...] = ()   # lam_i = s_i l_i(x0) per active point
+    max_abs_p: float = 1.0          # max |P| on E from the last exchange scan
+
+    # bounds on M_n: dual sum_i lam_i = P(x0), primal P(x0) / max_E |P|
+    value_hi = property(lambda self: self.value)
+    value_lo = property(lambda self: self.value / max(1.0, self.max_abs_p))
+    rel_gap = property(lambda self: 1.0 - 1.0 / max(1.0, self.max_abs_p))
 
     def evaluate(self, x):
         """P(x) from the active points in the first barycentric form, which
@@ -102,11 +112,7 @@ class ExtremalResult:
         i = int(np.argmin(gap))
         if gap[i] > _ENDPOINT_ULPS * math.ulp(max(1.0, abs(e))):
             return 0.0
-        k = np.arange(len(t)) != i
-        # P'(t_i) = sum_{k != i} (w_k / w_i) (s_k - s_i) / (t_i - t_k)
-        ratio = signw[k] * signw[i] * np.exp(logw[k] - logw[i])
-        dp = float(np.sum(ratio * (s[k] - s[i]) / (t[i] - t[k])))
-        return -self.dual_weights[i] * s[i] * dp
+        return -self.dual_weights[i] * s[i] * _bary_derivs(t, s, logw, signw, t[i:i + 1])[1, 0]
 
     @cached_property
     def _nodes(self):
@@ -126,6 +132,9 @@ class ExtremalResult:
                 if self.n_extension is None
                 else [[iv.lo, iv.hi] for iv in self.n_extension.intervals],
                 "case_tag": self.case_tag,
+                "value_lo": self.value_lo,
+                "value_hi": self.value_hi,
+                "rel_gap": self.rel_gap,
             }
         )
 
@@ -169,24 +178,44 @@ def _bary_logweights(t):
 
 
 def _bary_values(t, s, logw, signw, xs):
-    """Second-form barycentric values of the interpolant of (t_i, s_i).
-
-    Exact node hits surface as non-finite entries and are patched after the
-    fact; scanning for them upfront would cost more than the evaluation.
-    """
-    xs_arr = np.atleast_1d(np.asarray(xs, dtype=float))
+    """Second-form barycentric values of the interpolant of (t_i, s_i) at an
+    array xs.  Exact node hits surface as non-finite entries and are patched
+    after the fact; scanning for them upfront would cost more."""
     wt = signw * np.exp(logw - logw.max())
-    d = xs_arr[:, None] - t[None, :]
+    d = np.asarray(xs, dtype=float)[:, None] - t
     with np.errstate(divide="ignore", invalid="ignore"):
         C = 1.0 / d
         vals = (C @ (wt * s)) / (C @ wt)
-    bad = ~np.isfinite(vals)
-    if bad.any():
-        for i in np.flatnonzero(bad):
-            vals[i] = s[int(np.argmin(np.abs(d[i])))]
-    if np.isscalar(xs) or np.ndim(xs) == 0:
-        return float(vals[0])
+    bad = np.flatnonzero(~np.isfinite(vals))
+    vals[bad] = s[np.argmin(np.abs(d[bad]), axis=1)]
     return vals
+
+
+def _bary_derivs(t, s, logw, signw, xs):
+    """(P, P', P'') at xs of the interpolant of (t_i, s_i) in the second form
+    (Berrut & Trefethen 2004, section 9), d_i = x - t_i, D = sum_i w_i / d_i:
+    P' = sum_i w_i (P - s_i) / d_i^2 / D, P'' = 2 sum_i w_i [P' - (P - s_i)
+    / d_i] / d_i^2 / D.  A node hit x = t_i gives s_i, P'(t_i) = sum_{k != i}
+    (w_k / w_i) (s_k - s_i) / (t_i - t_k) and nan.  Rows go in blocks."""
+    xs = np.asarray(xs, dtype=float)
+    wt = signw * np.exp(logw - logw.max())
+    out = np.empty((3, xs.size))
+    for lo in range(0, xs.size, _ROW_BLOCK):
+        d = xs[lo:lo + _ROW_BLOCK, None] - t
+        k, i = np.nonzero(d == 0.0)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            C = wt / d
+            den = C.sum(axis=1)
+            p = (C @ s) / den
+            R = (p[:, None] - s) / d
+            dp = np.einsum("ij,ij->i", C, R) / den
+            d2p = 2.0 * np.einsum("ij,ij->i", C / d, dp[:, None] - R) / den
+            node = (signw * signw[i, None] * np.exp(logw - logw[i, None])
+                    * (s - s[i, None]) / (t[i, None] - t))
+        p[k], d2p[k] = s[i], math.nan
+        dp[k] = np.where(np.isnan(node), 0.0, node).sum(axis=1)
+        out[:, lo:lo + _ROW_BLOCK] = p, dp, d2p
+    return out
 
 
 def _lagrange_scaled(t, logw, signw, x):
@@ -340,10 +369,8 @@ class _ExchangeLP:
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = (C @ (wt * s)) / (C @ wt)
         vals[[j >> 1 for j in self.basis]] = s
-        bad = ~np.isfinite(vals)
-        if bad.any():
-            for j in np.flatnonzero(bad):
-                vals[j] = s[int(np.argmin(np.abs(self.points[j] - t)))]
+        bad = np.flatnonzero(~np.isfinite(vals))
+        vals[bad] = s[np.argmin(np.abs(self.points[bad, None] - t), axis=1)]
         return vals
 
     def solve(self, seed_points=None):
@@ -437,57 +464,82 @@ def _nearest_distance(points, xs):
     return np.minimum(np.abs(xs - pts[right - 1]), np.abs(xs - pts[right]))
 
 
-def _scan_abs_max(evaluate, E, n, known=None):
-    """Local maxima of |P| on E: dense Chebyshev-spaced scan per interval,
-    each discrete peak, end samples included, polished by golden section.
+def _newton_peaks(nodes, los, his, starts, signs):
+    """Maxima (xs, |P(xs)|) of |P| on the brackets [los, his], in lockstep.
+
+    A lane is live when signs * P' rises at its low end and falls at its
+    high end, else the better end wins.  Newton on P' runs from the scan
+    peak `starts` inside the bracket the signs of P' keep, bisecting when
+    P'' >= 0 or a step leaves it.  A lane stops when the predicted gain
+    g^2 / 2|h| is below _PEAK_GAIN (P' carries eps / |x - t_i| of noise
+    near a node, so no step-size stop), or after _NEWTON_STEPS by golden
+    section."""
+    m = len(los)
+    P, dP, _ = _bary_derivs(*nodes, np.concatenate([los, his]))
+    best_x = np.where(abs(P[m:]) > abs(P[:m]), his, los)
+    best_f = np.maximum(abs(P[m:]), abs(P[:m]))
+    live = np.flatnonzero((signs * dP[:m] > 0.0) & (signs * dP[m:] < 0.0))
+    a, b, x = los[live], his[live], starts[live]
+    for _ in range(_NEWTON_STEPS):
+        if not live.size:
+            return best_x, best_f
+        x = np.where((a < x) & (x < b), x, 0.5 * (a + b))
+        P, dP, d2P = _bary_derivs(*nodes, x)
+        up = abs(P) > best_f[live]
+        best_x[live[up]], best_f[live[up]] = x[up], abs(P[up])
+        g, h = signs[live] * dP, signs[live] * d2P
+        a, b = np.where(g > 0.0, x, a), np.where(g > 0.0, b, x)
+        with np.errstate(divide="ignore", invalid="ignore"):
+            x = np.where(h < 0.0, x - g / h, math.nan)
+            open_ = ~((h < 0.0) & (g * g <= -2.0 * _PEAK_GAIN * h))
+        live, a, b, x = live[open_], a[open_], b[open_], x[open_]
+    if live.size:
+        xg, fg = golden_max_many(lambda u: np.abs(_bary_values(*nodes, u)), a, b, 1e-12)
+        up = fg > best_f[live]
+        best_x[live[up]], best_f[live[up]] = xg[up], fg[up]
+    return best_x, best_f
+
+
+def _scan_abs_max(nodes, E, n, known=()):
+    """Local maxima of |P| on E for nodes = (t, s, logw, signw): a dense
+    Chebyshev-spaced scan per interval, each discrete peak, end samples
+    included, polished by `_newton_peaks` from that sample.
 
     A peak bracket may straddle an active constraint point (where |P| = 1
     exactly) next to a genuine violation, which breaks the unimodality
-    golden section needs; brackets are therefore split at every `known`
+    the polish needs; brackets are therefore split at every `known`
     constraint point they contain and each piece is polished separately.
-    Raw scan samples witnessing |P| > 1 are kept as a safety net.
-    """
-    found = []
-    brackets = []
-    worst = -math.inf
+    Returns the points found (with raw samples witnessing |P| > 1 as a
+    safety net), max |P| seen and its x."""
     K = max(257, 8 * (n + 1))
-    theta = np.linspace(0.0, math.pi, K)
-    base = 0.5 * (1.0 - np.cos(theta))  # ascending in [0, 1]
-    known = np.sort(known) if known is not None else None
+    base = 0.5 * (1.0 - np.cos(np.linspace(0.0, math.pi, K)))  # ascending in [0, 1]
+    known = np.sort(known)
+    seen_x, seen_v, brackets = [], [], []
     for iv in E.intervals:
-        if iv.length == 0.0:
-            worst = max(worst, abs(evaluate(iv.lo)))
-            continue
         xs = iv.lo + iv.length * base
-        vals = np.abs(evaluate(xs))
-        worst = max(worst, float(vals.max()))
-        found.extend(xs[vals > 1.0 + 1e-10].tolist())
-        interior = np.flatnonzero(
-            (vals[1:-1] >= vals[:-2]) & (vals[1:-1] >= vals[2:])
-        ) + 1
-        left, right = interior - 1, interior + 1
-        # an end sample that is a discrete peak may hide a bump before the
-        # next sample
-        if vals[0] >= vals[1]:
-            left, right = np.append(left, 0), np.append(right, 1)
-        if vals[-1] >= vals[-2]:
-            left, right = np.append(left, K - 2), np.append(right, K - 1)
-        if known is not None:
-            first = np.searchsorted(known, xs[left], side="right")
-            stop = np.searchsorted(known, xs[right], side="left")
-        for k, (i, j) in enumerate(zip(left, right)):
-            cuts = [xs[i], xs[j]]
-            if known is not None:
-                cuts = [xs[i], *known[first[k]:stop[k]].tolist(), xs[j]]
-            for lo, hi in zip(cuts[:-1], cuts[1:]):
-                if hi - lo >= 1e-15:
-                    brackets.append((lo, hi))
+        pv = _bary_values(*nodes, xs)
+        vals = np.abs(pv)
+        seen_x, seen_v = seen_x + [xs], seen_v + [vals]
+        # discrete peaks, end samples included: an end peak may hide a bump
+        # before the next sample
+        v = np.concatenate([[-1.0], vals, [-1.0]])
+        peak = np.flatnonzero((v[1:-1] >= v[:-2]) & (v[1:-1] >= v[2:]))
+        left, right = np.maximum(peak - 1, 0), np.minimum(peak + 1, K - 1)
+        first = np.searchsorted(known, xs[left], side="right")
+        stop = np.searchsorted(known, xs[right], side="left")
+        for i, j, q, k0, k1 in zip(left, right, peak, first, stop):
+            cuts = [xs[i], *known[k0:k1].tolist(), xs[j]]
+            brackets += [(lo, hi, xs[q], 1.0 if pv[q] >= 0.0 else -1.0)
+                         for lo, hi in zip(cuts[:-1], cuts[1:]) if hi - lo >= 1e-15]
+    xs, vals = np.concatenate(seen_x), np.concatenate(seen_v)
+    found = [xs[vals > 1.0 + 1e-10]]
     if brackets:
-        los, his = np.array(brackets).T
-        xp, vp = golden_max_many(lambda u: np.abs(evaluate(u)), los, his, 1e-12)
-        worst = max(worst, float(vp.max()))
-        found.extend(xp.tolist())
-    return np.array(found), worst
+        los, his, starts, signs = np.array(brackets).T
+        xp, vp = _newton_peaks(nodes, los, his, starts, signs)
+        found.append(xp)
+        xs, vals = np.concatenate([xs, xp]), np.concatenate([vals, vp])
+    i = int(np.argmax(vals))
+    return np.concatenate(found), float(vals[i]), float(xs[i])
 
 
 def solve_extremal(E: CompactSet, x0: float, n: int, *, extension: bool = True,
@@ -496,9 +548,10 @@ def solve_extremal(E: CompactSet, x0: float, n: int, *, extension: bool = True,
 
     x0 inside E short-circuits to value 1 (the constant polynomial);
     otherwise the dual LP is solved on a Chebyshev grid and sharpened by
-    exchange rounds.  The returned polynomial satisfies P(x0) = value > 0
-    and |P| <= 1 + _FEAS_TOL on E.  `extension` also computes the
-    n-extension P^{-1}([-1, 1]) and its case tag.
+    exchange rounds until a scan of E certifies max_E |P| <= 1 + 1e-10
+    (`max_abs_p`, `value_lo`, `rel_gap`), else SolverError after
+    _REFINE_ROUNDS rounds.  The returned polynomial satisfies P(x0) =
+    value > 0.  `extension` also computes P^{-1}([-1, 1]) and its case tag.
 
     `warm_start` takes the active points of a solve on a nearby instance;
     sweeps over slowly moving sets converge in a handful of pivots from it.
@@ -525,27 +578,27 @@ def solve_extremal(E: CompactSet, x0: float, n: int, *, extension: bool = True,
         lp.basis = None
         t, s, logw, signw = lp.solve()
 
-    for _ in range(_REFINE_ROUNDS):
-        ev = lambda xs: _bary_values(t, s, logw, signw, xs)
-        peaks, worst = _scan_abs_max(ev, E, n, known=lp.points)
-        if worst <= 1.0 + 10.0 * _ExchangeLP._EPS_RC or peaks.size == 0:
+    for round_ in range(_REFINE_ROUNDS + 1):
+        # value = sum_i s_i l_i(x0): same-sign terms at the optimum, so the
+        # log form keeps full relative precision at any magnitude.
+        lam_hat, L0 = _lagrange_scaled(t, logw, signw, lp.x0)
+        raw = s * lam_hat
+        if seeds is not None and float(raw.min()) < -1e-6 * max(float(raw.max()), 1e-300):
+            # a corrupted warm basis shows up as a visibly infeasible solution,
+            # which no exchange round repairs; one cold retry restores it
+            return solve_extremal(E, x0, n, extension=extension)
+        peaks, worst, worst_x = _scan_abs_max((t, s, logw, signw), E, n, known=lp.points)
+        if worst <= 1.0 + 10.0 * _ExchangeLP._EPS_RC:
             break
         peaks = np.sort(peaks)
         peaks = peaks[np.concatenate(([True], np.diff(peaks) > 1e-12))]
         fresh = peaks[_nearest_distance(lp.points, peaks) > 1e-13]
-        if fresh.size == 0:
-            break
+        if round_ == _REFINE_ROUNDS or fresh.size == 0:
+            raise SolverError(f"exchange round {round_} left max |P| - 1 = {worst - 1.0:.3g}"
+                              f" on E at x = {worst_x!r} ({fresh.size} new points)")
         lp.append_points(fresh)
         t, s, logw, signw = lp.solve()
 
-    # value = sum_i s_i l_i(x0): same-sign terms at the optimum, so the log
-    # form keeps full relative precision at any magnitude.
-    lam_hat, L0 = _lagrange_scaled(t, logw, signw, lp.x0)
-    raw = s * lam_hat
-    if seeds is not None and float(raw.min()) < -1e-6 * max(float(raw.max()), 1e-300):
-        # a corrupted warm basis shows up as a visibly infeasible solution;
-        # one cold retry restores the invariant
-        return solve_extremal(E, x0, n, extension=extension)
     lam = np.maximum(raw, 0.0)
     total = float(lam.sum())
     value = float(math.exp(math.log(total) + L0)) if total > 0.0 else 0.0
@@ -567,6 +620,7 @@ def solve_extremal(E: CompactSet, x0: float, n: int, *, extension: bool = True,
         n_extension=None,
         case_tag="none",
         dual_weights=tuple(float(v) for v in lam[order]),
+        max_abs_p=worst,
     )
     if extension:
         ext, tag = n_extension(result, E)
@@ -591,7 +645,7 @@ def n_extension(result: ExtremalResult, E: CompactSet):
     evaluate = result.evaluate
     abs_p = lambda u: np.abs(evaluate(u))
 
-    _, worst_on_E = _scan_abs_max(evaluate, E, deg)
+    _, worst_on_E, _ = _scan_abs_max(result._nodes, E, deg)
     slack = max(0.0, worst_on_E - 1.0) + 1e-12
     level = 1.0 + slack
 

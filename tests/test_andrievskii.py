@@ -12,8 +12,10 @@ from chebgap.andrievskii import (
     totik_widom_residuals,
 )
 from chebgap.chebyshev import cheb_T, remez_constant, remez_poly_value
+from chebgap.envelope import _interior_max
 from chebgap.errors import DomainError, SolverError
 from chebgap.extremal import solve_extremal
+from chebgap.green import c_rows, g_rows
 from chebgap.intervals import GapParams, make_gap_set
 
 
@@ -57,13 +59,7 @@ class TestLnDelta:
 
     @pytest.mark.parametrize("n,max_solves", [(12, 38), (24, 50)])
     def test_solve_count(self, n, max_solves, monkeypatch):
-        calls = []
-
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return solve_extremal(*args, **kwargs)
-
-        monkeypatch.setattr(andrievskii, "solve_extremal", counted)
+        calls = self._count_solves(monkeypatch)
         L_n_delta(-0.1, 0.4, n)
         assert len(calls) <= max_solves
 
@@ -86,6 +82,43 @@ class TestLnDelta:
         assert outward > 0.0
         assert L_n_delta(-0.7, 0.4, 12).dvalue_dalpha == ()
         assert json.loads(interior.to_json())["dvalue_dalpha"] == [left, right]
+
+    @staticmethod
+    def _count_solves(monkeypatch):
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args)
+            return solve_extremal(*args, **kwargs)
+
+        monkeypatch.setattr(andrievskii, "solve_extremal", counted)
+        return calls
+
+    def test_remez_prune_skips_the_alpha_search(self, monkeypatch):
+        calls = self._count_solves(monkeypatch)
+        res = L_n_delta(-0.7, 0.4, 12)
+        assert calls == []
+        assert res.best == "remez"
+        assert res.akhiezer_profile == () and res.near_ties == ()
+
+    @pytest.mark.parametrize("n", [6, 12, 24])
+    @pytest.mark.parametrize("x0", [-0.3, -0.45, -0.7])
+    def test_remez_prune_matches_full_search(self, x0, n, monkeypatch):
+        pruned = L_n_delta(x0, 0.4, n)
+        monkeypatch.setattr(andrievskii, "_PRUNE_MARGIN", math.inf)
+        full = L_n_delta(x0, 0.4, n)
+        assert full.akhiezer_profile
+        assert (pruned.best, pruned.value) == (full.best, full.value)
+
+    @pytest.mark.parametrize("x0", [-0.3, -0.45, -0.7])
+    def test_prune_bound_is_the_global_green_maximum(self, x0):
+        # the prune trusts envelope._interior_max to find max_alpha G; a
+        # 2049-point alpha grid over the same range finds nothing higher
+        delta = 0.4
+        _, g_star, _ = _interior_max(delta, x0)
+        alphas = np.linspace(delta - 1.0 + 1e-8, min(0.0, x0 + delta) - 1e-9, 2049)
+        g = g_rows(alphas, delta, x0, c_rows(alphas, delta))
+        assert g.max() <= g_star + 1e-12
 
     @pytest.mark.xfail(strict=True, raises=SolverError,
                        reason="D2: the simplex exceeds its iteration limit")

@@ -1,9 +1,11 @@
+import json
 import math
 
 import numpy as np
 import pytest
 
 from chebgap import extremal
+from chebgap._search import golden_max_many
 from chebgap.chebyshev import ChebPoly, cheb_T, cheb_eval, remez_constant, remez_poly_value
 from chebgap.errors import DomainError, SolverError
 from chebgap.extremal import (
@@ -28,6 +30,14 @@ TWO_GAP = CompactSet((Interval(-1.0, -0.55), Interval(-0.25, 0.25), Interval(0.5
 FOUR_GAP = CompactSet((
     Interval(-1.0, -0.8), Interval(-0.6, -0.4), Interval(-0.2, 0.2),
     Interval(0.4, 0.6), Interval(0.8, 1.0),
+))
+
+# seed 205 of an oracle benchmark mix: needs four exchange rounds (D4)
+SEED205 = CompactSet((
+    Interval(-1.0, -0.721244534446349),
+    Interval(-0.6055333608644459, -0.35573206407362123),
+    Interval(-0.2516300376828912, 0.5521556746812406),
+    Interval(0.8363519060278394, 1.0),
 ))
 
 
@@ -423,17 +433,11 @@ class TestVerifyFeasibility:
         rep = verify_feasibility(res, E, probes=50_000)
         assert rep.max_violation <= 1e-9
 
-    @pytest.mark.xfail(strict=True,
-                       reason="D4: |P| reaches 1 + 6.2e-6 on this set, beyond feas_tol")
     def test_seeded_four_interval_set(self):
-        E = CompactSet((
-            Interval(-1.0, -0.721244534446349),
-            Interval(-0.6055333608644459, -0.35573206407362123),
-            Interval(-0.2516300376828912, 0.5521556746812406),
-            Interval(0.8363519060278394, 1.0),
-        ))
-        res = solve_extremal(E, -0.6810723933289962, 50, extension=False)
-        assert verify_feasibility(res, E).ok
+        # D4: three fixed exchange rounds left |P| = 1 + 6.2e-6 here; the
+        # certified stop runs a fourth
+        res = solve_extremal(SEED205, -0.6810723933289962, 50, extension=False)
+        assert verify_feasibility(res, SEED205).ok
 
     def test_constant_one(self):
         E = make_gap_set(GapParams(0.0, 0.5))
@@ -449,3 +453,90 @@ class TestVerifyFeasibility:
         rep = verify_feasibility(bad, E, probes=10_000)
         assert not rep.ok
         assert rep.max_violation > 1e-9
+
+
+def golden_peaks(nodes, los, his, starts, signs):
+    """Golden-section polish to an x-width of 1e-12, the reference."""
+    return golden_max_many(lambda u: np.abs(extremal._bary_values(*nodes, u)), los, his, 1e-12)
+
+
+class TestNewtonPolish:
+    # the benchmark's pinned oracle sets, and the trap of a Newton overshoot
+    # next to an active node in round 3
+    CASES = {
+        "E(-0.3,0.4)": (make_gap_set(GapParams(-0.3, 0.4)), -0.3),
+        "E(-0.1,0.4)": (make_gap_set(GapParams(-0.1, 0.4)), -0.2),
+        "remez(0.4)": (single_interval(0.4), -1.0),
+        "two-gap(0.3)": (TWO_GAP, -0.4),
+        "E(-0.5,0.3)": (make_gap_set(GapParams(-0.5, 0.3)), -0.5),
+        "four-gap(0.4)": (FOUR_GAP, -0.7),
+        "E(0,0.4)": (make_gap_set(GapParams(0.0, 0.4)), -0.1),
+    }
+
+    @pytest.fixture
+    def shortfalls(self, monkeypatch):
+        """golden worst - Newton worst, per exchange scan."""
+        scan, newton = extremal._scan_abs_max, extremal._newton_peaks
+        out = []
+
+        def spy(nodes, E, n, known=()):
+            res = scan(nodes, E, n, known)
+            monkeypatch.setattr(extremal, "_newton_peaks", golden_peaks)
+            ref = scan(nodes, E, n, known)
+            monkeypatch.setattr(extremal, "_newton_peaks", newton)
+            out.append(ref[1] - res[1])
+            return res
+
+        monkeypatch.setattr(extremal, "_scan_abs_max", spy)
+        return out
+
+    @pytest.mark.parametrize("case, n", [
+        *((case, n) for case in list(CASES)[:-1] for n in (12, 50, 100, 200)),
+        ("E(0,0.4)", 12),
+    ])
+    def test_newton_finds_what_golden_finds(self, case, n, shortfalls):
+        E, x0 = self.CASES[case]
+        res = solve_extremal(E, x0, n, extension=False)
+        assert len(shortfalls) >= 2
+        assert max(shortfalls) <= 1e-13
+        assert verify_feasibility(res, E).ok
+        assert res.rel_gap <= 1e-10
+
+    def test_derivatives_match_chebyshev_fit(self):
+        n = 12
+        t = np.sort(np.concatenate([np.linspace(-1.0, -0.5, 6), np.linspace(0.3, 1.0, 7)]))
+        s = np.where(np.arange(n + 1) % 3 == 0, 1.0, -1.0)
+        coeffs = np.polynomial.chebyshev.chebfit(t, s, n)
+        xs = np.concatenate([np.linspace(-1.0, -0.5, 41), np.linspace(0.3, 1.0, 41), t[[2, 9]]])
+        P, dP, d2P = extremal._bary_derivs(t, s, *extremal._bary_logweights(t), xs)
+        C = np.polynomial.chebyshev
+        assert np.allclose(P, C.chebval(xs, coeffs), rtol=0, atol=1e-10)
+        assert np.allclose(dP, C.chebval(xs, C.chebder(coeffs)), rtol=1e-8, atol=1e-8)
+        node = np.isin(xs, t)
+        assert np.all(np.isnan(d2P[node]))
+        assert np.allclose(d2P[~node], C.chebval(xs[~node], C.chebder(coeffs, 2)),
+                           rtol=1e-7, atol=1e-7)
+
+
+class TestCertificate:
+    def test_bounds_bracket_the_value(self):
+        res = solve_extremal(SEED205, -0.6810723933289962, 50, extension=False)
+        assert res.value_hi == res.value
+        assert res.value_lo <= res.value_hi
+        assert 0.0 <= res.rel_gap <= 1e-10
+        assert res.value_lo == pytest.approx(res.value, rel=1e-10)
+        payload = json.loads(res.to_json())
+        assert [payload[k] for k in ("value_lo", "value_hi", "rel_gap")] == [
+            res.value_lo, res.value_hi, res.rel_gap]
+
+    def test_inside_E_has_zero_gap(self):
+        res = solve_extremal(TWO_GAP, 0.0, 5)
+        assert (res.value_lo, res.value_hi, res.rel_gap) == (1.0, 1.0, 0.0)
+
+    def test_round_cap_names_the_state(self, monkeypatch):
+        # capped at three rounds, the count that used to be fixed, the solve
+        # stops on the D4 violation
+        monkeypatch.setattr(extremal, "_REFINE_ROUNDS", 3)
+        with pytest.raises(SolverError, match=r"exchange round 3 left max \|P\| - 1 = "
+                                              r"6\.31e-06 on E at x = 0\.4232"):
+            solve_extremal(SEED205, -0.6810723933289962, 50, extension=False)
