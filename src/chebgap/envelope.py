@@ -35,6 +35,7 @@ import numpy as np
 from ._search import bisect_root, brent_max
 from .errors import DomainError, SolverError
 from .green import (
+    _admissible,
     _check_gap,
     c_cdot_rows,
     c_rows,
@@ -49,7 +50,8 @@ SOURCE_AKHIEZER = "akhiezer"
 SOURCE_TIE = "tie"
 
 _COARSE_ALPHA = 64        # coarse grid points per maximization
-_ALPHA_TOL = 1e-10        # Brent bracket width in alpha
+_ALPHA_TOL = 1e-8         # Brent bracket width in alpha; G is flat to
+                          # rounding within about 1e-8 of its maximizer
 _TIE_TOL = 1e-9           # branch values closer than this tie
 _BOUNDARY_CLIP = 1e-8     # keep alpha >= delta-1+clip
 _ROOT_TOL = 1e-10         # bisection width for x0(alpha)
@@ -124,7 +126,7 @@ def x0_many(alphas, delta: float, tol: float = _ROOT_TOL):
     """
     alphas = np.asarray(alphas, dtype=float)
     out = np.full(alphas.shape, np.nan)
-    ok = np.flatnonzero((0.0 < delta < 1.0) & (delta - 1.0 < alphas) & (alphas <= 0.0))
+    ok = np.flatnonzero((0.0 < delta < 1.0) & _admissible(alphas, delta))
     if ok.size == 0:
         return out
     al = alphas[ok]

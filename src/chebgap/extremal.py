@@ -384,7 +384,7 @@ class _ExchangeLP:
         C = self._cauchy()
         max_iter = 2000 + 60 * self.r
         seen = set()
-        bland_left = 0
+        bland_left = windows = 0
         for _ in range(max_iter):
             # Degenerate pivots are routine here; a revisited basis is the
             # real cycling signal, and only then is Bland's rule worth its
@@ -392,6 +392,7 @@ class _ExchangeLP:
             sig = hash(frozenset(self.basis))
             if sig in seen and bland_left == 0:
                 bland_left = 3 * self.r
+                windows += 1
                 seen.clear()
             seen.add(sig)
             bland = bland_left > 0
@@ -418,6 +419,7 @@ class _ExchangeLP:
                     enter = 2 * int(cand_m[0]) + 1
                 if enter is None:
                     return t, s, logw, signw
+                dent = (d_plus if enter % 2 == 0 else d_minus)[enter >> 1]
             else:
                 ip = int(np.argmin(d_plus))
                 im = int(np.argmin(d_minus))
@@ -448,7 +450,10 @@ class _ExchangeLP:
                 leave = max(ties, key=lambda i: u_hat[i])
             self.basis[leave] = enter
             self._cauchy_column(C, leave)
-        raise SolverError(f"simplex exceeded {max_iter} iterations")
+        raise SolverError(
+            f"simplex exceeded {max_iter} pivots at n = {self.n} on {m} grid points; "
+            f"{windows} Bland windows opened, entering reduced cost {dent:.3g} at the cap"
+        )
 
 
 def _grid_density(n, k_intervals):
@@ -575,8 +580,7 @@ def solve_extremal(E: CompactSet, x0: float, n: int, *, extension: bool = True,
     except SolverError:
         if seeds is None:
             raise
-        lp.basis = None
-        t, s, logw, signw = lp.solve()
+        return solve_extremal(E, x0, n, extension=extension)
 
     for round_ in range(_REFINE_ROUNDS + 1):
         # value = sum_i s_i l_i(x0): same-sign terms at the optimum, so the

@@ -19,16 +19,19 @@ the integrals of u and v taken from phi(x) instead of 0.  The
 alpha-derivatives needed by the envelope layer reduce to the same kind of
 integrals: dG/dalpha = I1 + I2 - cdot * I3 and cdot = 1 + det/v^2 (see the
 individual functions).  The psi-substitution removes the square-root
-singularities at the gap edges, so all integrands are smooth except for a
-spike of width eps = sqrt(2(1+a)/delta) near psi = 0 when the gap approaches
--1; that regime is handled by pre-splitting the range at psi = eps, 2 eps,
-4 eps, ...
+singularities at the gap edges.  What is left is a spike near psi = 0 when
+the gap approaches -1: 1 + xi = (1+a) + 2 delta sin^2(psi/2) is about
+(1+a)(1 + (psi/eps)^2) with eps = sqrt(2(1+a)/delta), so the integrands
+vary on the scale eps there.  Every integral is therefore taken in tau,
+psi = eps*sinh(tau), where 1 + xi is about (1+a) cosh^2(tau) and the spike
+is O(1) wide; away from it tau grows like log(psi), and for large eps the
+map is nearly linear.
 
 All integrals run through one adaptive Gauss-Legendre engine over rows: row
-r integrates several integrands over its own range [lo[r], hi[r]], and all
-rows share one panel partition of the unit interval, mapped affinely onto
-each range, so a whole alpha family costs one quadrature, and so do c and G
-together (rows [0, pi] and [phi(x), pi]).  The array cores `c_rows`,
+r integrates several integrands over its own tau-range, and all rows share
+one panel partition of the unit interval, mapped affinely onto each range,
+so a whole alpha family costs one quadrature, and so do c and G together
+(rows over psi in [0, pi] and [phi(x), pi]).  The array cores `c_rows`,
 `c_cdot_rows`, `g_rows` and `dg_rows` give c, cdot, G and dG/dalpha over an
 alpha array (x broadcast); the scalar functions are one-row calls of them.
 Nothing is cached per (alpha, delta): a caller that reuses c, such as the
@@ -53,18 +56,12 @@ from .errors import ConsistencyError, DomainError, QuadratureError
 # boundary term blows up like 1/sqrt(dist)).
 ENDPOINT_REFUSAL = 1e-10
 
-# Gap-to-edge distances below this trigger the eps-split of the psi-range.
-_NEAR_BOUNDARY = 1e-4
-
 # Adaptive quadrature: absolute and relative tolerance, bisection depth and
 # Gauss-Legendre nodes per panel.
 _ABS_TOL = 1e-11
 _REL_TOL = 1e-11
 _MAX_DEPTH = 30
 _BASE_NODES = 32
-
-# Roundoff floor of a panel test, relative to the panel values.
-_NOISE = 64.0 * np.finfo(float).eps
 
 
 @dataclass(frozen=True)
@@ -116,46 +113,45 @@ def _panel_estimates(f, tl, th, lo, width, nodes, weights):
     return (vals @ weights) * half
 
 
-def integrate_adaptive(f, lo, hi, presplit=()):
+def integrate_adaptive(f, lo, hi):
     """Adaptive Gauss-Legendre integration of a vector integrand over rows.
 
     `lo` and `hi` are scalars (one row) or 1-D arrays, one entry per row;
     row r integrates over [lo[r], hi[r]], and a row with hi <= lo gives 0.
     `f` maps an (rows, m) array of abscissae to a (k, rows, m) array of
     integrand values.  All rows share one panel partition of the unit
-    interval, mapped affinely onto each row's range; `presplit` lists
-    initial breaks of it in (0, 1).  A panel is bisected while, for any
-    component of any row, the one-panel and two-panel estimates differ by
-    more than max(_ABS_TOL, _REL_TOL*|row integral|) prorated by panel
-    length, so every row ends up refined at least as finely as it would be
-    alone.  Returns (values, err): length-k arrays for scalar limits, (k,
-    rows) arrays otherwise.  The module constants are read at call time.
+    interval, mapped affinely onto each row's range.  A panel is bisected
+    while, for any component of any row, the one-panel and two-panel
+    estimates differ by more than max(_ABS_TOL, _REL_TOL*|row integral|)
+    prorated by panel length, so every row ends up refined at least as
+    finely as it would be alone.  A non-finite panel estimate raises
+    QuadratureError at once, since bisection cannot repair it.  Returns
+    (values, err): length-k arrays for scalar limits, (k, rows) arrays
+    otherwise.  The module constants are read at call time.
     """
     scalar = np.ndim(lo) == 0 and np.ndim(hi) == 0
     lo = np.asarray(lo, dtype=float).reshape(-1)
     width = np.maximum(np.asarray(hi, dtype=float).reshape(-1) - lo, 0.0)
     nodes, weights = _gl_rule(_BASE_NODES)
-    cuts = sorted(p for p in presplit if 0.0 < p < 1.0)
-    tl = np.array([0.0] + cuts)
-    th = np.array(cuts + [1.0])
-    mids = 0.5 * (tl + th)
-    p = len(tl)
-    # the first call estimates the initial panels and their halves at once
-    est = _panel_estimates(
-        f, np.concatenate([tl, tl, mids]), np.concatenate([th, mids, th]),
-        lo, width, nodes, weights,
-    )
-    parents, child = est[..., :p], est[..., p:]
-    tol = np.maximum(_ABS_TOL, _REL_TOL * np.abs(parents).sum(axis=2))[..., None]
+
+    def estimates(tl, th):
+        est = _panel_estimates(f, tl, th, lo, width, nodes, weights)
+        if not np.isfinite(est).all():
+            raise QuadratureError("non-finite integrand or range in the quadrature")
+        return est
+
+    # the first call estimates the unit panel and its halves at once
+    est = estimates(np.array([0.0, 0.0, 0.5]), np.array([1.0, 0.5, 1.0]))
+    tl, th, mids = np.array([0.0]), np.array([1.0]), np.array([0.5])
+    parents, child = est[..., :1], est[..., 1:]
+    tol = np.maximum(_ABS_TOL, _REL_TOL * np.abs(parents[..., 0]))[..., None]
     acc = err = 0.0
     for depth in range(_MAX_DEPTH + 1):
+        p = len(tl)
         left, right = child[..., :p], child[..., p:]
         sums = left + right
         disc = np.abs(sums - parents)
-        # Panel tolerance is prorated by length but floored at the roundoff
-        # noise of the panel values, otherwise spike panels refine forever.
-        noise = _NOISE * np.maximum(np.abs(sums), np.abs(parents))
-        ok = (disc <= np.maximum(tol * (th - tl), noise)).all(axis=(0, 1))
+        ok = (disc <= tol * (th - tl)).all(axis=(0, 1))
         if ok.all():
             acc = acc + sums.sum(axis=2)
             err = err + disc.sum(axis=2)
@@ -172,11 +168,7 @@ def integrate_adaptive(f, lo, hi, presplit=()):
         tl, th = np.concatenate([tl[bad], mids[bad]]), np.concatenate([mids[bad], th[bad]])
         parents = np.concatenate([left[..., bad], right[..., bad]], axis=2)
         mids = 0.5 * (tl + th)
-        p = len(tl)
-        child = _panel_estimates(
-            f, np.concatenate([tl, mids]), np.concatenate([mids, th]),
-            lo, width, nodes, weights,
-        )
+        child = estimates(np.concatenate([tl, mids]), np.concatenate([mids, th]))
     raise AssertionError("unreachable")
 
 
@@ -231,53 +223,34 @@ def _uv_i1(phi, alpha, delta, c):
     return np.array([cos / sq, 1.0 / sq, (1.0 - c * (alpha - delta * cos)) / (op * om * sq)])
 
 
-def _presplit(alpha, delta, lo, hi):
-    """The doubling points eps, 2 eps, 4 eps, ... near the psi = 0 spike
-    that fall inside [lo, hi], as fractions of that range."""
-    t = math.sqrt(2.0 * (1.0 + alpha - delta) / delta)
-    pts = []
-    while t < 1.0:
-        if lo < t < hi:
-            pts.append((t - lo) / (hi - lo))
-        t *= 2.0
-    return pts
-
-
 def _rows(integrand, alpha, delta, lo, hi, *params):
     """Integrate integrand(psi, alpha, delta, *params) over [lo[r], hi[r]].
 
-    alpha, lo, hi and params are arrays with one entry per row.  Rows whose
-    gap end a sits within _NEAR_BOUNDARY of -1 run one at a time with the
-    eps pre-split of their own range; all others share one quadrature.
+    alpha, lo, hi and params are arrays with one entry per row.  Every row
+    is integrated in tau, psi = eps*sinh(tau) with its own
+    eps = sqrt(2(1+a)/delta), over [asinh(lo/eps), asinh(hi/eps)], with the
+    Jacobian eps*cosh(tau); all rows share one quadrature.
     """
-    near = 1.0 + alpha - delta < _NEAR_BOUNDARY
-    groups = [(slice(None), ())]
-    if near.any():
-        groups = [(~near, ())] + [
-            ([r], _presplit(alpha[r], delta, lo[r], hi[r])) for r in np.flatnonzero(near)
-        ]
-    val = err = None
-    for idx, splits in groups:
-        sub = [p[idx] for p in (alpha,) + params]
-        if len(sub[0]) == 0:
-            continue
-        # one row passes floats, which numpy broadcasts faster than columns
-        cols = [float(p[0]) for p in sub] if len(sub[0]) == 1 else [p[:, None] for p in sub]
-        v, e = integrate_adaptive(
-            lambda psi: integrand(psi, cols[0], delta, *cols[1:]), lo[idx], hi[idx], splits
-        )
-        if len(groups) == 1:
-            return v, e
-        if val is None:
-            val, err = np.empty((len(v), len(alpha))), np.empty((len(v), len(alpha)))
-        val[:, idx], err[:, idx] = v, e
-    return val, err
+    eps = np.sqrt(2.0 * (1.0 + alpha - delta) / delta)
+    al, ep, cols = alpha[:, None], eps[:, None], [p[:, None] for p in params]
+
+    def f(tau):
+        return integrand(ep * np.sinh(tau), al, delta, *cols) * (ep * np.cosh(tau))
+
+    return integrate_adaptive(f, np.arcsinh(lo / eps), np.arcsinh(hi / eps))
+
+
+def _admissible(alpha, delta):
+    """alpha in (delta-1, 0], elementwise, with 1 + a > 0 as the integrands
+    compute it: within an ulp of delta - 1 it can round to 0, and eps = 0
+    leaves no range to integrate in tau."""
+    return (delta - 1.0 < alpha) & (alpha <= 0.0) & (1.0 + alpha - delta > 0.0)
 
 
 def _check_gap(alpha, delta):
     if not (0.0 < delta < 1.0):
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
-    if not (delta - 1.0 < alpha <= 0.0):
+    if not _admissible(alpha, delta):
         raise DomainError(
             f"alpha must lie in (delta-1, 0] so the gap stays inside (-1, 1]; "
             f"got alpha={alpha}, delta={delta}"

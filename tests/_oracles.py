@@ -32,6 +32,40 @@ def midpoint_green(alpha, delta, x, panels=1_000_000):
     return float((((xi - c) / np.sqrt(1.0 - xi * xi)).sum()) * h), c
 
 
+def _graded_uv(alpha, delta, lo, panels):
+    """(U, V): the integrals of cos(psi) w and w, w = 1/sqrt(1 - xi^2), over
+    [lo, pi], by a midpoint rule on the graded pieces [0, eps], [eps, 2 eps],
+    ..., [2^k eps, pi] cut at lo, eps = sqrt(2(1+a)/delta) being the width
+    of the psi = 0 spike.  1 -+ xi come from the half-angle forms, which keep
+    their relative accuracy when 1 + a is tiny."""
+    eps = math.sqrt(2.0 * (1.0 + alpha - delta) / delta)
+    breaks, t = [lo], eps
+    while t < math.pi:
+        if t > lo:
+            breaks.append(t)
+        t *= 2.0
+    breaks.append(math.pi)
+    u = v = 0.0
+    for p0, p1 in zip(breaks, breaks[1:]):
+        h = (p1 - p0) / panels
+        psi = p0 + (np.arange(panels) + 0.5) * h
+        one_plus = (1.0 + alpha - delta) + 2.0 * delta * np.sin(0.5 * psi) ** 2
+        one_minus = (1.0 - alpha - delta) + 2.0 * delta * np.cos(0.5 * psi) ** 2
+        w = 1.0 / np.sqrt(one_plus * one_minus)
+        u += float((np.cos(psi) * w).sum() * h)
+        v += float(w.sum() * h)
+    return u, v
+
+
+def graded_midpoint_green(alpha, delta, x, panels=50_000):
+    """(G(x), c) by the graded midpoint rule; resolves 1 + a down to 1e-12."""
+    u, v = _graded_uv(alpha, delta, 0.0, panels)
+    c = alpha - delta * u / v
+    phix = math.acos(min(1.0, max(-1.0, (alpha - x) / delta)))
+    u_x, v_x = _graded_uv(alpha, delta, phix, panels)
+    return (alpha - c) * v_x - delta * u_x, c
+
+
 def dense_stationary_scan(alpha, delta, nodes=4096, scan=10_000):
     """Sign change of dG/dalpha located by a dense scan.
 

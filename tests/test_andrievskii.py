@@ -1,5 +1,6 @@
 import json
 import math
+import re
 
 import numpy as np
 import pytest
@@ -124,6 +125,14 @@ class TestLnDelta:
                        reason="D2: the simplex exceeds its iteration limit")
     def test_degree_36(self):
         assert L_n_delta(-0.1, 0.4, 36).value > L_n_delta(-0.1, 0.4, 30).value
+
+    def test_degree_36_failure_states_the_solver(self):
+        # D2 still fails; the message carries the state at the iteration cap
+        with pytest.raises(SolverError) as exc_info:
+            L_n_delta(-0.1, 0.4, 36)
+        msg = str(exc_info.value)
+        assert re.search(r"simplex exceeded \d+ pivots at n = 36 on \d+ grid points; \d+ "
+                         r"Bland windows opened, entering reduced cost \S+ at the cap", msg), msg
 
 
 class TestResiduals:

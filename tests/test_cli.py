@@ -1,5 +1,9 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -33,6 +37,20 @@ class TestGreenCommand:
         rc, _, err = run(capsys, "green", "--alpha", "0", "--delta", "1.5", "--x", "0")
         assert rc == 2
         assert "delta" in err
+
+    def test_alpha_within_an_ulp_of_the_clip_exits_2(self):
+        # 1 + alpha - delta rounds to 0 here; a subprocess with a timeout
+        # turns a hang into a failure
+        src = str(Path(green.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run(
+            [sys.executable, "-m", "chebgap.cli", "green", "--alpha=-0.49999999999999994",
+             "--delta=0.5", "--x=-0.9"],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert proc.returncode == 2, proc.stderr
+        assert "alpha" in proc.stderr
 
     def test_csv_format(self, capsys):
         rc, out, _ = run(capsys, "green", "--alpha", "-0.3", "--delta", "0.4",
@@ -169,6 +187,12 @@ class TestVerifyCommand:
                            "--trials", "10", "--seed", "42", "--n", "4")
         assert rc1 == rc2 == 0
         assert out1 == out2
+
+    @pytest.mark.xfail(strict=True, reason="D2: the n = 36 solve of the interior "
+                       "branch exceeds the simplex iteration limit (exit 3)")
+    def test_residuals_suite_passes(self, capsys):
+        rc, out, err = run(capsys, "verify", "--suite", "residuals")
+        assert rc == 0, err
 
 
 class TestArgumentHandling:

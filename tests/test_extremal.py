@@ -219,7 +219,8 @@ class TestPricingCache:
     ])
     def test_warm_start_cold_retry(self, case, pick, monkeypatch):
         # these seeds lead the seeded simplex into an unbounded direction, so
-        # the solve restarts from a fresh basis (lp.basis = None)
+        # solve_extremal starts over without the seeds: nothing has been
+        # appended yet, so the grid and the cold start are the same
         E, x0 = self.CASES[case]
         n = 12
         grid = discretize(E, extremal._grid_density(n, len(E.intervals)))

@@ -2,8 +2,11 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from chebgap import green
+from chebgap.envelope import x0_many
 from chebgap.errors import DomainError, QuadratureError
 from chebgap.green import (
     c_cdot_rows,
@@ -19,7 +22,7 @@ from chebgap.green import (
     integrate_adaptive,
 )
 
-from _oracles import midpoint_c, midpoint_green
+from _oracles import graded_midpoint_green, midpoint_c, midpoint_green
 
 # dyadic (alpha, delta) pairs: gap endpoints and arccos arguments are exact
 DYADIC_PAIRS = [
@@ -56,6 +59,18 @@ class TestQuadratureEngine:
             )
         assert exc_info.value.partial is not None
 
+    def test_nonfinite_estimate_raises_at_once(self):
+        # bisection cannot repair a nan, so the first estimate stops the run
+        calls = []
+
+        def f(t):
+            calls.append(t.shape)
+            return np.full((1,) + t.shape, np.nan)
+
+        with pytest.raises(QuadratureError):
+            integrate_adaptive(f, 0.0, 1.0)
+        assert len(calls) == 1
+
 
 class TestRowEngine:
     @staticmethod
@@ -82,7 +97,8 @@ class TestRowEngine:
 
 class TestArrayCores:
     # one gap per alpha; the first row is the clipped boundary alpha, whose
-    # psi-range is pre-split, and x = -0.25 lies inside every gap
+    # integrands spike over a psi-width of about 2e-4, and x = -0.25 lies
+    # inside every gap
     DELTA = 0.4
     ALPHAS = np.array([0.4 - 1.0 + 1e-8, -0.5, -0.4, -0.3, -0.1])
     X = -0.25
@@ -110,12 +126,81 @@ class TestArrayCores:
         for r, al in enumerate(self.ALPHAS):
             assert g_x[r] == pytest.approx(green_two_interval(al, self.DELTA, xs[r]), abs=1e-13)
 
+    def test_batch_with_clip_row_is_one_quadrature(self, monkeypatch):
+        sizes = []
+
+        def spy(f, lo, hi):
+            sizes.append(np.size(lo))
+            return integrate_adaptive(f, lo, hi)
+
+        monkeypatch.setattr(green, "integrate_adaptive", spy)
+        c = c_rows(self.ALPHAS, self.DELTA)
+        g = g_rows(self.ALPHAS, self.DELTA, self.X)
+        assert sizes == [5, 10]
+        for r, al in enumerate(self.ALPHAS):
+            one = np.array([al])
+            assert c[r] == pytest.approx(c_rows(one, self.DELTA)[0], abs=1e-13)
+            assert g[r] == pytest.approx(g_rows(one, self.DELTA, self.X)[0], abs=1e-13)
+
     def test_g_against_midpoint_oracle(self):
         alphas = self.ALPHAS[[0, 3]]
         g = g_rows(alphas, self.DELTA, self.X, c_rows(alphas, self.DELTA))
         for r, al in enumerate(alphas):
             ref, c_ref = midpoint_green(al, self.DELTA, self.X)
             assert g[r] == pytest.approx(ref, abs=1e-9)
+
+
+@given(
+    st.floats(0.05, 0.95),
+    st.lists(
+        st.tuples(st.booleans(), st.floats(0.0, 1.0), st.floats(-1.0, 1.0)),
+        min_size=1, max_size=8,
+    ),
+)
+@settings(max_examples=40, deadline=None)
+def test_g_rows_match_one_row_calls(delta, rows):
+    # near rows put 1 + a in [1e-12, 1e-2], where the psi = 0 spike is
+    # narrow; the others spread alpha over (delta - 1, 0].  A batch refines
+    # every row at least as finely as a one-row call; the one-row error,
+    # inside the engine's 1e-11 relative tolerance, reached 2.6e-13 in 3 of
+    # about 34,000 random rows (all at delta near 0.93).
+    alphas = np.array([
+        delta - 1.0 + 10.0 ** (-12.0 + 10.0 * u) if near else 0.999 * (1.0 - u) * (delta - 1.0)
+        for near, u, _ in rows
+    ])
+    xs = alphas + delta * np.array([t for *_, t in rows])
+    g = g_rows(alphas, delta, xs)
+    for r in range(len(alphas)):
+        assert g[r] == pytest.approx(g_rows(alphas[[r]], delta, xs[r])[0], abs=1e-12)
+
+
+class TestNearBoundary:
+    # The graded oracle resolves the psi = 0 spike, about 2e-6 wide at
+    # 1 + a = 1e-12, which the uniform midpoint rule cannot.
+    @pytest.mark.parametrize("gap", [1e-8, 1e-12])
+    def test_c_and_g_against_graded_oracle(self, gap):
+        delta = 0.4
+        alpha = delta - 1.0 + gap
+        xs = (alpha - delta) + np.array([1e-12, 1e-9, 1e-6, 1e-3, 0.4, 0.8 - 1e-6])
+        c = c_rows(np.array([alpha]), delta)[0]
+        g = g_rows(np.full(len(xs), alpha), delta, xs)
+        for x, gx in zip(xs, g):
+            g_ref, c_ref = graded_midpoint_green(alpha, delta, x)
+            assert gx == pytest.approx(g_ref, abs=1e-9)
+        assert c == pytest.approx(c_ref, abs=1e-9)
+
+    def test_alpha_within_an_ulp_of_the_clip_is_refused(self):
+        # delta - 1 < alpha holds, but 1 + alpha - delta rounds to 0, which
+        # leaves the tau-range of every row undefined
+        alpha, delta = -0.49999999999999994, 0.5
+        assert delta - 1.0 < alpha and 1.0 + alpha - delta == 0.0
+        for call in (critical_point_c, c_dot):
+            with pytest.raises(DomainError):
+                call(alpha, delta)
+        for call in (green_two_interval, dalpha_green, green_eval):
+            with pytest.raises(DomainError):
+                call(alpha, delta, -0.9)
+        assert np.isnan(x0_many(np.array([alpha]), delta)[0])
 
 
 class TestCriticalPoint:
