@@ -6,11 +6,13 @@ import math
 
 import numpy as np
 
+from . import _stats
 from .errors import SolverError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/golden ratio
 
 
+@_stats.counts_evals("search.bisect_root.evals")
 def bisect_root(f, lo: float, hi: float, xtol: float, f_lo=None, f_hi=None) -> float:
     """Root of f on [lo, hi] by bisection; requires a sign change.
 
@@ -43,6 +45,7 @@ def bisect_root(f, lo: float, hi: float, xtol: float, f_lo=None, f_hi=None) -> f
     return 0.5 * (lo + hi)
 
 
+@_stats.counts_evals("search.brent_max.evals")
 def brent_max(f, lo: float, hi: float, xtol: float, f_lo=None, f_hi=None):
     """Maximize f on [lo, hi] by Brent's method; returns (x, f(x)).
 
@@ -108,6 +111,7 @@ def brent_max(f, lo: float, hi: float, xtol: float, f_lo=None, f_hi=None):
     return x, fx
 
 
+@_stats.counts_evals("search.golden_max_many.evals")
 def golden_max_many(f, los, his, xtol: float = 1e-12):
     """Vectorized golden-section maximization, one bracket per lane.
 
@@ -145,6 +149,7 @@ def golden_max_many(f, los, his, xtol: float = 1e-12):
     return xm, fm
 
 
+@_stats.counts_evals("search.bisect_many.evals")
 def bisect_many(f, los, his, iters: int = 80):
     """Vectorized bisection: one root per bracket, all refined in lockstep.
 

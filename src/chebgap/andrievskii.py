@@ -27,6 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import _stats
 from .chebyshev import remez_poly_value
 from .envelope import _interior_max, upper_envelope
 from .errors import DomainError
@@ -242,10 +243,13 @@ def L_n_delta(x0: float, delta: float, n: int) -> AndrievskiiResult:
     best_alpha = None
     best_val = -math.inf
     slopes = ()
+    solves = 0
     if hi > lo:
         last_active = [None]
 
         def solve(alpha):
+            nonlocal solves
+            solves += 1
             E = make_gap_set(GapParams(alpha, delta))
             res = solve_extremal(E, x0, n, extension=False,
                                  warm_start=last_active[0])
@@ -258,6 +262,7 @@ def L_n_delta(x0: float, delta: float, n: int) -> AndrievskiiResult:
         vals, ders = zip(*(solve(al) for al in alphas))
         profile = list(zip(alphas, vals))
         best_alpha, best_val, slopes = _alpha_max(solve, alphas, vals, ders)
+    _stats.add({"Ln.calls": 1, "Ln.solves": solves})
 
     if remez_val is None and best_alpha is None:
         raise DomainError(

@@ -7,6 +7,10 @@ Subcommands:
   andrievskii  best configuration value L_n(x0, delta)
   verify       self-check suites (closed forms, brute force, residuals)
 
+Every subcommand takes --stats, which prints the work counters (LP solves
+and pivots, quadrature panels, search evaluations; see chebgap._stats) as
+one JSON object to stderr, after the command has run or failed.
+
 Exit codes: 0 success, 2 argument/domain error, 3 numerical failure,
 4 verification failure.  CSV output uses '.' decimals, ',' separators and
 LF line endings; all output is buffered and written in one piece.
@@ -21,7 +25,7 @@ import sys
 
 import numpy as np
 
-from . import __version__
+from . import __version__, _stats
 from .andrievskii import (
     L_n_delta,
     brute_force_theorem1,
@@ -317,6 +321,8 @@ def cmd_verify(args) -> int:
 
 def _add_common(p):
     p.add_argument("--output", help="write to this file instead of stdout")
+    p.add_argument("--stats", action="store_true",
+                   help="print the work counters as JSON to stderr")
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -382,6 +388,15 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return 0 if exc.code in (0, None) else int(exc.code)
+    if not args.stats:
+        return _run(args)
+    with _stats.collect() as counts:
+        rc = _run(args)
+    print(json.dumps(counts, sort_keys=True), file=sys.stderr)
+    return rc
+
+
+def _run(args) -> int:
     try:
         return args.func(args)
     except DomainError as exc:

@@ -50,17 +50,18 @@ from functools import lru_cache
 
 import numpy as np
 
+from . import _stats
 from .errors import ConsistencyError, DomainError, QuadratureError
 
 # Distance from a gap endpoint below which dG/dalpha is refused (the
 # boundary term blows up like 1/sqrt(dist)).
 ENDPOINT_REFUSAL = 1e-10
 
-# Adaptive quadrature: absolute and relative tolerance, bisection depth and
-# Gauss-Legendre nodes per panel.
+# Adaptive quadrature: absolute and relative tolerance, panel estimates per
+# call and Gauss-Legendre nodes per panel.
 _ABS_TOL = 1e-11
 _REL_TOL = 1e-11
-_MAX_DEPTH = 30
+_MAX_PANELS = 4096
 _BASE_NODES = 32
 
 
@@ -125,7 +126,9 @@ def integrate_adaptive(f, lo, hi):
     estimates differ by more than max(_ABS_TOL, _REL_TOL*|row integral|)
     prorated by panel length, so every row ends up refined at least as
     finely as it would be alone.  A non-finite panel estimate raises
-    QuadratureError at once, since bisection cannot repair it.  Returns
+    QuadratureError at once, since bisection cannot repair it, and so does
+    a call that would estimate more than _MAX_PANELS panels: a row that
+    cannot meet its tolerance doubles its panels at every level.  Returns
     (values, err): length-k arrays for scalar limits, (k, rows) arrays
     otherwise.  The module constants are read at call time.
     """
@@ -146,30 +149,38 @@ def integrate_adaptive(f, lo, hi):
     parents, child = est[..., :1], est[..., 1:]
     tol = np.maximum(_ABS_TOL, _REL_TOL * np.abs(parents[..., 0]))[..., None]
     acc = err = 0.0
-    for depth in range(_MAX_DEPTH + 1):
+    panels, depth = 3, 0
+    while True:
         p = len(tl)
         left, right = child[..., :p], child[..., p:]
         sums = left + right
         disc = np.abs(sums - parents)
         ok = (disc <= tol * (th - tl)).all(axis=(0, 1))
+        counts = {"quad.calls": 1, "quad.rows": len(width), "quad.panels": panels,
+                  "quad.depth_max": depth}
         if ok.all():
             acc = acc + sums.sum(axis=2)
             err = err + disc.sum(axis=2)
+            _stats.add(counts)
             return (acc[:, 0], err[:, 0]) if scalar else (acc, err)
         acc = acc + sums[..., ok].sum(axis=2)
         err = err + disc[..., ok].sum(axis=2)
         bad = ~ok
-        if depth == _MAX_DEPTH:
+        # each bad panel's halves are estimated with their own halves
+        more = 4 * int(bad.sum())
+        if panels + more > _MAX_PANELS:
+            _stats.add(counts)
             partial = acc + sums[..., bad].sum(axis=2)
             raise QuadratureError(
-                f"quadrature did not converge within depth {_MAX_DEPTH}",
+                f"quadrature did not converge within {_MAX_PANELS} panels: {panels} "
+                f"estimated to depth {depth}, {more} more needed",
                 partial=partial[:, 0] if scalar else partial,
             )
         tl, th = np.concatenate([tl[bad], mids[bad]]), np.concatenate([mids[bad], th[bad]])
         parents = np.concatenate([left[..., bad], right[..., bad]], axis=2)
         mids = 0.5 * (tl + th)
         child = estimates(np.concatenate([tl, mids]), np.concatenate([mids, th]))
-    raise AssertionError("unreachable")
+        panels, depth = panels + more, depth + 1
 
 
 # ----------------------------------------------------------------------

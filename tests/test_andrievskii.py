@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from chebgap import andrievskii
+from chebgap import _stats, andrievskii
 from chebgap.andrievskii import (
     L_n_delta,
     brute_force_theorem1,
@@ -63,6 +63,16 @@ class TestLnDelta:
         calls = self._count_solves(monkeypatch)
         L_n_delta(-0.1, 0.4, n)
         assert len(calls) <= max_solves
+
+    @pytest.mark.parametrize("n,max_pivots", [(12, 400), (24, 1300)])
+    def test_pivot_count(self, n, max_pivots):
+        # one simplex pivot per active point in every exchange round took
+        # 950 and 2,706 pivots; moving the whole reference at once leaves
+        # the grid solves
+        with _stats.collect() as counts:
+            L_n_delta(-0.1, 0.4, n)
+        assert counts["lp.pivots"] <= max_pivots
+        assert counts["lp.round_pivots_max"] <= 10
 
     def test_interior_maximum_matches_fine_polish(self):
         # reference: the scan's bracket polished by golden section to an

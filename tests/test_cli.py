@@ -62,13 +62,47 @@ class TestGreenCommand:
         assert "\r" not in out
 
     def test_quadrature_failure_exits_3(self, capsys, monkeypatch):
-        for name, value in (("_MAX_DEPTH", 1), ("_ABS_TOL", 1e-300),
+        for name, value in (("_MAX_PANELS", 7), ("_ABS_TOL", 1e-300),
                             ("_REL_TOL", 1e-300), ("_BASE_NODES", 4)):
             monkeypatch.setattr(green, name, value)
         rc, _, err = run(capsys, "green", "--alpha", "-0.599999", "--delta", "0.4",
                          "--x", "-0.9")
         assert rc == 3
         assert "numerical failure" in err
+
+
+class TestStatsFlag:
+    EXTREMAL = ("extremal", "--set", "[[-1,-0.7],[0.1,1]]", "--x0", "-0.3", "--n", "50")
+
+    def test_stdout_is_unchanged_and_counters_go_to_stderr(self, capsys):
+        rc, out, err = run(capsys, *self.EXTREMAL)
+        rc_s, out_s, err_s = run(capsys, *self.EXTREMAL, "--stats")
+        assert rc == rc_s == 0
+        assert out_s == out
+        assert err == ""
+        counts = json.loads(err_s)
+        assert counts["lp.solves"] == 1
+        assert counts["lp.pivots"] == counts["lp.grid_pivots"] > 0
+
+    def test_every_subcommand_takes_it(self, capsys):
+        rc, _, err = run(capsys, "green", "--alpha", "-0.3", "--delta", "0.4",
+                         "--x", "-0.2", "--stats")
+        assert rc == 0
+        assert json.loads(err)["quad.calls"] >= 1
+        rc, _, err = run(capsys, "andrievskii", "--x0", "-0.1", "--delta", "0.4",
+                         "--n", "12", "--format", "csv", "--stats")
+        assert rc == 0
+        counts = json.loads(err)
+        assert counts["Ln.calls"] == 1
+        assert counts["Ln.solves"] == counts["lp.solves"]
+
+    def test_counters_follow_a_failure(self, capsys):
+        rc, _, err = run(capsys, "green", "--alpha", "0", "--delta", "1.5", "--x", "0",
+                         "--stats")
+        assert rc == 2
+        message, counters = err.strip().split("\n")
+        assert message.startswith("error:")
+        assert json.loads(counters) == {}
 
 
 class TestDiagramCommand:

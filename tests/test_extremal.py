@@ -1,10 +1,16 @@
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from chebgap import extremal
+from chebgap import _stats, extremal
 from chebgap._search import golden_max_many
 from chebgap.chebyshev import ChebPoly, cheb_T, cheb_eval, remez_constant, remez_poly_value
 from chebgap.errors import DomainError, SolverError
@@ -541,3 +547,128 @@ class TestCertificate:
         with pytest.raises(SolverError, match=r"exchange round 3 left max \|P\| - 1 = "
                                               r"6\.31e-06 on E at x = 0\.4232"):
             solve_extremal(SEED205, -0.6810723933289962, 50, extension=False)
+
+
+# the six pinned sets of TestNewtonPolish (the benchmark's oracle sets)
+PINNED = dict(list(TestNewtonPolish.CASES.items())[:6])
+
+
+def _lambda_signs(points, basis, x0):
+    """s_i l_i(x0) up to a positive factor, per slot of an encoded basis."""
+    t = points[[j >> 1 for j in basis]]
+    s = np.array([-1.0 if j & 1 else 1.0 for j in basis])
+    return s * extremal._lagrange_scaled(t, *extremal._bary_logweights(t), x0)[0]
+
+
+class TestExchangeStep:
+    """Each exchange round moves every basis node to the peak of s_i P in
+    its window before the simplex resumes (`_ExchangeLP.exchange`)."""
+
+    @staticmethod
+    def _steps(monkeypatch):
+        steps = []
+        exchange = extremal._ExchangeLP.exchange
+
+        def spy(self):
+            before = list(self.basis)
+            moved = exchange(self)
+            steps.append((self.points.copy(), self.x0, before, list(self.basis), moved))
+            return moved
+
+        monkeypatch.setattr(extremal._ExchangeLP, "exchange", spy)
+        return steps
+
+    @pytest.mark.parametrize("n", [12, 50, 100])
+    @pytest.mark.parametrize("case", PINNED)
+    def test_step_keeps_order_side_and_feasibility(self, case, n, monkeypatch):
+        E, x0 = PINNED[case]
+        steps = self._steps(monkeypatch)
+        solve_extremal(E, x0, n, extension=False)
+        assert steps
+        for points, x0, before, after, moved in steps:
+            t0 = points[[j >> 1 for j in before]]
+            t1 = points[[j >> 1 for j in after]]
+            assert sum(a != b for a, b in zip(before, after)) == moved
+            assert [j & 1 for j in after] == [j & 1 for j in before]      # signs kept
+            assert np.array_equal(np.argsort(t1), np.argsort(t0))           # order kept
+            assert np.array_equal(t1 < x0, t0 < x0)                         # side of x0 kept
+            assert len({j >> 1 for j in after}) == len(after)               # no shared point
+            assert _lambda_signs(points, after, x0).min() >= 0.0
+        assert sum(step[-1] for step in steps) > 0
+
+    @pytest.mark.parametrize("n", [50, 100])
+    @pytest.mark.parametrize("case", PINNED)
+    def test_round_resolves_take_few_pivots(self, case, n):
+        # one pivot per active point (41-99) before the step
+        E, x0 = PINNED[case]
+        with _stats.collect() as counts:
+            res = solve_extremal(E, x0, n, extension=False)
+        assert counts["lp.exchange_rounds"] >= 2
+        assert counts["lp.round_pivots_max"] <= 10
+        assert counts["lp.nodes_moved"] >= n
+        assert res.rel_gap <= 1e-10
+
+    def test_infeasible_basis_is_left_unmoved(self):
+        E, x0, n = TWO_GAP, -0.4, 12
+        lp = extremal._ExchangeLP(
+            discretize(E, extremal._grid_density(n, len(E.intervals))), n, x0)
+        nodes = lp.solve()
+        peaks, worst, _ = extremal._scan_abs_max(nodes, E, n, known=lp.points)
+        assert worst > 1.0
+        lp.append_points(peaks[extremal._nearest_distance(lp.points, peaks) > 1e-13])
+        k = int(np.argmax(_lambda_signs(lp.points, lp.basis, x0)))
+        lp.basis[k] ^= 1                # the other sign: lam_k < 0
+        assert _lambda_signs(lp.points, lp.basis, x0)[k] < 0.0
+        flipped = list(lp.basis)
+        assert lp.exchange() == 0
+        assert lp.basis == flipped
+        lp.basis[k] ^= 1                # the feasible basis does move
+        assert lp.exchange() > 0
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(gaps=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), n=st.integers(6, 40),
+           delta=st.floats(0.2, 0.45), where=st.floats(0.1, 0.9))
+    def test_value_matches_the_simplex_alone(self, gaps, seed, n, delta, where):
+        E = random_multigap_set(delta, gaps, seed)
+        lo, hi = E.gaps()[seed % gaps]
+        x0 = lo + (hi - lo) * where
+
+        def value():
+            try:
+                return solve_extremal(E, x0, n, extension=False).value
+            except SolverError:
+                return None
+
+        stepped = value()
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(extremal._ExchangeLP, "exchange", lambda self: 0)
+            plain = value()
+        assert (stepped is None) == (plain is None)
+        if plain is not None:
+            assert stepped == pytest.approx(plain, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="D5: the start basis depends on BLAS threading")
+def test_one_blas_thread_certifies_four_gap_at_200():
+    # _initial_basis takes its signs from a numerically singular Vandermonde
+    # solve; with one BLAS thread the grid simplex then exceeds its 14,060
+    # pivots, with the default threading it certifies
+    script = (
+        "from chebgap.extremal import solve_extremal\n"
+        "from chebgap.intervals import CompactSet, Interval\n"
+        "E = CompactSet(tuple(Interval(a, b) for a, b in ((-1.0, -0.8), (-0.6, -0.4),\n"
+        "                     (-0.2, 0.2), (0.4, 0.6), (0.8, 1.0))))\n"
+        "print(solve_extremal(E, -0.7, 200, extension=False).rel_gap)\n"
+    )
+    src = str(Path(extremal.__file__).resolve().parents[1])
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+               PYTHONPATH=os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    try:
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=300)
+    except subprocess.TimeoutExpired:
+        proc = None
+    assert proc is not None, "the solve ran past the timeout"
+    assert proc.returncode == 0, proc.stderr.strip().splitlines()[-1]
+    assert float(proc.stdout) <= 1e-10

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -50,14 +54,40 @@ class TestQuadratureEngine:
         assert val[0] == 0.0
 
     def test_nonconvergence_raises(self, monkeypatch):
-        monkeypatch.setattr(green, "_MAX_DEPTH", 2)
-        with pytest.raises(QuadratureError) as exc_info:
+        # 11 panel estimates reach depth 2
+        monkeypatch.setattr(green, "_MAX_PANELS", 11)
+        with pytest.raises(QuadratureError, match="within 11 panels") as exc_info:
             # step discontinuity with an irrational break resists depth 2
             integrate_adaptive(
                 lambda t: (np.where(t < 1 / math.sqrt(2), 0.0, 1.0))[None, :],
                 0.0, 1.0,
             )
         assert exc_info.value.partial is not None
+
+    def test_tolerance_below_rounding_stops_at_the_panel_cap(self):
+        # at 1e-15 this row cannot converge; under a depth cap its panels
+        # doubled per level until memory ran out, so the run sits in a
+        # subprocess with a 2 GB address space and a timeout
+        script = (
+            "import resource\n"
+            "resource.setrlimit(resource.RLIMIT_AS, (2 << 30, 2 << 30))\n"
+            "import numpy as np\n"
+            "from chebgap import green\n"
+            "green._ABS_TOL = green._REL_TOL = 1e-15\n"
+            "try:\n"
+            "    green.g_rows(np.array([0.08191127746681023]), 0.8216638489288124,\n"
+            "                 -0.45055982073913825)\n"
+            "except green.QuadratureError as exc:\n"
+            "    print(exc)\n"
+        )
+        src = str(Path(green.__file__).resolve().parents[1])
+        env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1",
+                   PYTHONPATH=os.pathsep.join(
+                       p for p in (src, os.environ.get("PYTHONPATH")) if p))
+        proc = subprocess.run([sys.executable, "-c", script], capture_output=True,
+                              text=True, env=env, timeout=120)
+        assert proc.returncode == 0, proc.stderr
+        assert f"within {green._MAX_PANELS} panels" in proc.stdout
 
     def test_nonfinite_estimate_raises_at_once(self):
         # bisection cannot repair a nan, so the first estimate stops the run
