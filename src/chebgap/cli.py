@@ -325,7 +325,11 @@ def _add_common(p):
                    help="print the work counters as JSON to stderr")
 
 
-def build_parser() -> argparse.ArgumentParser:
+COMMANDS = ("green", "diagram", "extremal", "andrievskii", "verify")
+
+
+def build_parser(command=None) -> argparse.ArgumentParser:
+    """Every subcommand, or `command` alone, parsed and reported alike."""
     p = argparse.ArgumentParser(
         prog="chebgap",
         description="Extremal polynomials on gapped subsets of [-1,1]: "
@@ -333,57 +337,65 @@ def build_parser() -> argparse.ArgumentParser:
                     "finite-degree LP oracle.",
     )
     p.add_argument("--version", action="version", version=f"chebgap {__version__}")
-    sub = p.add_subparsers(dest="command", required=True)
+    sub = p.add_subparsers(dest="command", required=True,
+                           metavar=command and "{" + ",".join(COMMANDS) + "}")
 
-    g = sub.add_parser("green", help="Green-function bundle at one point")
-    g.add_argument("--alpha", type=float, required=True)
-    g.add_argument("--delta", type=float, required=True)
-    g.add_argument("--x", type=float, required=True)
-    g.add_argument("--format", choices=["json", "csv"], default="json")
-    _add_common(g)
-    g.set_defaults(func=cmd_green)
+    if command in (None, "green"):
+        g = sub.add_parser("green", help="Green-function bundle at one point")
+        g.add_argument("--alpha", type=float, required=True)
+        g.add_argument("--delta", type=float, required=True)
+        g.add_argument("--x", type=float, required=True)
+        g.add_argument("--format", choices=["json", "csv"], default="json")
+        _add_common(g)
+        g.set_defaults(func=cmd_green)
 
-    d = sub.add_parser("diagram", help="envelope table / figure over [-1, 0]")
-    d.add_argument("--delta", type=float, required=True)
-    d.add_argument("--points", type=int, default=400)
-    d.add_argument("--format", choices=["csv", "json", "svg"], default="csv")
-    _add_common(d)
-    d.set_defaults(func=cmd_diagram)
+    if command in (None, "diagram"):
+        d = sub.add_parser("diagram", help="envelope table / figure over [-1, 0]")
+        d.add_argument("--delta", type=float, required=True)
+        d.add_argument("--points", type=int, default=400)
+        d.add_argument("--format", choices=["csv", "json", "svg"], default="csv")
+        _add_common(d)
+        d.set_defaults(func=cmd_diagram)
 
-    e = sub.add_parser("extremal", help="LP oracle M_n(x0, E)")
-    e.add_argument("--set", help='JSON interval list, e.g. "[[-1,-0.5],[0.5,1]]"')
-    e.add_argument("--set-file", dest="set_file", help="file holding the JSON set")
-    e.add_argument("--x0", type=float, required=True)
-    e.add_argument("--n", type=int, required=True)
-    e.add_argument("--no-extension", action="store_true",
-                   help="skip the n-extension computation")
-    e.add_argument("--format", choices=["json", "csv"], default="json")
-    _add_common(e)
-    e.set_defaults(func=cmd_extremal)
+    if command in (None, "extremal"):
+        e = sub.add_parser("extremal", help="LP oracle M_n(x0, E)")
+        e.add_argument("--set", help='JSON interval list, e.g. "[[-1,-0.5],[0.5,1]]"')
+        e.add_argument("--set-file", dest="set_file", help="file holding the JSON set")
+        e.add_argument("--x0", type=float, required=True)
+        e.add_argument("--n", type=int, required=True)
+        e.add_argument("--no-extension", action="store_true",
+                       help="skip the n-extension computation")
+        e.add_argument("--format", choices=["json", "csv"], default="json")
+        _add_common(e)
+        e.set_defaults(func=cmd_extremal)
 
-    a = sub.add_parser("andrievskii", help="best configuration value L_n(x0, delta)")
-    a.add_argument("--x0", type=float, required=True)
-    a.add_argument("--delta", type=float, required=True)
-    a.add_argument("--n", type=int, required=True)
-    a.add_argument("--format", choices=["json", "csv"], default="json")
-    _add_common(a)
-    a.set_defaults(func=cmd_andrievskii)
+    if command in (None, "andrievskii"):
+        a = sub.add_parser("andrievskii", help="best configuration value L_n(x0, delta)")
+        a.add_argument("--x0", type=float, required=True)
+        a.add_argument("--delta", type=float, required=True)
+        a.add_argument("--n", type=int, required=True)
+        a.add_argument("--format", choices=["json", "csv"], default="json")
+        _add_common(a)
+        a.set_defaults(func=cmd_andrievskii)
 
-    v = sub.add_parser("verify", help="run self-check suites")
-    v.add_argument("--suite", choices=["closed-forms", "brute-force", "residuals", "all"],
-                   default="all")
-    v.add_argument("--trials", type=int, default=200)
-    v.add_argument("--n", type=int, default=6)
-    v.add_argument("--delta", type=float, default=0.4)
-    v.add_argument("--x0", type=float, default=-0.1)
-    v.add_argument("--seed", type=int, default=20250808)
-    _add_common(v)
-    v.set_defaults(func=cmd_verify)
+    if command in (None, "verify"):
+        v = sub.add_parser("verify", help="run self-check suites")
+        v.add_argument("--suite", choices=["closed-forms", "brute-force", "residuals", "all"],
+                       default="all")
+        v.add_argument("--trials", type=int, default=200)
+        v.add_argument("--n", type=int, default=6)
+        v.add_argument("--delta", type=float, default=0.4)
+        v.add_argument("--x0", type=float, default=-0.1)
+        v.add_argument("--seed", type=int, default=20250808)
+        _add_common(v)
+        v.set_defaults(func=cmd_verify)
     return p
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
+    # a leading subcommand needs only its own parser, a third of a short job
+    parser = build_parser(argv[0] if argv and argv[0] in COMMANDS else None)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:

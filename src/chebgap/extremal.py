@@ -10,11 +10,13 @@ whose dual is the standard-form problem
 
     minimize 1'lam   s.t.  sum_j lam_j s_j T(x_j) = T(x0),  lam >= 0,
 
-with one column per (grid point, sign) pair.  A feasible basis is just a
-set of n+1 points t_i with signs s_i, and because both signs of every
-column are available no phase 1 is needed: interpolating T(x0) on any n+1
-spread points and folding the weight signs into the column choice is
-already basic feasible.
+with one column per (grid point, sign) pair.  A basis is a set of n+1
+points t_i with signs s_i; with s_i = sign l_i(x0) its weights are
+lam_i = |l_i(x0)|, so it is basic feasible and no phase 1 is needed.  A
+cold solve takes the grid points nearest the quantiles k/n of the
+equilibrium measure of E, whose density the extremal polynomial's
+equioscillation follows, and moves them by Remez steps (below) before the
+simplex runs.
 
 The simplex runs entirely in Lagrange form.  With l_i the Lagrange basis
 of the current points, the basic solution is lam_i = s_i l_i(x0), the
@@ -36,8 +38,6 @@ as grid columns and move every basis node at once to the largest s_i P in
 its window, as a Remez step does (Pachon & Trefethen, BIT 49, 2009); node
 order and the side of x0 are kept, so the moved basis stays feasible, and
 the simplex re-optimizes from it until a scan certifies |P| <= 1 + 1e-10.
-The re-solves take only a few pivots: 0-10 on the benchmark's sets at
-n = 50-200, against one per node when the simplex walked each node alone.
 
 The answer is its active points and signs (t, s), with the dual weights
 lam_i = s_i l_i(x0), which sum to the value and give dM/de for an endpoint
@@ -156,15 +156,63 @@ class FeasibilityReport:
         return self.max_violation <= self.feas_tol
 
 
-def _cheb_vandermonde(xs, n):
-    xs = np.asarray(xs, dtype=float)
-    V = np.empty((len(xs), n + 1))
-    V[:, 0] = 1.0
-    if n >= 1:
-        V[:, 1] = xs
-    for k in range(2, n + 1):
-        V[:, k] = 2.0 * xs * V[:, k - 1] - V[:, k - 2]
-    return V
+# ----------------------------------------------------------------------
+# Equilibrium measure
+# ----------------------------------------------------------------------
+
+
+def _equilibrium(E):
+    """The equilibrium measure of E: (q, cdf), q's coefficients highest
+    first and cdf(xs) = mu(E n (-inf, x]).
+
+    Its density is |q(x)| / (pi sqrt|R(x)|), R = prod (x - e) over the band
+    ends e, q monic of degree (bands - 1) with integral q / sqrt|R| = 0 over
+    every gap.  On a band or gap, x = m + h cos(theta) turns dx / sqrt|R|
+    into dtheta / sqrt(prod of |x - e| over the other ends), even, periodic
+    and smooth in theta unless another end is close; its cosine series from
+    64 midpoint samples gives the gap integrals (its mean) and, term by
+    term, a band's mass up to x.  Touching intervals merge; zero-length ones
+    carry no mass."""
+    bands = []
+    for iv in E.intervals:
+        if bands and iv.lo <= bands[-1][1]:
+            bands[-1][1] = max(bands[-1][1], iv.hi)
+        elif iv.length > 0.0:
+            bands.append([iv.lo, iv.hi])
+    ends = np.ravel(bands)
+    k = len(bands)
+    theta = math.pi * (np.arange(64) + 0.5) / 64
+    j = np.arange(1, 64)
+    cosines = np.cos(np.outer(j, theta)) / 32
+
+    def chart(i):   # x(theta) on [ends[i], ends[i+1]], dx / sqrt|R| per dtheta
+        x = 0.5 * (ends[i] + ends[i + 1]) + 0.5 * (ends[i + 1] - ends[i]) * np.cos(theta)
+        R = np.ones_like(x)
+        for e in np.delete(ends, [i, i + 1]):
+            R *= np.abs(x - e)
+        return x, 1.0 / np.sqrt(R)
+
+    q = np.ones(1)
+    if k > 1:
+        M = np.array([np.vander(x, k).T @ w for x, w in map(chart, range(1, 2 * k - 1, 2))])
+        q = np.concatenate([q, np.linalg.solve(M[:, 1:], -M[:, 0])])
+    series = []
+    for i in range(0, 2 * k, 2):
+        x, w = chart(i)
+        density = np.abs(np.polyval(q, x)) * w / math.pi
+        series.append((ends[i], ends[i + 1], density.mean(), cosines @ density / j))
+
+    def cdf(xs):
+        xs = np.asarray(xs, dtype=float)
+        mass = np.zeros(xs.shape)
+        for lo, hi, c0, cj in series:
+            inside = (lo < xs) & (xs < hi)
+            th = 2.0 * np.arctan2(np.sqrt(hi - xs[inside]), np.sqrt(xs[inside] - lo))
+            mass[inside] += c0 * (math.pi - th) - np.sin(np.outer(th, j)) @ cj
+            mass[xs >= hi] += c0 * math.pi
+        return mass
+
+    return q, cdf
 
 
 # ----------------------------------------------------------------------
@@ -275,76 +323,51 @@ class _ExchangeLP:
 
     _EPS_RC = 1e-11      # dual feasibility threshold on reduced costs
 
-    def __init__(self, points, n, x0):
+    def __init__(self, E, n, x0):
+        self.E = E
         self.n = n
         self.r = n + 1
         self.x0 = float(x0)
-        self.points = np.asarray(points, dtype=float)
+        self.points = discretize(E, _grid_density(n, len(E.intervals)))
         self.basis = None
         # work done, for the counters: pivots per solve() call (the first is
-        # the grid solve), Bland windows opened and nodes moved by exchange()
+        # the grid solve) and nodes moved by exchange()
         self.pivots = []
-        self.windows = 0
         self.moved = 0
 
     def append_points(self, new_points):
         self.points = np.concatenate([self.points, new_points])
 
     def _initial_basis(self, seed_points=None):
-        # Folding the weight signs of T(x0) interpolated on n+1 nodes into
-        # the columns is basic feasible in exact arithmetic.  The Vandermonde
-        # signs are wrong on up to 21 of 51 nodes at n = 50 and 68-143 of 201
-        # at n = 200 on the benchmark's pinned sets, yet the simplex converges;
-        # exact signs (_lagrange_scaled) stall it on every one at n >= 100.
-        # The start needs well-spread nodes.  Seeds (active points of
-        # a neighbouring solve) snap to their nearest grid points; the rest,
-        # or everything without seeds, comes from a greedy farthest-point
-        # subsample, which stays solvable even when the grid crams hundreds
-        # of points into a near-degenerate interval.
-        pts = self.points
+        # Seeds (active points of a neighbouring solve) snap to grid points.
+        # Without seeds, or when they collapse, the nodes are the grid points
+        # nearest the quantiles k/n of the equilibrium measure of E.  Signs
+        # s_i = sign l_i(x0) make every lam_i = |l_i(x0)| > 0: basic feasible.
+        order = np.argsort(self.points)
+        pts = self.points[order]
         m = len(pts)
-        chosen = []
-        if seed_points is not None and self.r > 1:
-            order = np.argsort(pts)
-            near = order[
-                np.clip(np.searchsorted(pts[order], seed_points), 0, m - 1)
-            ]
-            # clustered nodes wreck the barycentric weights; keep seeds only
-            # when they stay separated
-            min_sep = 1e-9 * (float(pts.max()) - float(pts.min()) + 1.0)
-            kept = []
-            for i in sorted(set(int(i) for i in near), key=lambda i: pts[i]):
-                if not kept or pts[i] - pts[kept[-1]] > min_sep:
-                    kept.append(i)
-            chosen = kept[: self.r]
-        if self.r == 1:
-            chosen = chosen[:1] or [0]
-        elif len(chosen) < self.r:
-            if not chosen:
-                chosen = [int(np.argmin(pts)), int(np.argmax(pts))]
-            dist = np.full(m, math.inf)
-            for i in chosen:
-                dist = np.minimum(dist, np.abs(pts - pts[i]))
-            dist[chosen] = -1.0
-            while len(chosen) < self.r:
-                j = int(np.argmax(dist))
-                if dist[j] <= 0.0:
-                    used = set(chosen)
-                    chosen.extend(i for i in range(m) if i not in used)
-                    chosen = chosen[: self.r]
-                    break
-                chosen.append(j)
-                dist = np.minimum(dist, np.abs(pts - pts[j]))
-                dist[j] = -1.0
-        idx = sorted(chosen)
+        idx = []
+        if seed_points is not None:
+            near = np.unique(np.clip(np.searchsorted(pts, seed_points), 0, m - 1))
+            # clustered seeds would wreck the barycentric weights
+            keep = np.diff(pts[near], prepend=-math.inf) > 1e-9 * (pts[-1] - pts[0] + 1.0)
+            idx = near[keep][: self.r]
+        cold = len(idx) < self.r
+        if cold:
+            F = np.maximum.accumulate(_equilibrium(self.E)[1](pts))
+            q = np.linspace(0.0, 1.0, self.r)
+            j = np.clip(np.searchsorted(F, q), 1, m - 1)
+            j -= q - F[j - 1] < F[j] - q
+            # distinct points, in order
+            k = np.arange(self.r)
+            idx = np.minimum(np.maximum.accumulate(j - k), m - self.r) + k
         t = pts[idx]
-        try:
-            mu = np.linalg.solve(
-                _cheb_vandermonde(t, self.n).T, _cheb_vandermonde([self.x0], self.n)[0]
-            )
-        except np.linalg.LinAlgError as exc:
-            raise SolverError(f"degenerate starting grid: {exc}") from exc
-        self.basis = [2 * p + (0 if w >= 0.0 else 1) for p, w in zip(idx, mu)]
+        lhat, _ = _lagrange_scaled(t, *_bary_logweights(t), self.x0)
+        self.basis = (2 * order[idx] + (lhat < 0.0)).tolist()
+        # Remez steps carry the quantile nodes to the peaks of |P|
+        for _ in range(_REFINE_ROUNDS * cold):
+            if not self.exchange():
+                break
 
     def _state(self):
         t = self.points[[j >> 1 for j in self.basis]]
@@ -429,24 +452,17 @@ class _ExchangeLP:
             self._initial_basis(seed_points)
         C = self._cauchy()
         max_iter = 2000 + 60 * self.r
-        seen = set()
-        bland_left = windows = 0
         self.pivots.append(0)
         for _ in range(max_iter):
-            # Degenerate pivots are routine here; a revisited basis is the
-            # real cycling signal, and only then is Bland's rule worth its
-            # slowness (for a window, to break the loop).
-            sig = hash(frozenset(self.basis))
-            if sig in seen and bland_left == 0:
-                bland_left = 3 * self.r
-                windows += 1
-                self.windows += 1
-                seen.clear()
-            seen.add(sig)
-            bland = bland_left > 0
-            if bland:
-                bland_left -= 1
             t, s, logw, signw = self._state()
+            lam_hat, _ = _lagrange_scaled(t, logw, signw, self.x0)
+            lam_hat *= s
+            # roundoff may leave a weight just below 0; a visibly negative one
+            # is an infeasible basis, which no pivot repairs
+            i = int(np.argmin(lam_hat))
+            if lam_hat[i] < -1e-6 * lam_hat.max():
+                raise SolverError(f"infeasible basis: slot {i} at x = {t[i]!r} has lam = "
+                                  f"{lam_hat[i] / lam_hat.max():.3g} * max lam")
             pv = self._price(C, t, s, logw, signw)
             d_plus = 1.0 - pv
             d_minus = 1.0 + pv
@@ -456,31 +472,17 @@ class _ExchangeLP:
                     d_plus[j >> 1] = math.inf
                 else:
                     d_minus[j >> 1] = math.inf
-            if bland:
-                cand_p = np.flatnonzero(d_plus < -self._EPS_RC)
-                cand_m = np.flatnonzero(d_minus < -self._EPS_RC)
-                enter = None
-                best = math.inf
-                if cand_p.size:
-                    enter = best = 2 * int(cand_p[0])
-                if cand_m.size and 2 * int(cand_m[0]) + 1 < best:
-                    enter = 2 * int(cand_m[0]) + 1
-                if enter is None:
-                    return t, s, logw, signw
-                dent = (d_plus if enter % 2 == 0 else d_minus)[enter >> 1]
+            ip = int(np.argmin(d_plus))
+            im = int(np.argmin(d_minus))
+            if d_plus[ip] <= d_minus[im]:
+                enter, dent = 2 * ip, d_plus[ip]
             else:
-                ip = int(np.argmin(d_plus))
-                im = int(np.argmin(d_minus))
-                if d_plus[ip] <= d_minus[im]:
-                    enter, dent = 2 * ip, d_plus[ip]
-                else:
-                    enter, dent = 2 * im + 1, d_minus[im]
-                if dent >= -self._EPS_RC:
-                    return t, s, logw, signw
+                enter, dent = 2 * im + 1, d_minus[im]
+            if dent >= -self._EPS_RC:
+                return t, s, logw, signw
             x_e = self.points[enter >> 1]
             s_e = 1.0 if enter % 2 == 0 else -1.0
-            lam_hat, _ = _lagrange_scaled(t, logw, signw, self.x0)
-            lam_hat = np.maximum(s * lam_hat, 0.0)
+            lam_hat = np.maximum(lam_hat, 0.0)
             u_hat_l, _ = _lagrange_scaled(t, logw, signw, x_e)
             u_hat = s_e * s * u_hat_l
             pos = u_hat > 0.0
@@ -492,16 +494,13 @@ class _ExchangeLP:
             ratios = np.where(pos, lam_hat / np.where(pos, u_hat, 1.0), math.inf)
             theta = float(ratios.min())
             ties = np.flatnonzero(ratios <= theta * (1.0 + 1e-12) + 1e-300)
-            if bland:
-                leave = min(ties, key=lambda i: self.basis[i])
-            else:
-                leave = max(ties, key=lambda i: u_hat[i])
+            leave = max(ties, key=lambda i: u_hat[i])
             self.basis[leave] = enter
             self._cauchy_column(C, leave)
             self.pivots[-1] += 1
         raise SolverError(
             f"simplex exceeded {max_iter} pivots at n = {self.n} on {m} grid points; "
-            f"{windows} Bland windows opened, entering reduced cost {dent:.3g} at the cap"
+            f"entering reduced cost {dent:.3g} at the cap"
         )
 
     def count(self):
@@ -511,7 +510,7 @@ class _ExchangeLP:
             "lp.solves": 1, "lp.pivots": sum(self.pivots),
             "lp.grid_pivots": sum(self.pivots[:1]),
             "lp.exchange_rounds": len(rounds), "lp.round_pivots_max": max(rounds, default=0),
-            "lp.bland_windows": self.windows, "lp.nodes_moved": self.moved,
+            "lp.nodes_moved": self.moved,
         })
 
 
@@ -611,25 +610,13 @@ def _optimize(lp, E, seeds):
 
     Returns (t, s, logw, signw, raw, L0, worst): the optimal basis, its
     scaled dual weights s_i l_i(x0) exp(-L0) and the certified max_E |P|.
-    Returns None when a warm start fails, either by a SolverError in the
-    seeded grid solve or by a visibly infeasible basis.
     """
-    try:
-        t, s, logw, signw = lp.solve(seeds)
-    except SolverError:
-        if seeds is None:
-            raise
-        return None
-
+    t, s, logw, signw = lp.solve(seeds)
     for round_ in range(_REFINE_ROUNDS + 1):
         # value = sum_i s_i l_i(x0): same-sign terms at the optimum, so the
         # log form keeps full relative precision at any magnitude.
         lam_hat, L0 = _lagrange_scaled(t, logw, signw, lp.x0)
         raw = s * lam_hat
-        if seeds is not None and float(raw.min()) < -1e-6 * max(float(raw.max()), 1e-300):
-            # a corrupted warm basis shows up as a visibly infeasible solution,
-            # which no exchange round repairs; one cold retry restores it
-            return None
         peaks, worst, worst_x = _scan_abs_max((t, s, logw, signw), E, lp.n, known=lp.points)
         if worst <= 1.0 + 10.0 * _ExchangeLP._EPS_RC:
             return t, s, logw, signw, raw, L0, worst
@@ -658,7 +645,8 @@ def solve_extremal(E: CompactSet, x0: float, n: int, *, extension: bool = True,
     value > 0.  `extension` also computes P^{-1}([-1, 1]) and its case tag.
 
     `warm_start` takes the active points of a solve on a nearby instance;
-    sweeps over slowly moving sets converge in a handful of pivots from it.
+    sweeps over slowly moving sets converge in a handful of pivots from it,
+    and seeds that fail fall back to a cold solve.
     """
     if n < 0:
         raise DomainError(f"degree must be >= 0, got {n}")
@@ -671,17 +659,17 @@ def solve_extremal(E: CompactSet, x0: float, n: int, *, extension: bool = True,
             n_extension=E, case_tag="none",
         )
 
-    grid = discretize(E, _grid_density(n, len(E.intervals)))
-    lp = _ExchangeLP(grid, n, x0)
-    seeds = np.asarray(warm_start, dtype=float) if warm_start is not None else None
+    lp = _ExchangeLP(E, n, x0)
     try:
-        answer = _optimize(lp, E, seeds)
-    finally:
-        lp.count()
-    if answer is None:
+        t, s, logw, signw, raw, L0, worst = _optimize(lp, E, warm_start)
+    except SolverError:
+        if warm_start is None:
+            raise
+        # seeds the simplex cannot carry to a certified optimum; start cold
         _stats.add({"lp.cold_retries": 1})
         return solve_extremal(E, x0, n, extension=extension)
-    t, s, logw, signw, raw, L0, worst = answer
+    finally:
+        lp.count()
 
     lam = np.maximum(raw, 0.0)
     total = float(lam.sum())

@@ -5,7 +5,7 @@ import re
 import numpy as np
 import pytest
 
-from chebgap import _stats, andrievskii
+from chebgap import _stats, andrievskii, extremal
 from chebgap.andrievskii import (
     L_n_delta,
     brute_force_theorem1,
@@ -131,18 +131,26 @@ class TestLnDelta:
         g = g_rows(alphas, delta, x0, c_rows(alphas, delta))
         assert g.max() <= g_star + 1e-12
 
-    @pytest.mark.xfail(strict=True, raises=SolverError,
-                       reason="D2: the simplex exceeds its iteration limit")
     def test_degree_36(self):
-        assert L_n_delta(-0.1, 0.4, 36).value > L_n_delta(-0.1, 0.4, 30).value
+        # the cold solve at alpha = -0.5 + 1e-9 used to exceed its pivot cap (D2)
+        res = L_n_delta(-0.1, 0.4, 36)
+        assert res.value > L_n_delta(-0.1, 0.4, 30).value
+        assert res.value == pytest.approx(2209778.84, rel=1e-8)
 
-    def test_degree_36_failure_states_the_solver(self):
-        # D2 still fails; the message carries the state at the iteration cap
+    def test_iteration_cap_states_the_solver(self, monkeypatch):
+        # pricing that never prices out forces the cap; the message carries
+        # the state there
+        def never_optimal(self, C, t, s, logw, signw):
+            vals = np.full(len(self.points), 2.0)
+            vals[[j >> 1 for j in self.basis]] = s
+            return vals
+
+        monkeypatch.setattr(extremal._ExchangeLP, "_price", never_optimal)
         with pytest.raises(SolverError) as exc_info:
-            L_n_delta(-0.1, 0.4, 36)
+            L_n_delta(-0.1, 0.4, 6)
         msg = str(exc_info.value)
-        assert re.search(r"simplex exceeded \d+ pivots at n = 36 on \d+ grid points; \d+ "
-                         r"Bland windows opened, entering reduced cost \S+ at the cap", msg), msg
+        assert re.search(r"simplex exceeded \d+ pivots at n = 6 on \d+ grid points; "
+                         r"entering reduced cost -1 at the cap", msg), msg
 
 
 class TestResiduals:

@@ -7,9 +7,9 @@ from pathlib import Path
 
 import pytest
 
-from chebgap import green
+from chebgap import cli, green
 from chebgap.chebyshev import cheb_T
-from chebgap.cli import main
+from chebgap.cli import build_parser, main
 
 
 def run(capsys, *argv):
@@ -82,7 +82,8 @@ class TestStatsFlag:
         assert err == ""
         counts = json.loads(err_s)
         assert counts["lp.solves"] == 1
-        assert counts["lp.pivots"] == counts["lp.grid_pivots"] > 0
+        assert counts["lp.pivots"] == counts["lp.grid_pivots"]
+        assert counts["lp.nodes_moved"] > 0
 
     def test_every_subcommand_takes_it(self, capsys):
         rc, _, err = run(capsys, "green", "--alpha", "-0.3", "--delta", "0.4",
@@ -222,8 +223,6 @@ class TestVerifyCommand:
         assert rc1 == rc2 == 0
         assert out1 == out2
 
-    @pytest.mark.xfail(strict=True, reason="D2: the n = 36 solve of the interior "
-                       "branch exceeds the simplex iteration limit (exit 3)")
     def test_residuals_suite_passes(self, capsys):
         rc, out, err = run(capsys, "verify", "--suite", "residuals")
         assert rc == 0, err
@@ -232,3 +231,28 @@ class TestVerifyCommand:
 class TestArgumentHandling:
     def test_unknown_command(self, capsys):
         assert main(["frobnicate"]) == 2
+
+    def test_main_builds_only_the_leading_subcommand(self, capsys, monkeypatch):
+        built = []
+        monkeypatch.setattr(cli, "build_parser",
+                            lambda command=None: built.append(command) or build_parser(command))
+        main(["green", "--alpha", "-0.3", "--delta", "0.4", "--x", "-0.3"])
+        main(["--help"])
+        main(["frobnicate"])
+        assert built == ["green", None, None]
+
+    @pytest.mark.parametrize("argv", [
+        ["green", "--help"],
+        ["green"],
+        ["green", "--alpha", "-0.3", "--delta", "0.4", "--x", "-0.3", "--bogus"],
+        ["diagram", "--delta", "x"],
+        ["extremal", "--x0", "1"],
+        ["andrievskii", "-h"],
+        ["verify", "--suite", "nope"],
+    ])
+    def test_one_subcommand_parser_words_like_the_full_one(self, argv, capsys):
+        rc = main(argv)
+        out, err = capsys.readouterr()
+        with pytest.raises(SystemExit) as exc:
+            build_parser().parse_args(argv)
+        assert (rc, out, err) == (exc.value.code, *capsys.readouterr())

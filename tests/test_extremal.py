@@ -19,6 +19,7 @@ from chebgap.extremal import (
     solve_extremal,
     verify_feasibility,
 )
+from chebgap.green import critical_point_c
 from chebgap.intervals import (
     CompactSet,
     GapParams,
@@ -220,7 +221,7 @@ class TestPricingCache:
         assert solve_extremal(E, x0, n, extension=False).to_json() == cached
 
     @pytest.mark.parametrize("case, pick", [
-        ("interval", lambda grid, r: grid[::2]),
+        ("interval", lambda grid, r: grid[-r:]),
         ("two-gap(0.3)", lambda grid, r: grid[-r:]),
     ])
     def test_warm_start_cold_retry(self, case, pick, monkeypatch):
@@ -541,11 +542,10 @@ class TestCertificate:
         assert (res.value_lo, res.value_hi, res.rel_gap) == (1.0, 1.0, 0.0)
 
     def test_round_cap_names_the_state(self, monkeypatch):
-        # capped at three rounds, the count that used to be fixed, the solve
-        # stops on the D4 violation
-        monkeypatch.setattr(extremal, "_REFINE_ROUNDS", 3)
-        with pytest.raises(SolverError, match=r"exchange round 3 left max \|P\| - 1 = "
-                                              r"6\.31e-06 on E at x = 0\.4232"):
+        # capped at one round, the solve stops on the D4 violation
+        monkeypatch.setattr(extremal, "_REFINE_ROUNDS", 1)
+        with pytest.raises(SolverError, match=r"exchange round 1 left max \|P\| - 1 = "
+                                              r"5\.83e-06 on E at x = 0\.4232"):
             solve_extremal(SEED205, -0.6810723933289962, 50, extension=False)
 
 
@@ -610,8 +610,7 @@ class TestExchangeStep:
 
     def test_infeasible_basis_is_left_unmoved(self):
         E, x0, n = TWO_GAP, -0.4, 12
-        lp = extremal._ExchangeLP(
-            discretize(E, extremal._grid_density(n, len(E.intervals))), n, x0)
+        lp = extremal._ExchangeLP(E, n, x0)
         nodes = lp.solve()
         peaks, worst, _ = extremal._scan_abs_max(nodes, E, n, known=lp.points)
         assert worst > 1.0
@@ -648,12 +647,10 @@ class TestExchangeStep:
             assert stepped == pytest.approx(plain, rel=1e-12, abs=0.0)
 
 
-@pytest.mark.xfail(strict=True, raises=AssertionError,
-                   reason="D5: the start basis depends on BLAS threading")
 def test_one_blas_thread_certifies_four_gap_at_200():
-    # _initial_basis takes its signs from a numerically singular Vandermonde
-    # solve; with one BLAS thread the grid simplex then exceeds its 14,060
-    # pivots, with the default threading it certifies
+    # the start basis used to take its signs from a numerically singular
+    # Vandermonde solve, so with one BLAS thread the grid simplex exceeded its
+    # 14,060 pivots while the default threading certified (D5)
     script = (
         "from chebgap.extremal import solve_extremal\n"
         "from chebgap.intervals import CompactSet, Interval\n"
@@ -672,3 +669,102 @@ def test_one_blas_thread_certifies_four_gap_at_200():
     assert proc is not None, "the solve ran past the timeout"
     assert proc.returncode == 0, proc.stderr.strip().splitlines()[-1]
     assert float(proc.stdout) <= 1e-10
+
+
+# Seeded three-gap sets whose cold n = 50 solves reported 'simplex direction
+# unbounded' from an infeasible start basis (D6).
+D6_SETS = {
+    "seed61": (CompactSet((Interval(-1.0, -0.6348153906600194),
+                           Interval(-0.4073350279245279, -0.13319190405515308),
+                           Interval(0.5332925531738095, 1.0))), 0.3789364579648779),
+    "seed113": (CompactSet((Interval(-1.0, -0.6621749999865814),
+                            Interval(-0.3902037970902612, 0.20994232788286582),
+                            Interval(0.7268652251389413, 1.0))), 0.3714391221584197),
+}
+
+
+@pytest.mark.parametrize("case", D6_SETS)
+def test_cold_solve_certifies_seeded_three_gap_set(case):
+    E, x0 = D6_SETS[case]
+    res = solve_extremal(E, x0, 50, extension=False)
+    assert res.rel_gap <= 1e-10
+    assert verify_feasibility(res, E).ok
+
+
+def test_infeasible_basis_names_its_slot():
+    # the ratio test used to clip a negative lam_i to 0 and walk on (D6)
+    E, x0, n = TWO_GAP, -0.4, 12
+    lp = extremal._ExchangeLP(E, n, x0)
+    lp._initial_basis()
+    k = int(np.argmax(_lambda_signs(lp.points, lp.basis, x0)))
+    lp.basis[k] ^= 1                # the other sign: lam_k < 0
+    with pytest.raises(SolverError, match=rf"infeasible basis: slot {k} at x = \S+ has "
+                                          rf"lam = -\S+ \* max lam"):
+        lp.solve()
+
+
+class TestEquilibriumStart:
+    """A cold solve starts from the grid points nearest the quantiles of the
+    equilibrium measure of E (`extremal._equilibrium`), with exact signs."""
+
+    @pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (-0.2, 1.0), (0.3, 0.7)])
+    def test_one_interval_quantiles_are_chebyshev_lobatto(self, lo, hi):
+        n = 24
+        x = lo + (hi - lo) * 0.5 * (1.0 - np.cos(np.pi * np.arange(n + 1) / n))
+        _, cdf = extremal._equilibrium(CompactSet((Interval(lo, hi),)))
+        assert np.abs(cdf(x) - np.arange(n + 1) / n).max() <= 1e-14
+
+    @pytest.mark.parametrize("a", [0.1, 0.3, 0.6])
+    def test_symmetric_two_bands_closed_form(self, a):
+        x = np.linspace(a, 1.0, 101)
+        exact = 0.5 + 0.5 * (1.0 - np.arccos((2.0 * x**2 - 1.0 - a * a) / (1.0 - a * a)) / np.pi)
+        q, cdf = extremal._equilibrium(CompactSet((Interval(-1.0, -a), Interval(a, 1.0))))
+        assert np.abs(cdf(x) - exact).max() <= 1e-14
+        assert np.abs(cdf(-x[::-1]) - (1.0 - exact[::-1])).max() <= 1e-14
+        assert abs(q[1]) <= 1e-15
+
+    @pytest.mark.parametrize("alpha, delta", [
+        (-0.3, 0.4), (-0.1, 0.4), (-0.5 + 1e-9, 0.4), (0.0, 0.5), (-0.7, 0.25)])
+    def test_gap_zero_is_the_green_critical_point(self, alpha, delta):
+        q, _ = extremal._equilibrium(make_gap_set(GapParams(alpha, delta)))
+        assert q[0] == 1.0 and len(q) == 2
+        assert -q[1] == pytest.approx(critical_point_c(alpha, delta), abs=1e-15)
+
+    @pytest.mark.parametrize("case", list(PINNED) + ["seed205"])
+    def test_total_mass_is_one(self, case):
+        E = SEED205 if case == "seed205" else PINNED[case][0]
+        q, cdf = extremal._equilibrium(E)
+        assert cdf(E.hull.lo) == 0.0
+        assert cdf(E.hull.hi) == pytest.approx(1.0, abs=1e-14)
+        zeros = np.sort(np.roots(q).real)
+        assert all(lo < z < hi for z, (lo, hi) in zip(zeros, E.gaps(), strict=True))
+
+    def test_touching_and_point_intervals_carry_no_extra_mass(self):
+        x = np.linspace(-1.0, 1.0, 41)
+        _, whole = extremal._equilibrium(CompactSet((Interval(-1.0, 1.0),)))
+        _, split = extremal._equilibrium(CompactSet((
+            Interval(-1.0, 0.0), Interval(0.0, 0.5), Interval(0.5, 1.0))))
+        assert np.abs(split(x) - whole(x)).max() <= 1e-14
+        _, two = extremal._equilibrium(TWO_GAP)
+        _, dotted = extremal._equilibrium(CompactSet(TWO_GAP.intervals + (
+            Interval(-0.4, -0.4), Interval(0.25, 0.25))))
+        assert np.abs(dotted(x) - two(x)).max() <= 1e-14
+
+    @pytest.mark.parametrize("n", [0, 1, 12, 50, 200])
+    @pytest.mark.parametrize("case", PINNED)
+    def test_cold_start_is_basic_feasible(self, case, n):
+        E, x0 = PINNED[case]
+        lp = extremal._ExchangeLP(E, n, x0)
+        lp._initial_basis()
+        assert len({j >> 1 for j in lp.basis}) == n + 1
+        assert _lambda_signs(lp.points, lp.basis, x0).min() > 0.0
+
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    @given(gaps=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), n=st.integers(1, 120),
+           delta=st.floats(0.15, 0.5), where=st.floats(0.05, 0.95))
+    def test_random_sets_certify_cold(self, gaps, seed, n, delta, where):
+        E = random_multigap_set(delta, gaps, seed)
+        lo, hi = E.gaps()[seed % gaps]
+        x0 = lo + (hi - lo) * where
+        res = solve_extremal(E, x0, n, extension=False)
+        assert res.rel_gap <= 1e-10
