@@ -9,8 +9,9 @@ single-interval (Remez) configuration [-1+2*delta, 1], whose value has the
 closed form T_n((delta - x0)/(1 - delta)), or by a one-gap (Akhiezer)
 configuration E(alpha, delta) with x0 inside the gap, found here by a
 coarse alpha scan plus a bracket search on dM_n/dalpha, which each LP
-oracle solve gives for free through its dual weights; it is skipped where
-Remez beats the Bernstein-Walsh bound on every Akhiezer value.
+oracle solve gives for free through its dual weights.  The Bernstein-Walsh
+bound M_n(x0, E) <= exp(n g_E(x0)) skips the scan where Remez beats it on
+every Akhiezer value, and otherwise the samples that cannot win.
 
 Two experiment drivers sit on top: residual series log(2 L_n) - n Phi(x0)
 against the envelope growth rate (vanishing for boundary points, merely
@@ -32,14 +33,14 @@ from .chebyshev import remez_poly_value
 from .envelope import _interior_max, upper_envelope
 from .errors import DomainError
 from .extremal import solve_extremal
-from .green import green_single_interval
+from .green import c_rows, g_rows, green_single_interval
 from .intervals import CompactSet, GapParams, make_gap_set, random_multigap_set
 
 BEST_REMEZ = "remez"
 BEST_AKHIEZER = "akhiezer"
 
 _ALPHA_COARSE = 33        # coarse scan points over admissible alpha
-_ALPHA_TOL = 1e-6         # final bracket width in alpha
+_ALPHA_TOL = 1e-9         # final bracket width in alpha
 _GAP_MARGIN = 1e-9        # keep x0 strictly inside candidate gaps
 _BOUNDARY_CLIP = 1e-4     # keep alpha away from delta-1 (dominated there)
 _VALUE_TOL = 1e-9         # relative accuracy of the oracle values
@@ -220,7 +221,11 @@ def L_n_delta(x0: float, delta: float, n: int) -> AndrievskiiResult:
     ends (see _alpha_max), which the result reports as its certificate.
     By Bernstein-Walsh M_n(x0, E(alpha, delta)) <= exp(n G_alpha(x0)), so
     when Remez exceeds exp(n max_alpha G) (1 + _PRUNE_MARGIN) it wins with
-    no LP solve, and `akhiezer_profile` is empty.
+    no LP solve, and `akhiezer_profile` is empty.  Otherwise samples are
+    solved by decreasing bound until the best solved value beats the next
+    bound by that factor: the rest can neither win nor tie, so argmax and
+    bracket are those of the full scan, and `akhiezer_profile` holds the
+    solved samples (with the argmax's neighbour that starts the bracket).
     """
     _check_point(x0, delta)
     if n < 0:
@@ -243,26 +248,37 @@ def L_n_delta(x0: float, delta: float, n: int) -> AndrievskiiResult:
     best_alpha = None
     best_val = -math.inf
     slopes = ()
-    solves = 0
+    solves = pruned = 0
     if hi > lo:
-        last_active = [None]
 
         def solve(alpha):
             nonlocal solves
             solves += 1
             E = make_gap_set(GapParams(alpha, delta))
-            res = solve_extremal(E, x0, n, extension=False,
-                                 warm_start=last_active[0])
-            last_active[0] = res.active_points
+            res = solve_extremal(E, x0, n, extension=False)
             left, right = E.intervals
             return res.value, (res.dvalue_dendpoint(left.hi)
                                + res.dvalue_dendpoint(right.lo))
 
-        alphas = np.linspace(lo, hi, _ALPHA_COARSE).tolist()
-        vals, ders = zip(*(solve(al) for al in alphas))
-        profile = list(zip(alphas, vals))
+        alphas = np.linspace(lo, hi, _ALPHA_COARSE)
+        bounds = n * g_rows(alphas, delta, x0, c_rows(alphas, delta))
+        alphas = alphas.tolist()
+        vals, ders = [-math.inf] * _ALPHA_COARSE, [math.nan] * _ALPHA_COARSE
+        log_best = -math.inf    # from solved values only, never from Remez
+        for j in np.argsort(-bounds, kind="stable"):
+            if log_best >= bounds[j] + math.log1p(_PRUNE_MARGIN):
+                break   # no sample from here on can reach the best
+            vals[j], ders[j] = solve(alphas[j])
+            log_best = max(log_best, math.log(vals[j]))
+        # the bracket end beside the argmax that _alpha_max starts from
+        i = int(np.argmax(vals))
+        j = i + 1 if ders[i] >= 0.0 else i - 1
+        if 0 <= j < _ALPHA_COARSE and vals[j] == -math.inf:
+            vals[j], ders[j] = solve(alphas[j])
+        profile = [(a, v) for a, v in zip(alphas, vals) if v > -math.inf]
+        pruned = _ALPHA_COARSE - len(profile)
         best_alpha, best_val, slopes = _alpha_max(solve, alphas, vals, ders)
-    _stats.add({"Ln.calls": 1, "Ln.solves": solves})
+    _stats.add({"Ln.calls": 1, "Ln.solves": solves, "Ln.pruned": pruned})
 
     if remez_val is None and best_alpha is None:
         raise DomainError(

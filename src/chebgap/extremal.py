@@ -12,11 +12,12 @@ whose dual is the standard-form problem
 
 with one column per (grid point, sign) pair.  A basis is a set of n+1
 points t_i with signs s_i; with s_i = sign l_i(x0) its weights are
-lam_i = |l_i(x0)|, so it is basic feasible and no phase 1 is needed.  A
-cold solve takes the grid points nearest the quantiles k/n of the
-equilibrium measure of E, whose density the extremal polynomial's
+lam_i = |l_i(x0)|, so it is basic feasible and no phase 1 is needed.
+Every solve starts cold, from the grid points nearest the quantiles k/n of
+the equilibrium measure of E, whose density the extremal polynomial's
 equioscillation follows, and moves them by Remez steps (below) before the
-simplex runs.
+simplex runs.  Seeds from a neighbouring solve would save nothing: from
+this start the simplex takes a few pivots or none.
 
 The simplex runs entirely in Lagrange form.  With l_i the Lagrange basis
 of the current points, the basic solution is lam_i = s_i l_i(x0), the
@@ -338,34 +339,25 @@ class _ExchangeLP:
     def append_points(self, new_points):
         self.points = np.concatenate([self.points, new_points])
 
-    def _initial_basis(self, seed_points=None):
-        # Seeds (active points of a neighbouring solve) snap to grid points.
-        # Without seeds, or when they collapse, the nodes are the grid points
-        # nearest the quantiles k/n of the equilibrium measure of E.  Signs
-        # s_i = sign l_i(x0) make every lam_i = |l_i(x0)| > 0: basic feasible.
+    def _initial_basis(self):
+        # The nodes are the grid points nearest the quantiles k/n of the
+        # equilibrium measure of E.  Signs s_i = sign l_i(x0) make every
+        # lam_i = |l_i(x0)| > 0: basic feasible.
         order = np.argsort(self.points)
         pts = self.points[order]
         m = len(pts)
-        idx = []
-        if seed_points is not None:
-            near = np.unique(np.clip(np.searchsorted(pts, seed_points), 0, m - 1))
-            # clustered seeds would wreck the barycentric weights
-            keep = np.diff(pts[near], prepend=-math.inf) > 1e-9 * (pts[-1] - pts[0] + 1.0)
-            idx = near[keep][: self.r]
-        cold = len(idx) < self.r
-        if cold:
-            F = np.maximum.accumulate(_equilibrium(self.E)[1](pts))
-            q = np.linspace(0.0, 1.0, self.r)
-            j = np.clip(np.searchsorted(F, q), 1, m - 1)
-            j -= q - F[j - 1] < F[j] - q
-            # distinct points, in order
-            k = np.arange(self.r)
-            idx = np.minimum(np.maximum.accumulate(j - k), m - self.r) + k
+        F = np.maximum.accumulate(_equilibrium(self.E)[1](pts))
+        q = np.linspace(0.0, 1.0, self.r)
+        j = np.clip(np.searchsorted(F, q), 1, m - 1)
+        j -= q - F[j - 1] < F[j] - q
+        # distinct points, in order
+        k = np.arange(self.r)
+        idx = np.minimum(np.maximum.accumulate(j - k), m - self.r) + k
         t = pts[idx]
         lhat, _ = _lagrange_scaled(t, *_bary_logweights(t), self.x0)
         self.basis = (2 * order[idx] + (lhat < 0.0)).tolist()
         # Remez steps carry the quantile nodes to the peaks of |P|
-        for _ in range(_REFINE_ROUNDS * cold):
+        for _ in range(_REFINE_ROUNDS):
             if not self.exchange():
                 break
 
@@ -442,14 +434,14 @@ class _ExchangeLP:
         self.moved += moved
         return moved
 
-    def solve(self, seed_points=None):
+    def solve(self):
         m = len(self.points)
         if m < self.r:
             raise SolverError(
                 f"grid supplies {m} points for {self.r} coefficients"
             )
         if self.basis is None:
-            self._initial_basis(seed_points)
+            self._initial_basis()
         C = self._cauchy()
         max_iter = 2000 + 60 * self.r
         self.pivots.append(0)
@@ -605,13 +597,13 @@ def _scan_abs_max(nodes, E, n, known=()):
     return np.concatenate(found), float(vals[i]), float(xs[i])
 
 
-def _optimize(lp, E, seeds):
+def _optimize(lp, E):
     """The grid solve and the exchange rounds of `solve_extremal`.
 
     Returns (t, s, logw, signw, raw, L0, worst): the optimal basis, its
     scaled dual weights s_i l_i(x0) exp(-L0) and the certified max_E |P|.
     """
-    t, s, logw, signw = lp.solve(seeds)
+    t, s, logw, signw = lp.solve()
     for round_ in range(_REFINE_ROUNDS + 1):
         # value = sum_i s_i l_i(x0): same-sign terms at the optimum, so the
         # log form keeps full relative precision at any magnitude.
@@ -633,8 +625,8 @@ def _optimize(lp, E, seeds):
         t, s, logw, signw = lp.solve()
 
 
-def solve_extremal(E: CompactSet, x0: float, n: int, *, extension: bool = True,
-                   warm_start=None) -> ExtremalResult:
+def solve_extremal(E: CompactSet, x0: float, n: int, *,
+                   extension: bool = True) -> ExtremalResult:
     """M_n(x0, E) with the extremal polynomial, active points and extension.
 
     x0 inside E short-circuits to value 1 (the constant polynomial);
@@ -644,9 +636,7 @@ def solve_extremal(E: CompactSet, x0: float, n: int, *, extension: bool = True,
     _REFINE_ROUNDS rounds.  The returned polynomial satisfies P(x0) =
     value > 0.  `extension` also computes P^{-1}([-1, 1]) and its case tag.
 
-    `warm_start` takes the active points of a solve on a nearby instance;
-    sweeps over slowly moving sets converge in a handful of pivots from it,
-    and seeds that fail fall back to a cold solve.
+    Every solve starts cold, from the equilibrium quantiles of E.
     """
     if n < 0:
         raise DomainError(f"degree must be >= 0, got {n}")
@@ -661,13 +651,7 @@ def solve_extremal(E: CompactSet, x0: float, n: int, *, extension: bool = True,
 
     lp = _ExchangeLP(E, n, x0)
     try:
-        t, s, logw, signw, raw, L0, worst = _optimize(lp, E, warm_start)
-    except SolverError:
-        if warm_start is None:
-            raise
-        # seeds the simplex cannot carry to a certified optimum; start cold
-        _stats.add({"lp.cold_retries": 1})
-        return solve_extremal(E, x0, n, extension=extension)
+        t, s, logw, signw, raw, L0, worst = _optimize(lp, E)
     finally:
         lp.count()
 

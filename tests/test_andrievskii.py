@@ -58,7 +58,7 @@ class TestLnDelta:
         with pytest.raises(DomainError):
             L_n_delta(-0.1, 1.0, 5)
 
-    @pytest.mark.parametrize("n,max_solves", [(12, 38), (24, 50)])
+    @pytest.mark.parametrize("n,max_solves", [(12, 24), (24, 26)])
     def test_solve_count(self, n, max_solves, monkeypatch):
         calls = self._count_solves(monkeypatch)
         L_n_delta(-0.1, 0.4, n)
@@ -112,14 +112,62 @@ class TestLnDelta:
         assert res.best == "remez"
         assert res.akhiezer_profile == () and res.near_ties == ()
 
+    @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("n", [6, 12, 24])
     @pytest.mark.parametrize("x0", [-0.3, -0.45, -0.7])
     def test_remez_prune_matches_full_search(self, x0, n, monkeypatch):
+        # at (-0.3, 6) Remez wins but does not prune the whole scan; a sample
+        # prune that started its best from Remez would skip every sample and
+        # leave the bracket search a -inf end ("invalid value" warnings)
         pruned = L_n_delta(x0, 0.4, n)
         monkeypatch.setattr(andrievskii, "_PRUNE_MARGIN", math.inf)
         full = L_n_delta(x0, 0.4, n)
         assert full.akhiezer_profile
         assert (pruned.best, pruned.value) == (full.best, full.value)
+
+    @pytest.mark.parametrize("n", [12, 24])
+    @pytest.mark.parametrize("x0", [-0.1, -0.19, 0.0])
+    def test_sample_prune_matches_full_scan(self, x0, n, monkeypatch):
+        # Bernstein-Walsh: M_n(x0, E(alpha)) <= exp(n G_alpha(x0)); a sample is
+        # skipped only when the best solved value beats that bound by the
+        # prune margin, so the search ends where the full scan's does
+        margin = math.log1p(andrievskii._PRUNE_MARGIN)
+        with _stats.collect() as counts:
+            pruned = L_n_delta(x0, 0.4, n)
+        monkeypatch.setattr(andrievskii, "_PRUNE_MARGIN", math.inf)
+        full = L_n_delta(x0, 0.4, n)
+        assert len(full.akhiezer_profile) == andrievskii._ALPHA_COARSE
+        for field in ("best", "value", "best_alpha", "dvalue_dalpha", "near_ties"):
+            assert getattr(pruned, field) == getattr(full, field), field
+        solved = dict(pruned.akhiezer_profile)
+        skipped = np.array([a for a, _ in full.akhiezer_profile if a not in solved])
+        assert len(skipped) == counts["Ln.pruned"] > 0
+        bounds = n * g_rows(skipped, 0.4, x0, c_rows(skipped, 0.4))
+        assert np.all(bounds + margin <= math.log(max(solved.values())))
+        values = np.array([v for a, v in full.akhiezer_profile if a not in solved])
+        assert np.all(np.log(values) <= bounds + 1e-9)
+
+    @pytest.mark.filterwarnings("error")
+    @pytest.mark.parametrize("x0, n", [(-0.1, 24), (-0.25, 12)])
+    def test_pruned_bracket_end_is_solved(self, x0, n, monkeypatch):
+        # a bound that skips the argmax's neighbour on the side of its slope
+        # must not cost the bracket search that end
+        full = L_n_delta(x0, 0.4, n)
+        assert len(full.dvalue_dalpha) == 2    # an interior maximum
+        alphas, vals = map(list, zip(*full.akhiezer_profile))
+        i = int(np.argmax(vals))
+        j = i + 1 if alphas[i] < full.best_alpha else i - 1
+        real_g_rows = andrievskii.g_rows
+
+        def g_rows_low_at_j(al, *args):
+            g = real_g_rows(al, *args)
+            return np.where(al == alphas[j], -1e6, g)
+
+        monkeypatch.setattr(andrievskii, "g_rows", g_rows_low_at_j)
+        res = L_n_delta(x0, 0.4, n)
+        assert alphas[j] in dict(res.akhiezer_profile)
+        assert (res.value, res.best_alpha, res.dvalue_dalpha) == (
+            full.value, full.best_alpha, full.dvalue_dalpha)
 
     @pytest.mark.parametrize("x0", [-0.3, -0.45, -0.7])
     def test_prune_bound_is_the_global_green_maximum(self, x0):
@@ -132,10 +180,11 @@ class TestLnDelta:
         assert g.max() <= g_star + 1e-12
 
     def test_degree_36(self):
-        # the cold solve at alpha = -0.5 + 1e-9 used to exceed its pivot cap (D2)
+        # the cold solve at alpha = -0.5 + 1e-9 used to exceed its pivot cap
+        # (D2); the value is that of the alpha search run to a 1e-11 bracket
         res = L_n_delta(-0.1, 0.4, 36)
         assert res.value > L_n_delta(-0.1, 0.4, 30).value
-        assert res.value == pytest.approx(2209778.84, rel=1e-8)
+        assert res.value == pytest.approx(2209787.19073, rel=1e-8)
 
     def test_iteration_cap_states_the_solver(self, monkeypatch):
         # pricing that never prices out forces the cap; the message carries

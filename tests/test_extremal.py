@@ -24,7 +24,6 @@ from chebgap.intervals import (
     CompactSet,
     GapParams,
     Interval,
-    discretize,
     make_gap_set,
     random_multigap_set,
 )
@@ -219,24 +218,6 @@ class TestPricingCache:
         assert appended, "no exchange round re-solved after append_points"
         self._price_from_scratch(monkeypatch)
         assert solve_extremal(E, x0, n, extension=False).to_json() == cached
-
-    @pytest.mark.parametrize("case, pick", [
-        ("interval", lambda grid, r: grid[-r:]),
-        ("two-gap(0.3)", lambda grid, r: grid[-r:]),
-    ])
-    def test_warm_start_cold_retry(self, case, pick, monkeypatch):
-        # these seeds lead the seeded simplex into an unbounded direction, so
-        # solve_extremal starts over without the seeds: nothing has been
-        # appended yet, so the grid and the cold start are the same
-        E, x0 = self.CASES[case]
-        n = 12
-        grid = discretize(E, extremal._grid_density(n, len(E.intervals)))
-        seeds = pick(grid, n + 1)
-        starts = self._spy(monkeypatch, "_initial_basis")
-        cached = solve_extremal(E, x0, n, extension=False, warm_start=seeds).to_json()
-        assert [a[0] is None for a in starts] == [False, True]
-        self._price_from_scratch(monkeypatch)
-        assert solve_extremal(E, x0, n, extension=False, warm_start=seeds).to_json() == cached
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 400])

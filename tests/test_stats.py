@@ -43,6 +43,6 @@ def test_lp_solves_per_L_n():
     with _stats.collect() as counts:
         L_n_delta(-0.1, 0.4, 12)
     assert counts["Ln.calls"] == 1
-    assert counts["Ln.solves"] == counts["lp.solves"] - counts.get("lp.cold_retries", 0)
+    assert counts["Ln.solves"] == counts["lp.solves"]
     assert counts["lp.exchange_rounds"] >= counts["lp.solves"]
     assert counts["lp.grid_pivots"] <= counts["lp.pivots"]
