@@ -11,13 +11,16 @@ configuration E(alpha, delta) with x0 inside the gap, found here by a
 coarse alpha scan plus a bracket search on dM_n/dalpha, which each LP
 oracle solve gives for free through its dual weights.  The Bernstein-Walsh
 bound M_n(x0, E) <= exp(n g_E(x0)) skips the scan where Remez beats it on
-every Akhiezer value, and otherwise the samples that cannot win.
+every Akhiezer value, and otherwise the samples that cannot win; of the
+samples left, those whose LP start bounds M_n below the best value by
+interpolation (see `extremal`) end there, unsolved.
 
 Two experiment drivers sit on top: residual series log(2 L_n) - n Phi(x0)
 against the envelope growth rate (vanishing for boundary points, merely
 bounded for interior ones), and a seeded brute-force search for random
 multi-gap sets that would beat the best structured configuration (the
-structure theorem predicts none).
+structure theorem predicts none), where the LP start's bound dismisses the
+sets that can neither set a new maximum nor violate.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from . import _stats
 from .chebyshev import remez_poly_value
 from .envelope import _interior_max, upper_envelope
 from .errors import DomainError
-from .extremal import solve_extremal
+from .extremal import _solve_extremal
 from .green import c_rows, g_rows, green_single_interval
 from .intervals import CompactSet, GapParams, make_gap_set, random_multigap_set
 
@@ -223,9 +226,12 @@ def L_n_delta(x0: float, delta: float, n: int) -> AndrievskiiResult:
     when Remez exceeds exp(n max_alpha G) (1 + _PRUNE_MARGIN) it wins with
     no LP solve, and `akhiezer_profile` is empty.  Otherwise samples are
     solved by decreasing bound until the best solved value beats the next
-    bound by that factor: the rest can neither win nor tie, so argmax and
-    bracket are those of the full scan, and `akhiezer_profile` holds the
-    solved samples (with the argmax's neighbour that starts the bracket).
+    bound by that factor.  Each LP start also bounds M_n, by sum_i
+    |l_i(x0)| over its nodes, and ends the solve unfinished once that is
+    at most the best solved value / (1 + _PRUNE_MARGIN).  The samples left
+    out either way can neither win nor tie, so argmax and bracket are those
+    of the full scan, and `akhiezer_profile` holds the fully solved samples
+    (with the argmax's neighbour that starts the bracket).
     """
     _check_point(x0, delta)
     if n < 0:
@@ -251,11 +257,14 @@ def L_n_delta(x0: float, delta: float, n: int) -> AndrievskiiResult:
     solves = pruned = 0
     if hi > lo:
 
-        def solve(alpha):
+        def solve(alpha, cutoff=0.0):
+            # (-inf, nan) when the LP start bounds M_n by at most the cutoff
             nonlocal solves
-            solves += 1
             E = make_gap_set(GapParams(alpha, delta))
-            res = solve_extremal(E, x0, n, extension=False)
+            res = _solve_extremal(E, x0, n, extension=False, cutoff=cutoff)
+            if res is None:
+                return -math.inf, math.nan
+            solves += 1
             left, right = E.intervals
             return res.value, (res.dvalue_dendpoint(left.hi)
                                + res.dvalue_dendpoint(right.lo))
@@ -264,12 +273,12 @@ def L_n_delta(x0: float, delta: float, n: int) -> AndrievskiiResult:
         bounds = n * g_rows(alphas, delta, x0, c_rows(alphas, delta))
         alphas = alphas.tolist()
         vals, ders = [-math.inf] * _ALPHA_COARSE, [math.nan] * _ALPHA_COARSE
-        log_best = -math.inf    # from solved values only, never from Remez
+        best = 0.0      # from solved values only, never from Remez
         for j in np.argsort(-bounds, kind="stable"):
-            if log_best >= bounds[j] + math.log1p(_PRUNE_MARGIN):
+            if best and math.log(best) >= bounds[j] + math.log1p(_PRUNE_MARGIN):
                 break   # no sample from here on can reach the best
-            vals[j], ders[j] = solve(alphas[j])
-            log_best = max(log_best, math.log(vals[j]))
+            vals[j], ders[j] = solve(alphas[j], best / (1.0 + _PRUNE_MARGIN))
+            best = max(best, vals[j])
         # the bracket end beside the argmax that _alpha_max starts from
         i = int(np.argmax(vals))
         j = i + 1 if ders[i] >= 0.0 else i - 1
@@ -367,6 +376,9 @@ def brute_force_theorem1(x0: float, delta: float, n: int, trials: int,
     checks M_n(x0, E) <= L_n + 10*_VALUE_TOL.  Violations are collected and
     reported, never raised: they would indicate either solver inaccuracy or
     a counterexample to the structure theorem, and both deserve eyes.
+    A set whose LP start bounds M_n by at most min(largest value so far,
+    violation bound) / (1 + _PRUNE_MARGIN) is left unsolved: it can change
+    neither `max_ratio` nor the violations.
     """
     _check_point(x0, delta)
     if trials < 1:
@@ -375,7 +387,7 @@ def brute_force_theorem1(x0: float, delta: float, n: int, trials: int,
     bound = reference + 10.0 * _VALUE_TOL * max(1.0, reference)
 
     rng = np.random.default_rng(seed)
-    max_ratio = -math.inf
+    top = 0.0       # the largest value solved so far
     violations = []
     done = 0
     attempts = 0
@@ -392,9 +404,14 @@ def brute_force_theorem1(x0: float, delta: float, n: int, trials: int,
                    for lo, hi in E.gaps()):
             continue
         done += 1
-        value = solve_extremal(E, x0, n, extension=False).value
-        ratio = value / reference
-        max_ratio = max(max_ratio, ratio)
+        # a set whose LP start bounds M_n below the largest value and the
+        # violation bound can neither raise max_ratio nor violate
+        cutoff = min(top, bound) / (1.0 + _PRUNE_MARGIN)
+        res = _solve_extremal(E, x0, n, extension=False, cutoff=cutoff)
+        if res is None:
+            continue
+        value = res.value
+        top = max(top, value)
         if value > bound:
             violations.append(
                 {
@@ -408,6 +425,6 @@ def brute_force_theorem1(x0: float, delta: float, n: int, trials: int,
             )
     return BruteForceReport(
         delta=delta, x0=x0, n=n, trials=trials, seed=seed,
-        reference_value=reference, max_ratio=max_ratio,
+        reference_value=reference, max_ratio=top / reference,
         violations=tuple(violations),
     )

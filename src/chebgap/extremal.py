@@ -19,6 +19,13 @@ equioscillation follows, and moves them by Remez steps (below) before the
 simplex runs.  Seeds from a neighbouring solve would save nothing: from
 this start the simplex takes a few pivots or none.
 
+Every basis of the start bounds M_n: a P with |P| <= 1 on E has P(x0) =
+sum_i P(t_i) l_i(x0) <= sum_i |l_i(x0)|, and the start computes l_i(x0)
+before each Remez step anyway.  A caller that only needs candidates above
+a cutoff (`_solve_extremal`, which `solve_extremal` calls with none) has
+the start stop at the first basis whose bound is at most the cutoff, and
+the grid simplex and the exchange rounds never run for it.
+
 The simplex runs entirely in Lagrange form.  With l_i the Lagrange basis
 of the current points, the basic solution is lam_i = s_i l_i(x0), the
 entering direction is u_i = s_e s_i l_i(x_e), and the pricing values are
@@ -290,6 +297,11 @@ def _lagrange_scaled(t, logw, signw, x):
     return lhat, L
 
 
+def _log_abs_sum(lhat, L):
+    """log sum_i |l_i(x)| from `_lagrange_scaled` output at one x."""
+    return math.log(float(np.abs(lhat).sum())) + float(L)
+
+
 def _lagrange_values(t, s, logw, signw, xs):
     """First-form barycentric values exp(L) * sum_i s_i l_i exp(-L) of the
     interpolant of (t_i, s_i), the log of the sum added to L so that neither
@@ -335,17 +347,28 @@ class _ExchangeLP:
         # the grid solve) and nodes moved by exchange()
         self.pivots = []
         self.moved = 0
+        # log sum_i |l_i(x0)| of the last basis `exchange` saw, and the
+        # cutoff at or below which that ends the start
+        self.log_bound = math.inf
+        self.log_cutoff = -math.inf
+        self.bounded = False
 
     def append_points(self, new_points):
         self.points = np.concatenate([self.points, new_points])
 
-    def _initial_basis(self):
-        # The nodes are the grid points nearest the quantiles k/n of the
-        # equilibrium measure of E.  Signs s_i = sign l_i(x0) make every
-        # lam_i = |l_i(x0)| > 0: basic feasible.
+    def _initial_basis(self, cutoff=0.0):
+        """The start basis; True when one of its bases bounds M_n by at most
+        `cutoff` (see `exchange`), which ends the start there.
+
+        The nodes are the grid points nearest the quantiles k/n of the
+        equilibrium measure of E.  Signs s_i = sign l_i(x0) make every
+        lam_i = |l_i(x0)| > 0: basic feasible.
+        """
         order = np.argsort(self.points)
         pts = self.points[order]
         m = len(pts)
+        if m < self.r:
+            raise SolverError(f"grid supplies {m} points for {self.r} coefficients")
         F = np.maximum.accumulate(_equilibrium(self.E)[1](pts))
         q = np.linspace(0.0, 1.0, self.r)
         j = np.clip(np.searchsorted(F, q), 1, m - 1)
@@ -357,9 +380,16 @@ class _ExchangeLP:
         lhat, _ = _lagrange_scaled(t, *_bary_logweights(t), self.x0)
         self.basis = (2 * order[idx] + (lhat < 0.0)).tolist()
         # Remez steps carry the quantile nodes to the peaks of |P|
+        self.log_cutoff = math.log(cutoff) if cutoff > 0.0 else -math.inf
         for _ in range(_REFINE_ROUNDS):
             if not self.exchange():
                 break
+        else:   # the last step's basis
+            t, _, logw, signw = self._state()
+            self.log_bound = _log_abs_sum(*_lagrange_scaled(t, logw, signw, self.x0))
+        self.bounded = self.log_bound <= self.log_cutoff
+        self.log_cutoff = -math.inf     # the exchange rounds run to the end
+        return self.bounded
 
     def _state(self):
         t = self.points[[j >> 1 for j in self.basis]]
@@ -409,10 +439,17 @@ class _ExchangeLP:
         basis is basic feasible, and the simplex resumes from it.  A basis
         with some lam_i < 0 is left as it is, since moving it would carry
         the infeasibility along.
+
+        First the basis's bound on M_n, log sum_i |l_i(x0)| (see the module
+        docstring), goes to `log_bound`; at or below `log_cutoff` nothing
+        moves.  A grid end lo + length*1.0 can miss hi by an ulp, where |P|
+        may exceed 1 by about ulp * |P'|; the callers' cutoffs sit a factor
+        1 + 1e-6 below what they compare against, which covers that.
         """
         t, s, logw, signw = self._state()
-        lam_hat, _ = _lagrange_scaled(t, logw, signw, self.x0)
-        if np.any(s * lam_hat < 0.0):
+        lam_hat, L = _lagrange_scaled(t, logw, signw, self.x0)
+        self.log_bound = _log_abs_sum(lam_hat, L)
+        if self.log_bound <= self.log_cutoff or np.any(s * lam_hat < 0.0):
             return 0
         order = np.argsort(self.points)
         xs = self.points[order]
@@ -436,10 +473,6 @@ class _ExchangeLP:
 
     def solve(self):
         m = len(self.points)
-        if m < self.r:
-            raise SolverError(
-                f"grid supplies {m} points for {self.r} coefficients"
-            )
         if self.basis is None:
             self._initial_basis()
         C = self._cauchy()
@@ -496,10 +529,11 @@ class _ExchangeLP:
         )
 
     def count(self):
-        """Add this LP's work to the active counters."""
+        """Add this LP's work to the active counters: a solve, or a start
+        its bound ended (`lp.bounded`)."""
         rounds = self.pivots[1:]
         _stats.add({
-            "lp.solves": 1, "lp.pivots": sum(self.pivots),
+            "lp.bounded" if self.bounded else "lp.solves": 1, "lp.pivots": sum(self.pivots),
             "lp.grid_pivots": sum(self.pivots[:1]),
             "lp.exchange_rounds": len(rounds), "lp.round_pivots_max": max(rounds, default=0),
             "lp.nodes_moved": self.moved,
@@ -638,6 +672,13 @@ def solve_extremal(E: CompactSet, x0: float, n: int, *,
 
     Every solve starts cold, from the equilibrium quantiles of E.
     """
+    return _solve_extremal(E, x0, n, extension)
+
+
+def _solve_extremal(E, x0, n, extension, cutoff=0.0):
+    """`solve_extremal`, or None when a start basis bounds M_n(x0, E) by
+    sum_i |l_i(x0)| <= cutoff: the grid simplex and the exchange rounds
+    then never run.  A cutoff <= 0 solves every candidate."""
     if n < 0:
         raise DomainError(f"degree must be >= 0, got {n}")
     if not E.intervals:
@@ -651,6 +692,8 @@ def solve_extremal(E: CompactSet, x0: float, n: int, *,
 
     lp = _ExchangeLP(E, n, x0)
     try:
+        if lp._initial_basis(cutoff):
+            return None
         t, s, logw, signw, raw, L0, worst = _optimize(lp, E)
     finally:
         lp.count()

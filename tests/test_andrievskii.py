@@ -1,6 +1,7 @@
 import json
 import math
 import re
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -58,11 +59,13 @@ class TestLnDelta:
         with pytest.raises(DomainError):
             L_n_delta(-0.1, 1.0, 5)
 
-    @pytest.mark.parametrize("n,max_solves", [(12, 24), (24, 26)])
-    def test_solve_count(self, n, max_solves, monkeypatch):
-        calls = self._count_solves(monkeypatch)
-        L_n_delta(-0.1, 0.4, n)
-        assert len(calls) <= max_solves
+    @pytest.mark.parametrize("n,max_solves", [(12, 17), (24, 10)])
+    def test_solve_count(self, n, max_solves):
+        # 22 and 24 with the Bernstein-Walsh prune alone; the LP start's
+        # bound leaves 15 and 8
+        with _stats.collect() as counts:
+            L_n_delta(-0.1, 0.4, n)
+        assert counts["Ln.solves"] == counts["lp.solves"] <= max_solves
 
     @pytest.mark.parametrize("n,max_pivots", [(12, 400), (24, 1300)])
     def test_pivot_count(self, n, max_pivots):
@@ -95,20 +98,24 @@ class TestLnDelta:
         assert json.loads(interior.to_json())["dvalue_dalpha"] == [left, right]
 
     @staticmethod
-    def _count_solves(monkeypatch):
-        calls = []
+    def _spy_starts(monkeypatch):
+        """(E, bounded, log_bound) of every LP start."""
+        starts = []
+        start = extremal._ExchangeLP._initial_basis
 
-        def counted(*args, **kwargs):
-            calls.append(args)
-            return solve_extremal(*args, **kwargs)
+        def spy(self, *args):
+            bounded = start(self, *args)
+            starts.append((self.E, bounded, self.log_bound))
+            return bounded
 
-        monkeypatch.setattr(andrievskii, "solve_extremal", counted)
-        return calls
+        monkeypatch.setattr(extremal._ExchangeLP, "_initial_basis", spy)
+        return starts
 
-    def test_remez_prune_skips_the_alpha_search(self, monkeypatch):
-        calls = self._count_solves(monkeypatch)
-        res = L_n_delta(-0.7, 0.4, 12)
-        assert calls == []
+    def test_remez_prune_skips_the_alpha_search(self):
+        with _stats.collect() as counts:
+            res = L_n_delta(-0.7, 0.4, 12)
+        assert counts["Ln.solves"] == 0
+        assert not any(key.startswith("lp.") for key in counts)
         assert res.best == "remez"
         assert res.akhiezer_profile == () and res.near_ties == ()
 
@@ -128,12 +135,17 @@ class TestLnDelta:
     @pytest.mark.parametrize("n", [12, 24])
     @pytest.mark.parametrize("x0", [-0.1, -0.19, 0.0])
     def test_sample_prune_matches_full_scan(self, x0, n, monkeypatch):
-        # Bernstein-Walsh: M_n(x0, E(alpha)) <= exp(n G_alpha(x0)); a sample is
-        # skipped only when the best solved value beats that bound by the
-        # prune margin, so the search ends where the full scan's does
+        # a sample is skipped only when the best solved value beats a bound
+        # on its M_n by the prune margin: Bernstein-Walsh, M_n(x0, E(alpha))
+        # <= exp(n G_alpha(x0)), skips it unsolved, and the bound
+        # sum_i |l_i(x0)| of a basis of its LP start ends that start; so the
+        # search ends where the full scan's does
+        factor = 1.0 + andrievskii._PRUNE_MARGIN
         margin = math.log1p(andrievskii._PRUNE_MARGIN)
+        starts = self._spy_starts(monkeypatch)
         with _stats.collect() as counts:
             pruned = L_n_delta(x0, 0.4, n)
+        ended = {E.intervals[0].hi: log_bound for E, bounded, log_bound in starts if bounded}
         monkeypatch.setattr(andrievskii, "_PRUNE_MARGIN", math.inf)
         full = L_n_delta(x0, 0.4, n)
         assert len(full.akhiezer_profile) == andrievskii._ALPHA_COARSE
@@ -142,10 +154,18 @@ class TestLnDelta:
         solved = dict(pruned.akhiezer_profile)
         skipped = np.array([a for a, _ in full.akhiezer_profile if a not in solved])
         assert len(skipped) == counts["Ln.pruned"] > 0
-        bounds = n * g_rows(skipped, 0.4, x0, c_rows(skipped, 0.4))
-        assert np.all(bounds + margin <= math.log(max(solved.values())))
+        assert len(ended) == counts["lp.bounded"] > 0
+        best = max(solved.values())
+        bw = n * g_rows(skipped, 0.4, x0, c_rows(skipped, 0.4))
+        start = np.array([ended.get(make_gap_set(GapParams(a, 0.4)).intervals[0].hi, math.inf)
+                          for a in skipped])
+        by_start = start < math.inf
+        # the start's test: log sum_i |l_i(x0)| <= log of its cutoff, taken
+        # from a best solved value no larger than the final one
+        assert np.all(start[by_start] <= math.log(best / factor))
+        assert np.all(bw[~by_start] + margin <= math.log(best))
         values = np.array([v for a, v in full.akhiezer_profile if a not in solved])
-        assert np.all(np.log(values) <= bounds + 1e-9)
+        assert np.all(np.log(values) <= np.where(by_start, start, bw) + 1e-9)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("x0, n", [(-0.1, 24), (-0.25, 12)])
@@ -274,6 +294,36 @@ class TestBruteForce:
     def test_validation(self):
         with pytest.raises(DomainError):
             brute_force_theorem1(-0.1, 0.4, 6, trials=0, seed=1)
+
+    @pytest.mark.parametrize("x0, n, seed", [
+        (-0.1, 6, 20250808), (-0.15, 8, 7), (-0.15, 12, 1), (-0.3, 10, 99)])
+    def test_start_bound_keeps_the_report(self, x0, n, seed, monkeypatch):
+        # a trial whose LP start bounds M_n below both the largest value so
+        # far and the violation bound is left unsolved; the report must be
+        # that of solving every trial
+        with _stats.collect() as counts:
+            cut = brute_force_theorem1(x0, 0.4, n, trials=20, seed=seed)
+        monkeypatch.setattr(andrievskii, "_PRUNE_MARGIN", math.inf)
+        full = brute_force_theorem1(x0, 0.4, n, trials=20, seed=seed)
+        assert counts["lp.bounded"] > 0
+        assert (cut.max_ratio, cut.violations) == (full.max_ratio, full.violations)
+
+    def test_start_bound_keeps_every_violation(self, monkeypatch):
+        # with the reference halved, many trials violate; none may be lost
+        # to the start bound
+        real = andrievskii.L_n_delta
+
+        def halved(x0, delta, n):
+            res = real(x0, delta, n)
+            return replace(res, value=0.5 * res.value)
+
+        monkeypatch.setattr(andrievskii, "L_n_delta", halved)
+        with _stats.collect() as counts:
+            cut = brute_force_theorem1(-0.15, 0.4, 8, trials=20, seed=3)
+        monkeypatch.setattr(andrievskii, "_PRUNE_MARGIN", math.inf)
+        full = brute_force_theorem1(-0.15, 0.4, 8, trials=20, seed=3)
+        assert counts["lp.bounded"] > 0 and len(full.violations) > 0
+        assert (cut.max_ratio, cut.violations) == (full.max_ratio, full.violations)
 
 
 class TestArgmaxConsistency:

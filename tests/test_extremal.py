@@ -684,6 +684,74 @@ def test_infeasible_basis_names_its_slot():
         lp.solve()
 
 
+def _log_bound(lp):
+    """log sum_i |l_i(x0)| for the LP's current basis."""
+    t = lp.points[[j >> 1 for j in lp.basis]]
+    lhat, L = extremal._lagrange_scaled(t, *extremal._bary_logweights(t), lp.x0)
+    return math.log(np.abs(lhat).sum()) + L
+
+
+class TestStartBound:
+    """Any n+1 points t_i of E bound M_n: P(x0) = sum_i P(t_i) l_i(x0) <=
+    sum_i |l_i(x0)| for |P| <= 1 on E.  The LP start reads that bound off
+    every basis it reaches and ends at the first one at or below a cutoff
+    (`_ExchangeLP._initial_basis`)."""
+
+    @staticmethod
+    def _start(E, x0, n, cutoff=0.0):
+        """The LP after its start, and the bound of the quantile basis and
+        of each basis a Remez step reached."""
+        lp = extremal._ExchangeLP(E, n, x0)
+        bounds = []
+        exchange = lp.exchange
+
+        def step():
+            bounds.append(_log_bound(lp))
+            return exchange()
+
+        lp.exchange = step
+        lp._initial_basis(cutoff)
+        bounds.append(_log_bound(lp))
+        return lp, bounds
+
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    @given(gaps=st.integers(1, 4), seed=st.integers(0, 2**32 - 1), n=st.integers(6, 40),
+           delta=st.floats(0.2, 0.45), where=st.floats(0.1, 0.9))
+    def test_bound_after_every_step_dominates_the_value(self, gaps, seed, n, delta, where):
+        E = random_multigap_set(delta, gaps, seed)
+        lo, hi = E.gaps()[seed % gaps]
+        x0 = lo + (hi - lo) * where
+        lp, bounds = self._start(E, x0, n)
+        assert not lp.bounded and lp.log_bound == bounds[-1]
+        # a Remez step keeps every sign s_i of l_i(x0) and moves nodes only
+        # to where s_i P >= 1, so on the new nodes sum_i |l_i(x0)| <=
+        # sum_i s_i P(t_i) |l_i(x0)| = P(x0), the old bound: it only tightens
+        assert np.all(np.diff(bounds) <= 1e-12 * np.abs(bounds[1:]))
+        res = solve_extremal(E, x0, n, extension=False)
+        # a grid end lo + length*1.0 can miss hi by an ulp, where |P| may
+        # exceed 1 by about ulp * |P'|: the 1e-6 margin of the callers'
+        # cutoffs (andrievskii._PRUNE_MARGIN) covers that
+        assert min(bounds) + math.log1p(1e-6) >= math.log(res.value_lo)
+
+    @pytest.mark.parametrize("n", [1, 6, 12, 24, 50, 100])
+    def test_bound_dominates_the_remez_constant(self, n):
+        _, bounds = self._start(single_interval(0.4), -1.0, n)
+        assert min(bounds) >= math.log(remez_constant(n, 0.4) * (1.0 - 1e-12))
+
+    @pytest.mark.parametrize("case", PINNED)
+    def test_cutoff_ends_the_start_with_no_solve(self, case):
+        E, x0 = PINNED[case]
+        n = 12
+        full = solve_extremal(E, x0, n, extension=False)
+        _, bounds = self._start(E, x0, n)
+        with _stats.collect() as counts:
+            assert extremal._solve_extremal(E, x0, n, False, math.exp(bounds[1]) * (1.0 + 1e-12)) is None
+        assert counts["lp.bounded"] == 1 and "lp.solves" not in counts
+        # a cutoff below every start bound changes nothing
+        below = extremal._solve_extremal(E, x0, n, False, 0.5 * full.value)
+        assert below.to_json() == full.to_json()
+
+
 class TestEquilibriumStart:
     """A cold solve starts from the grid points nearest the quantiles of the
     equilibrium measure of E (`extremal._equilibrium`), with exact signs."""

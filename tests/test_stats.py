@@ -44,5 +44,7 @@ def test_lp_solves_per_L_n():
         L_n_delta(-0.1, 0.4, 12)
     assert counts["Ln.calls"] == 1
     assert counts["Ln.solves"] == counts["lp.solves"]
+    # a start its bound ended is no solve, and leaves its sample unsolved
+    assert 0 < counts["lp.bounded"] <= counts["Ln.pruned"]
     assert counts["lp.exchange_rounds"] >= counts["lp.solves"]
     assert counts["lp.grid_pivots"] <= counts["lp.pivots"]
