@@ -11,20 +11,24 @@ configuration E(alpha, delta) with x0 inside the gap, found here by a
 coarse alpha scan plus a bracket search on dM_n/dalpha, which each LP
 oracle solve gives for free through its dual weights.  The Bernstein-Walsh
 bound M_n(x0, E) <= exp(n g_E(x0)) skips the scan where Remez beats it on
-every Akhiezer value, and otherwise the samples that cannot win; of the
-samples left, those whose LP start bounds M_n below the best value by
-interpolation (see `extremal`) end there, unsolved.
+every Akhiezer value.  Otherwise the scan is best-first (`_best_first`):
+each sample is keyed by an upper bound on log M_n, Bernstein-Walsh until
+its LP start takes over with the interpolation bound of its basis (see
+`extremal`), and only the top one is refined, so the samples that cannot
+win are dropped with no simplex run.
 
 Two experiment drivers sit on top: residual series log(2 L_n) - n Phi(x0)
 against the envelope growth rate (vanishing for boundary points, merely
 bounded for interior ones), and a seeded brute-force search for random
 multi-gap sets that would beat the best structured configuration (the
-structure theorem predicts none), where the LP start's bound dismisses the
-sets that can neither set a new maximum nor violate.
+structure theorem predicts none), whose trials go through the same
+best-first loop, which drops the sets that can neither set a new maximum
+nor violate.
 """
 
 from __future__ import annotations
 
+import heapq
 import json
 import math
 from dataclasses import dataclass, field
@@ -35,7 +39,7 @@ from . import _stats
 from .chebyshev import remez_poly_value
 from .envelope import _interior_max, upper_envelope
 from .errors import DomainError
-from .extremal import _solve_extremal
+from .extremal import _ExchangeLP, _finish, solve_extremal
 from .green import c_rows, g_rows, green_single_interval
 from .intervals import CompactSet, GapParams, make_gap_set, random_multigap_set
 
@@ -214,6 +218,39 @@ def _alpha_max(solve, alphas, vals, slopes):
     return best_alpha, best_val, (ga, gb)
 
 
+def _best_first(x0, n, sets, keys, cap=math.inf):
+    """Finish, highest bound first, the sets whose M_n(x0, E) may exceed
+    min(largest value finished, cap).
+
+    keys[i] bounds log M_n(x0, sets[i]) before its LP start (inf for no
+    bound).  Each pass refines the set on top of the queue: an unstarted
+    one gets its quantile basis and a started one a Remez step, each
+    re-keyed by its basis's bound log sum_i |l_i(x0)|; a converged one is
+    finished (`extremal._finish`).  The loop stops once the top key +
+    log1p(_PRUNE_MARGIN) is at most the log of that minimum, so no set left
+    can reach it.  Returns {i: result} of the finished sets and {i: LP} of
+    the started ones left.
+    """
+    heap = [(-key, i) for i, key in enumerate(keys)]
+    heapq.heapify(heap)
+    done, started = {}, {}
+    log_top = -math.inf
+    while heap and math.log1p(_PRUNE_MARGIN) - heap[0][0] > min(log_top, math.log(cap)):
+        _, i = heapq.heappop(heap)
+        lp = started.get(i)
+        if lp is None:
+            lp = started[i] = _ExchangeLP(sets[i], n, x0)
+            lp._initial_basis()
+        elif lp.converged:
+            done[i] = _finish(started.pop(i), extension=False)
+            log_top = max(log_top, math.log(done[i].value))
+            continue
+        else:
+            lp.step()
+        heapq.heappush(heap, (-lp.log_bound, i))
+    return done, started
+
+
 def L_n_delta(x0: float, delta: float, n: int) -> AndrievskiiResult:
     """Best value over the two structured configuration families.
 
@@ -224,14 +261,14 @@ def L_n_delta(x0: float, delta: float, n: int) -> AndrievskiiResult:
     ends (see _alpha_max), which the result reports as its certificate.
     By Bernstein-Walsh M_n(x0, E(alpha, delta)) <= exp(n G_alpha(x0)), so
     when Remez exceeds exp(n max_alpha G) (1 + _PRUNE_MARGIN) it wins with
-    no LP solve, and `akhiezer_profile` is empty.  Otherwise samples are
-    solved by decreasing bound until the best solved value beats the next
-    bound by that factor.  Each LP start also bounds M_n, by sum_i
-    |l_i(x0)| over its nodes, and ends the solve unfinished once that is
-    at most the best solved value / (1 + _PRUNE_MARGIN).  The samples left
-    out either way can neither win nor tie, so argmax and bracket are those
-    of the full scan, and `akhiezer_profile` holds the fully solved samples
-    (with the argmax's neighbour that starts the bracket).
+    no LP solve, and `akhiezer_profile` is empty.  Otherwise the samples go
+    through `_best_first`, keyed by n G_alpha(x0) until their LP starts
+    bound M_n by sum_i |l_i(x0)|, until the best solved value beats every
+    bound left by that factor.  The samples left out can neither win nor
+    tie, so argmax and bracket are those of the full scan, and
+    `akhiezer_profile` holds the solved samples (with the argmax's
+    neighbour that starts the bracket, which finishes its start if it has
+    one).
     """
     _check_point(x0, delta)
     if n < 0:
@@ -257,35 +294,36 @@ def L_n_delta(x0: float, delta: float, n: int) -> AndrievskiiResult:
     solves = pruned = 0
     if hi > lo:
 
-        def solve(alpha, cutoff=0.0):
-            # (-inf, nan) when the LP start bounds M_n by at most the cutoff
-            nonlocal solves
-            E = make_gap_set(GapParams(alpha, delta))
-            res = _solve_extremal(E, x0, n, extension=False, cutoff=cutoff)
-            if res is None:
-                return -math.inf, math.nan
-            solves += 1
+        def slope(E, res):
+            # dM_n/dalpha: the sensitivities to the two gap ends
             left, right = E.intervals
-            return res.value, (res.dvalue_dendpoint(left.hi)
-                               + res.dvalue_dendpoint(right.lo))
+            return res.dvalue_dendpoint(left.hi) + res.dvalue_dendpoint(right.lo)
+
+        def solve(alpha):
+            nonlocal solves
+            solves += 1
+            E = make_gap_set(GapParams(alpha, delta))
+            res = solve_extremal(E, x0, n, extension=False)
+            return res.value, slope(E, res)
 
         alphas = np.linspace(lo, hi, _ALPHA_COARSE)
         bounds = n * g_rows(alphas, delta, x0, c_rows(alphas, delta))
         alphas = alphas.tolist()
-        vals, ders = [-math.inf] * _ALPHA_COARSE, [math.nan] * _ALPHA_COARSE
-        best = 0.0      # from solved values only, never from Remez
-        for j in np.argsort(-bounds, kind="stable"):
-            if best and math.log(best) >= bounds[j] + math.log1p(_PRUNE_MARGIN):
-                break   # no sample from here on can reach the best
-            vals[j], ders[j] = solve(alphas[j], best / (1.0 + _PRUNE_MARGIN))
-            best = max(best, vals[j])
+        sets = [make_gap_set(GapParams(a, delta)) for a in alphas]
+        done, rest = _best_first(x0, n, sets, bounds)
+        i = int(np.argmax([done[j].value if j in done else -math.inf
+                           for j in range(_ALPHA_COARSE)]))
         # the bracket end beside the argmax that _alpha_max starts from
-        i = int(np.argmax(vals))
-        j = i + 1 if ders[i] >= 0.0 else i - 1
-        if 0 <= j < _ALPHA_COARSE and vals[j] == -math.inf:
-            vals[j], ders[j] = solve(alphas[j])
-        profile = [(a, v) for a, v in zip(alphas, vals) if v > -math.inf]
-        pruned = _ALPHA_COARSE - len(profile)
+        j = i + 1 if slope(sets[i], done[i]) >= 0.0 else i - 1
+        if 0 <= j < _ALPHA_COARSE and j not in done:
+            done[j] = _finish(rest.pop(j, None) or _ExchangeLP(sets[j], n, x0), False)
+        for lp in rest.values():
+            lp.count()
+        vals, ders = zip(*[(done[j].value, slope(sets[j], done[j])) if j in done
+                           else (-math.inf, math.nan) for j in range(_ALPHA_COARSE)])
+        profile = [(alphas[j], done[j].value) for j in sorted(done)]
+        solves = len(done)
+        pruned = _ALPHA_COARSE - solves
         best_alpha, best_val, slopes = _alpha_max(solve, alphas, vals, ders)
     _stats.add({"Ln.calls": 1, "Ln.solves": solves, "Ln.pruned": pruned})
 
@@ -376,9 +414,11 @@ def brute_force_theorem1(x0: float, delta: float, n: int, trials: int,
     checks M_n(x0, E) <= L_n + 10*_VALUE_TOL.  Violations are collected and
     reported, never raised: they would indicate either solver inaccuracy or
     a counterexample to the structure theorem, and both deserve eyes.
-    A set whose LP start bounds M_n by at most min(largest value so far,
-    violation bound) / (1 + _PRUNE_MARGIN) is left unsolved: it can change
-    neither `max_ratio` nor the violations.
+    The trials go through `_best_first` with no bound before their LP
+    starts, which leaves unsolved every set whose start bounds M_n by at
+    most min(largest value, violation bound) / (1 + _PRUNE_MARGIN): it can
+    change neither `max_ratio` nor the violations, which are listed in
+    trial order.
     """
     _check_point(x0, delta)
     if trials < 1:
@@ -387,11 +427,9 @@ def brute_force_theorem1(x0: float, delta: float, n: int, trials: int,
     bound = reference + 10.0 * _VALUE_TOL * max(1.0, reference)
 
     rng = np.random.default_rng(seed)
-    top = 0.0       # the largest value solved so far
-    violations = []
-    done = 0
+    draws = []      # (gap_count, sub_seed, E) of each trial
     attempts = 0
-    while done < trials:
+    while len(draws) < trials:
         attempts += 1
         if attempts > 1000 * trials:
             raise DomainError(
@@ -400,29 +438,23 @@ def brute_force_theorem1(x0: float, delta: float, n: int, trials: int,
         gap_count = int(rng.integers(1, 5))
         sub_seed = int(rng.integers(0, 2**63 - 1))
         E = random_multigap_set(delta, gap_count, sub_seed)
-        if not any(lo + _GAP_MARGIN < x0 < hi - _GAP_MARGIN
-                   for lo, hi in E.gaps()):
-            continue
-        done += 1
-        # a set whose LP start bounds M_n below the largest value and the
-        # violation bound can neither raise max_ratio nor violate
-        cutoff = min(top, bound) / (1.0 + _PRUNE_MARGIN)
-        res = _solve_extremal(E, x0, n, extension=False, cutoff=cutoff)
-        if res is None:
-            continue
-        value = res.value
-        top = max(top, value)
-        if value > bound:
-            violations.append(
-                {
-                    "trial": done,
-                    "seed": sub_seed,
-                    "gap_count": gap_count,
-                    "value": value,
-                    "excess": value - reference,
-                    "set": [[iv.lo, iv.hi] for iv in E.intervals],
-                }
-            )
+        if any(lo + _GAP_MARGIN < x0 < hi - _GAP_MARGIN for lo, hi in E.gaps()):
+            draws.append((gap_count, sub_seed, E))
+    done, rest = _best_first(x0, n, [E for _, _, E in draws], [math.inf] * trials, bound)
+    for lp in rest.values():
+        lp.count()
+    top = max(res.value for res in done.values())
+    violations = [
+        {
+            "trial": i + 1,
+            "seed": draws[i][1],
+            "gap_count": draws[i][0],
+            "value": done[i].value,
+            "excess": done[i].value - reference,
+            "set": [[iv.lo, iv.hi] for iv in draws[i][2].intervals],
+        }
+        for i in sorted(done) if done[i].value > bound
+    ]
     return BruteForceReport(
         delta=delta, x0=x0, n=n, trials=trials, seed=seed,
         reference_value=reference, max_ratio=top / reference,

@@ -20,11 +20,15 @@ simplex runs.  Seeds from a neighbouring solve would save nothing: from
 this start the simplex takes a few pivots or none.
 
 Every basis of the start bounds M_n: a P with |P| <= 1 on E has P(x0) =
-sum_i P(t_i) l_i(x0) <= sum_i |l_i(x0)|, and the start computes l_i(x0)
-before each Remez step anyway.  A caller that only needs candidates above
-a cutoff (`_solve_extremal`, which `solve_extremal` calls with none) has
-the start stop at the first basis whose bound is at most the cutoff, and
-the grid simplex and the exchange rounds never run for it.
+sum_i P(t_i) l_i(x0) <= sum_i |l_i(x0)|.  The start keeps that bound of its
+current basis in `log_bound` and is resumable: `_initial_basis` places the
+quantile nodes and each `step` takes one Remez step, which only lowers the
+bound.  So a caller ranking many candidates (the best-first loop of
+`andrievskii`) refines only the one whose bound is highest, finishes it by
+`_finish` (the start's remaining steps, the grid simplex and the exchange
+rounds, exactly as `solve_extremal` runs them) and drops the rest unsolved.
+A grid end lo + length*1.0 can miss hi by an ulp, where |P| may exceed 1 by
+about ulp * |P'|; the callers' margin of 1 + 1e-6 covers that.
 
 The simplex runs entirely in Lagrange form.  With l_i the Lagrange basis
 of the current points, the basic solution is lam_i = s_i l_i(x0), the
@@ -344,21 +348,18 @@ class _ExchangeLP:
         self.points = discretize(E, _grid_density(n, len(E.intervals)))
         self.basis = None
         # work done, for the counters: pivots per solve() call (the first is
-        # the grid solve) and nodes moved by exchange()
+        # the grid solve), nodes moved by exchange() and the start's steps
         self.pivots = []
         self.moved = 0
-        # log sum_i |l_i(x0)| of the last basis `exchange` saw, and the
-        # cutoff at or below which that ends the start
-        self.log_bound = math.inf
-        self.log_cutoff = -math.inf
-        self.bounded = False
+        self.steps = 0
+        self.converged = False
+        self.log_bound = math.inf   # log sum_i |l_i(x0)| of the start's basis
 
     def append_points(self, new_points):
         self.points = np.concatenate([self.points, new_points])
 
-    def _initial_basis(self, cutoff=0.0):
-        """The start basis; True when one of its bases bounds M_n by at most
-        `cutoff` (see `exchange`), which ends the start there.
+    def _initial_basis(self):
+        """The start basis, before its Remez steps (`step`).
 
         The nodes are the grid points nearest the quantiles k/n of the
         equilibrium measure of E.  Signs s_i = sign l_i(x0) make every
@@ -377,19 +378,21 @@ class _ExchangeLP:
         k = np.arange(self.r)
         idx = np.minimum(np.maximum.accumulate(j - k), m - self.r) + k
         t = pts[idx]
-        lhat, _ = _lagrange_scaled(t, *_bary_logweights(t), self.x0)
+        lhat, L = _lagrange_scaled(t, *_bary_logweights(t), self.x0)
         self.basis = (2 * order[idx] + (lhat < 0.0)).tolist()
-        # Remez steps carry the quantile nodes to the peaks of |P|
-        self.log_cutoff = math.log(cutoff) if cutoff > 0.0 else -math.inf
-        for _ in range(_REFINE_ROUNDS):
-            if not self.exchange():
-                break
-        else:   # the last step's basis
+        self.log_bound = _log_abs_sum(lhat, L)
+
+    def step(self):
+        """One Remez step of the start, carrying its nodes towards the peaks
+        of |P| (`exchange`), and the new basis's bound into `log_bound`.  The
+        start has converged once a step moves no node or _REFINE_ROUNDS
+        steps have run."""
+        moved = self.exchange()
+        self.steps += 1
+        self.converged = not moved or self.steps == _REFINE_ROUNDS
+        if moved:
             t, _, logw, signw = self._state()
             self.log_bound = _log_abs_sum(*_lagrange_scaled(t, logw, signw, self.x0))
-        self.bounded = self.log_bound <= self.log_cutoff
-        self.log_cutoff = -math.inf     # the exchange rounds run to the end
-        return self.bounded
 
     def _state(self):
         t = self.points[[j >> 1 for j in self.basis]]
@@ -439,17 +442,10 @@ class _ExchangeLP:
         basis is basic feasible, and the simplex resumes from it.  A basis
         with some lam_i < 0 is left as it is, since moving it would carry
         the infeasibility along.
-
-        First the basis's bound on M_n, log sum_i |l_i(x0)| (see the module
-        docstring), goes to `log_bound`; at or below `log_cutoff` nothing
-        moves.  A grid end lo + length*1.0 can miss hi by an ulp, where |P|
-        may exceed 1 by about ulp * |P'|; the callers' cutoffs sit a factor
-        1 + 1e-6 below what they compare against, which covers that.
         """
         t, s, logw, signw = self._state()
-        lam_hat, L = _lagrange_scaled(t, logw, signw, self.x0)
-        self.log_bound = _log_abs_sum(lam_hat, L)
-        if self.log_bound <= self.log_cutoff or np.any(s * lam_hat < 0.0):
+        lam_hat, _ = _lagrange_scaled(t, logw, signw, self.x0)
+        if np.any(s * lam_hat < 0.0):
             return 0
         order = np.argsort(self.points)
         xs = self.points[order]
@@ -475,6 +471,8 @@ class _ExchangeLP:
         m = len(self.points)
         if self.basis is None:
             self._initial_basis()
+        while not self.converged:
+            self.step()
         C = self._cauchy()
         max_iter = 2000 + 60 * self.r
         self.pivots.append(0)
@@ -530,13 +528,13 @@ class _ExchangeLP:
 
     def count(self):
         """Add this LP's work to the active counters: a solve, or a start
-        its bound ended (`lp.bounded`)."""
+        left before the simplex (`lp.bounded`)."""
         rounds = self.pivots[1:]
         _stats.add({
-            "lp.bounded" if self.bounded else "lp.solves": 1, "lp.pivots": sum(self.pivots),
+            "lp.solves" if self.pivots else "lp.bounded": 1, "lp.pivots": sum(self.pivots),
             "lp.grid_pivots": sum(self.pivots[:1]),
             "lp.exchange_rounds": len(rounds), "lp.round_pivots_max": max(rounds, default=0),
-            "lp.nodes_moved": self.moved,
+            "lp.nodes_moved": self.moved, "lp.start_steps": self.steps,
         })
 
 
@@ -672,13 +670,6 @@ def solve_extremal(E: CompactSet, x0: float, n: int, *,
 
     Every solve starts cold, from the equilibrium quantiles of E.
     """
-    return _solve_extremal(E, x0, n, extension)
-
-
-def _solve_extremal(E, x0, n, extension, cutoff=0.0):
-    """`solve_extremal`, or None when a start basis bounds M_n(x0, E) by
-    sum_i |l_i(x0)| <= cutoff: the grid simplex and the exchange rounds
-    then never run.  A cutoff <= 0 solves every candidate."""
     if n < 0:
         raise DomainError(f"degree must be >= 0, got {n}")
     if not E.intervals:
@@ -689,11 +680,14 @@ def _solve_extremal(E, x0, n, extension, cutoff=0.0):
             value=1.0, poly=poly, active_points=(), active_signs=(),
             n_extension=E, case_tag="none",
         )
+    return _finish(_ExchangeLP(E, n, x0), extension)
 
-    lp = _ExchangeLP(E, n, x0)
+
+def _finish(lp, extension):
+    """`solve_extremal` on the LP's set from wherever its start stands: the
+    start's remaining steps, the grid simplex and the exchange rounds."""
+    E, n = lp.E, lp.n
     try:
-        if lp._initial_basis(cutoff):
-            return None
         t, s, logw, signw, raw, L0, worst = _optimize(lp, E)
     finally:
         lp.count()

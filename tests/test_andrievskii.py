@@ -59,13 +59,24 @@ class TestLnDelta:
         with pytest.raises(DomainError):
             L_n_delta(-0.1, 1.0, 5)
 
-    @pytest.mark.parametrize("n,max_solves", [(12, 17), (24, 10)])
+    @pytest.mark.parametrize("n,max_solves", [(12, 2), (24, 9)])
     def test_solve_count(self, n, max_solves):
-        # 22 and 24 with the Bernstein-Walsh prune alone; the LP start's
-        # bound leaves 15 and 8
+        # 22 and 24 with the Bernstein-Walsh prune alone, 15 and 8 with the
+        # samples scanned in its order and ended at their LP start's bound;
+        # best-first on the start bounds leaves 1 and 8
         with _stats.collect() as counts:
             L_n_delta(-0.1, 0.4, n)
         assert counts["Ln.solves"] == counts["lp.solves"] <= max_solves
+
+    def test_range_end_maximum_is_finished_first(self):
+        # the maximizer alpha = 0 is a range end whose Bernstein-Walsh bound
+        # ranks 16th of 33; scanned in that order, 15 samples were solved
+        # before it.  Its start bound ranks first once every start is keyed
+        # by its own, so it is the one LP finished
+        with _stats.collect() as counts:
+            res = L_n_delta(-0.1, 0.4, 12)
+        assert res.best_alpha == 0.0 and len(res.dvalue_dalpha) == 1
+        assert counts["Ln.solves"] <= 2
 
     @pytest.mark.parametrize("n,max_pivots", [(12, 400), (24, 1300)])
     def test_pivot_count(self, n, max_pivots):
@@ -99,16 +110,17 @@ class TestLnDelta:
 
     @staticmethod
     def _spy_starts(monkeypatch):
-        """(E, bounded, log_bound) of every LP start."""
+        """Every LP, as its work is counted: a start the best-first loop
+        dropped has run no simplex, and its `log_bound` is the key it was
+        dropped at, from its quantile basis or its last Remez step."""
         starts = []
-        start = extremal._ExchangeLP._initial_basis
+        count = extremal._ExchangeLP.count
 
-        def spy(self, *args):
-            bounded = start(self, *args)
-            starts.append((self.E, bounded, self.log_bound))
-            return bounded
+        def spy(self):
+            starts.append(self)
+            count(self)
 
-        monkeypatch.setattr(extremal._ExchangeLP, "_initial_basis", spy)
+        monkeypatch.setattr(extremal._ExchangeLP, "count", spy)
         return starts
 
     def test_remez_prune_skips_the_alpha_search(self):
@@ -135,17 +147,16 @@ class TestLnDelta:
     @pytest.mark.parametrize("n", [12, 24])
     @pytest.mark.parametrize("x0", [-0.1, -0.19, 0.0])
     def test_sample_prune_matches_full_scan(self, x0, n, monkeypatch):
-        # a sample is skipped only when the best solved value beats a bound
-        # on its M_n by the prune margin: Bernstein-Walsh, M_n(x0, E(alpha))
-        # <= exp(n G_alpha(x0)), skips it unsolved, and the bound
-        # sum_i |l_i(x0)| of a basis of its LP start ends that start; so the
-        # search ends where the full scan's does
-        factor = 1.0 + andrievskii._PRUNE_MARGIN
+        # a sample is skipped only when the best solved value beats its key,
+        # a bound on its log M_n, by the prune margin: Bernstein-Walsh,
+        # M_n(x0, E(alpha)) <= exp(n G_alpha(x0)), before its LP start, and
+        # the bound sum_i |l_i(x0)| of the start's last basis after it; so
+        # the search ends where the full scan's does
         margin = math.log1p(andrievskii._PRUNE_MARGIN)
         starts = self._spy_starts(monkeypatch)
         with _stats.collect() as counts:
             pruned = L_n_delta(x0, 0.4, n)
-        ended = {E.intervals[0].hi: log_bound for E, bounded, log_bound in starts if bounded}
+        ended = {lp.E.intervals[0].hi: lp.log_bound for lp in starts if not lp.pivots}
         monkeypatch.setattr(andrievskii, "_PRUNE_MARGIN", math.inf)
         full = L_n_delta(x0, 0.4, n)
         assert len(full.akhiezer_profile) == andrievskii._ALPHA_COARSE
@@ -157,15 +168,12 @@ class TestLnDelta:
         assert len(ended) == counts["lp.bounded"] > 0
         best = max(solved.values())
         bw = n * g_rows(skipped, 0.4, x0, c_rows(skipped, 0.4))
-        start = np.array([ended.get(make_gap_set(GapParams(a, 0.4)).intervals[0].hi, math.inf)
-                          for a in skipped])
-        by_start = start < math.inf
-        # the start's test: log sum_i |l_i(x0)| <= log of its cutoff, taken
-        # from a best solved value no larger than the final one
-        assert np.all(start[by_start] <= math.log(best / factor))
-        assert np.all(bw[~by_start] + margin <= math.log(best))
+        keys = np.array([ended.get(make_gap_set(GapParams(a, 0.4)).intervals[0].hi, k)
+                         for a, k in zip(skipped, bw)])
+        assert np.sum(keys != bw) == len(ended)
+        assert np.all(keys + margin <= math.log(best))
         values = np.array([v for a, v in full.akhiezer_profile if a not in solved])
-        assert np.all(np.log(values) <= np.where(by_start, start, bw) + 1e-9)
+        assert np.all(np.log(values) <= keys + 1e-9)
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("x0, n", [(-0.1, 24), (-0.25, 12)])
@@ -323,6 +331,35 @@ class TestBruteForce:
         monkeypatch.setattr(andrievskii, "_PRUNE_MARGIN", math.inf)
         full = brute_force_theorem1(-0.15, 0.4, 8, trials=20, seed=3)
         assert counts["lp.bounded"] > 0 and len(full.violations) > 0
+        assert (cut.max_ratio, cut.violations) == (full.max_ratio, full.violations)
+
+    @pytest.mark.parametrize("x0, n, seed", [(-0.15, 8, 5), (-0.1, 6, 11), (-0.15, 8, 17),
+                                             (-0.1, 6, 23)])
+    def test_violations_come_in_trial_order(self, x0, n, seed, monkeypatch):
+        # the best-first loop finishes trials by their bounds, not in the
+        # order they were drawn; with the reference halved several violate,
+        # and the report lists them by trial, as solving every trial does
+        real, finish = andrievskii.L_n_delta, andrievskii._finish
+
+        def halved(*args):
+            res = real(*args)
+            return replace(res, value=0.5 * res.value)
+
+        finished = []
+
+        def spy(lp, extension):
+            finished.append([[iv.lo, iv.hi] for iv in lp.E.intervals])
+            return finish(lp, extension)
+
+        monkeypatch.setattr(andrievskii, "L_n_delta", halved)
+        monkeypatch.setattr(andrievskii, "_finish", spy)
+        cut = brute_force_theorem1(x0, 0.4, n, trials=20, seed=seed)
+        trials = [v["trial"] for v in cut.violations]
+        assert len(trials) >= 2 and trials == sorted(trials)
+        done = [finished.index(v["set"]) for v in cut.violations]
+        assert done != sorted(done)     # they finished out of trial order
+        monkeypatch.setattr(andrievskii, "_PRUNE_MARGIN", math.inf)
+        full = brute_force_theorem1(x0, 0.4, n, trials=20, seed=seed)
         assert (cut.max_ratio, cut.violations) == (full.max_ratio, full.violations)
 
 

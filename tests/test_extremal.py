@@ -693,25 +693,22 @@ def _log_bound(lp):
 
 class TestStartBound:
     """Any n+1 points t_i of E bound M_n: P(x0) = sum_i P(t_i) l_i(x0) <=
-    sum_i |l_i(x0)| for |P| <= 1 on E.  The LP start reads that bound off
-    every basis it reaches and ends at the first one at or below a cutoff
-    (`_ExchangeLP._initial_basis`)."""
+    sum_i |l_i(x0)| for |P| <= 1 on E.  The LP start keeps that bound of
+    its basis in `log_bound` as it goes: the quantile basis
+    (`_ExchangeLP._initial_basis`), then one Remez step at a time
+    (`_ExchangeLP.step`), so a caller can drop it at any point."""
 
     @staticmethod
-    def _start(E, x0, n, cutoff=0.0):
+    def _start(E, x0, n):
         """The LP after its start, and the bound of the quantile basis and
         of each basis a Remez step reached."""
         lp = extremal._ExchangeLP(E, n, x0)
-        bounds = []
-        exchange = lp.exchange
-
-        def step():
-            bounds.append(_log_bound(lp))
-            return exchange()
-
-        lp.exchange = step
-        lp._initial_basis(cutoff)
-        bounds.append(_log_bound(lp))
+        lp._initial_basis()
+        bounds = [lp.log_bound]
+        while not lp.converged:
+            lp.step()
+            bounds.append(lp.log_bound)
+            assert lp.log_bound == pytest.approx(_log_bound(lp), rel=1e-14, abs=1e-14)
         return lp, bounds
 
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -722,7 +719,7 @@ class TestStartBound:
         lo, hi = E.gaps()[seed % gaps]
         x0 = lo + (hi - lo) * where
         lp, bounds = self._start(E, x0, n)
-        assert not lp.bounded and lp.log_bound == bounds[-1]
+        assert 1 <= lp.steps == len(bounds) - 1 <= extremal._REFINE_ROUNDS
         # a Remez step keeps every sign s_i of l_i(x0) and moves nodes only
         # to where s_i P >= 1, so on the new nodes sum_i |l_i(x0)| <=
         # sum_i s_i P(t_i) |l_i(x0)| = P(x0), the old bound: it only tightens
@@ -740,16 +737,25 @@ class TestStartBound:
 
     @pytest.mark.parametrize("case", PINNED)
     def test_cutoff_ends_the_start_with_no_solve(self, case):
+        # a start dropped after its first step is counted as bounded, with
+        # no solve; one finished from any point of its start is the solve
         E, x0 = PINNED[case]
         n = 12
-        full = solve_extremal(E, x0, n, extension=False)
-        _, bounds = self._start(E, x0, n)
+        for ext in (False, True):
+            full = solve_extremal(E, x0, n, extension=ext).to_json()
+            for steps in (0, 1, 2):
+                lp = extremal._ExchangeLP(E, n, x0)
+                lp._initial_basis()
+                for _ in range(steps):
+                    lp.step()
+                assert extremal._finish(lp, ext).to_json() == full
+        lp = extremal._ExchangeLP(E, n, x0)
+        lp._initial_basis()
+        lp.step()
         with _stats.collect() as counts:
-            assert extremal._solve_extremal(E, x0, n, False, math.exp(bounds[1]) * (1.0 + 1e-12)) is None
+            lp.count()
         assert counts["lp.bounded"] == 1 and "lp.solves" not in counts
-        # a cutoff below every start bound changes nothing
-        below = extremal._solve_extremal(E, x0, n, False, 0.5 * full.value)
-        assert below.to_json() == full.to_json()
+        assert counts["lp.start_steps"] == 1
 
 
 class TestEquilibriumStart:

@@ -46,5 +46,7 @@ def test_lp_solves_per_L_n():
     assert counts["Ln.solves"] == counts["lp.solves"]
     # a start its bound ended is no solve, and leaves its sample unsolved
     assert 0 < counts["lp.bounded"] <= counts["Ln.pruned"]
+    # every start, finished or dropped, takes its Remez steps one at a time
+    assert counts["lp.start_steps"] >= counts["lp.solves"]
     assert counts["lp.exchange_rounds"] >= counts["lp.solves"]
     assert counts["lp.grid_pivots"] <= counts["lp.pivots"]
