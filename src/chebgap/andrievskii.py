@@ -7,27 +7,24 @@ For a point x0 in (-1, 0] and half-gap delta, the quantity of interest is
 and by the structure theory the supremum is attained either by the
 single-interval (Remez) configuration [-1+2*delta, 1], whose value has the
 closed form T_n((delta - x0)/(1 - delta)), or by a one-gap (Akhiezer)
-configuration E(alpha, delta) with x0 inside the gap, found here by a
-coarse alpha scan plus a bracket search on dM_n/dalpha, which each LP
-oracle solve gives for free through its dual weights.  The Bernstein-Walsh
-bound M_n(x0, E) <= exp(n g_E(x0)) skips the scan where Remez beats it on
-every Akhiezer value.  Otherwise the scan is best-first (`_best_first`):
-each sample is keyed by an upper bound on log M_n, Bernstein-Walsh until
-its LP start takes over with the interpolation bound of its basis (see
-`extremal`), and only the top one is refined, so the samples that cannot
-win are dropped with no simplex run.
+configuration E(alpha, delta) with x0 inside the gap, sought on the
+lattice of alphas where E(alpha, delta) is a degree-n polynomial preimage
+and M_n has a closed form, and by LP on the one stretch between lattice
+points that can beat them (see `L_n_delta`).
 
 Two experiment drivers sit on top: residual series log(2 L_n) - n Phi(x0)
 against the envelope growth rate (vanishing for boundary points, merely
 bounded for interior ones), and a seeded brute-force search for random
 multi-gap sets that would beat the best structured configuration (the
-structure theorem predicts none), whose trials go through the same
-best-first loop, which drops the sets that can neither set a new maximum
-nor violate.
+structure theorem predicts none).  Its trials go through a best-first loop
+(`_best_first`) on upper bounds of log M_n: each trial is keyed by the
+interpolation bound of its LP start (see `extremal`), and the trials that
+can neither set a new maximum nor violate are dropped with no simplex run.
 """
 
 from __future__ import annotations
 
+import bisect
 import heapq
 import json
 import math
@@ -40,14 +37,13 @@ from .chebyshev import remez_poly_value
 from .envelope import _interior_max, upper_envelope
 from .errors import DomainError
 from .extremal import _ExchangeLP, _finish, solve_extremal
-from .green import c_rows, g_rows, green_single_interval
+from .green import c_rows, g_rows, green_single_interval, omega_rows
 from .intervals import CompactSet, GapParams, make_gap_set, random_multigap_set
 
 BEST_REMEZ = "remez"
 BEST_AKHIEZER = "akhiezer"
 
-_ALPHA_COARSE = 33        # coarse scan points over admissible alpha
-_ALPHA_TOL = 1e-9         # final bracket width in alpha
+_ALPHA_TOL = 1e-9         # bracket width of a smooth maximum in alpha
 _GAP_MARGIN = 1e-9        # keep x0 strictly inside candidate gaps
 _BOUNDARY_CLIP = 1e-4     # keep alpha away from delta-1 (dominated there)
 _VALUE_TOL = 1e-9         # relative accuracy of the oracle values
@@ -59,13 +55,12 @@ class AndrievskiiResult:
     value: float
     best: str                       # remez | akhiezer
     best_alpha: float | None
-    # dM_n/dalpha at the Akhiezer maximum: the two one-sided slopes (+, -)
-    # of the final bracket, or the one outward slope of an end maximum;
-    # empty when Remez wins
+    # dM_n/dalpha at the Akhiezer maximum: the one-sided slopes (+, -) beside
+    # it, or the one outward slope of a range end; empty when Remez wins
     dvalue_dalpha: tuple[float, ...]
     remez_value: float | None
-    akhiezer_profile: tuple[tuple[float, float], ...]   # (alpha, M_n) samples
-    near_ties: tuple[float, ...]    # alphas within 10*_VALUE_TOL of the winner
+    akhiezer_profile: tuple[tuple[float, float], ...]   # (alpha, M_n) evaluated
+    near_ties: tuple[float, ...]    # other maxima within 10*_VALUE_TOL of the winner
 
     def to_json(self) -> str:
         return json.dumps(
@@ -147,92 +142,20 @@ def _check_point(x0, delta):
         raise DomainError(f"x0 must lie in [-1, 0], got {x0}")
 
 
-def _branch_crossing(a, fa, ga, ca, b, fb, gb, cb):
-    """Where the quadratic branch models of the two bracket ends cross.
-
-    The model at a is fa + ga*(x-a) + ca*(x-a)**2/2, likewise at b.  Returns
-    None when they do not cross inside (a, b); a crossing is kept
-    _ALPHA_TOL/2 inside the bracket, so that a trial next to the kink falls
-    across it and the bracket closes.
-    """
-    h = b - a
-    # the difference of the models in t = x - a: q2 t^2 + q1 t + q0
-    q2 = 0.5 * (ca - cb)
-    q1 = ga - gb + cb * h
-    q0 = fa - fb + gb * h - 0.5 * cb * h * h
-    disc = q1 * q1 - 4.0 * q2 * q0
-    if q1 <= 0.0 or disc < 0.0:
-        return None
-    t = -2.0 * q0 / (q1 + math.sqrt(disc))   # the root next to -q0/q1
-    if not 0.0 < t < h:
-        return None
-    return a + min(max(t, 0.5 * _ALPHA_TOL), h - 0.5 * _ALPHA_TOL)
-
-
-def _alpha_max(solve, alphas, vals, slopes):
-    """Maximum over alpha from the scan samples and their slopes dM/dalpha.
-
-    Returns (alpha, M, slopes certificate).  An end argmax whose slope
-    points out of the range is taken as it is.  Otherwise the half-bracket
-    beside the argmax on the side its slope points to is narrowed on the
-    sign of dM/dalpha, + kept at the left end and - at the right, down to
-    _ALPHA_TOL.  The maxima are kinks where two smooth branches cross, so
-    the trial point is where the branch models of the two ends cross (see
-    _branch_crossing), each end's curvature taken from the slopes at its
-    last two positions (0 before it has moved).  It is the midpoint when
-    the models do not cross inside the bracket or neither of the last two
-    steps halved it.  The profile is not concave between samples, so the
-    models bound nothing: only the bracket width stops the search.
-    A range end can be a kink whose solve reports the inward slope; when
-    the search closes on it, the other bracket end's slope is its certificate.
-    """
-    i = int(np.argmax(vals))
-    last = len(alphas) - 1
-    if (i == 0 and slopes[0] <= 0.0) or (i == last and slopes[last] >= 0.0):
-        return alphas[i], vals[i], (slopes[i],)
-    k = i if slopes[i] >= 0.0 and i < last else i - 1
-    a, fa, ga = alphas[k], vals[k], slopes[k]
-    b, fb, gb = alphas[k + 1], vals[k + 1], slopes[k + 1]
-    ca = cb = 0.0
-    best_alpha, best_val = alphas[i], vals[i]
-    halved = (True, True)       # did the last step, and the one before, halve it
-    while b - a > _ALPHA_TOL:
-        x = None
-        if halved[0] or halved[1]:
-            x = _branch_crossing(a, fa, ga, ca, b, fb, gb, cb)
-        if x is None:
-            x = 0.5 * (a + b)
-        fx, gx = solve(x)
-        width = b - a
-        if gx >= 0.0:
-            a, fa, ga, ca = x, fx, gx, (gx - ga) / (x - a)
-        else:
-            b, fb, gb, cb = x, fx, gx, (gb - gx) / (b - x)
-        halved = (b - a <= 0.5 * width, halved[0])
-        if fx > best_val:
-            best_alpha, best_val = x, fx
-    if best_alpha == b == alphas[last]:
-        return best_alpha, best_val, (ga,)
-    if best_alpha == a == alphas[0]:
-        return best_alpha, best_val, (gb,)
-    return best_alpha, best_val, (ga, gb)
-
-
-def _best_first(x0, n, sets, keys, cap=math.inf):
+def _best_first(x0, n, sets, cap=math.inf):
     """Finish, highest bound first, the sets whose M_n(x0, E) may exceed
     min(largest value finished, cap).
 
-    keys[i] bounds log M_n(x0, sets[i]) before its LP start (inf for no
-    bound).  Each pass refines the set on top of the queue: an unstarted
-    one gets its quantile basis and a started one a Remez step, each
-    re-keyed by its basis's bound log sum_i |l_i(x0)|; a converged one is
-    finished (`extremal._finish`).  The loop stops once the top key +
+    Each pass refines the set on top of the queue, keyed by an upper bound
+    on log M_n (+inf before its LP start): an unstarted one gets its
+    quantile basis and a started one a Remez step, each re-keyed by its
+    basis's bound log sum_i |l_i(x0)|; a converged one is finished
+    (`extremal._finish`).  The loop stops once the top key +
     log1p(_PRUNE_MARGIN) is at most the log of that minimum, so no set left
     can reach it.  Returns {i: result} of the finished sets and {i: LP} of
     the started ones left.
     """
-    heap = [(-key, i) for i, key in enumerate(keys)]
-    heapq.heapify(heap)
+    heap = [(-math.inf, i) for i in range(len(sets))]   # sorted, so a heap
     done, started = {}, {}
     log_top = -math.inf
     while heap and math.log1p(_PRUNE_MARGIN) - heap[0][0] > min(log_top, math.log(cap)):
@@ -251,24 +174,82 @@ def _best_first(x0, n, sets, keys, cap=math.inf):
     return done, started
 
 
+def _illinois(f, a, b, fa, fb, stop, inset=0.0):
+    """Roots of increasing functions on brackets [a, b], fa < 0 < fb, all
+    in lockstep: regula falsi whose end kept twice in a row has its value
+    halved (Illinois).  Each trial is kept `inset` inside its bracket.
+    f(xs, lanes) gives the values at the trials of the lanes left, and a
+    lane ends once stop(a, b, f) holds after its update.  Returns each
+    lane's final bracket (a, b)."""
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    kept = np.zeros(len(a))        # the end kept by the last step: -1 a, +1 b
+    lanes = np.arange(len(a))
+    while lanes.size:
+        x = (a[lanes] * fb[lanes] - b[lanes] * fa[lanes]) / (fb[lanes] - fa[lanes])
+        x = np.clip(x, a[lanes] + inset, b[lanes] - inset)
+        fx = f(x, lanes)
+        left = fx < 0.0
+        fb[lanes[left & (kept[lanes] > 0)]] *= 0.5
+        fa[lanes[~left & (kept[lanes] < 0)]] *= 0.5
+        a[lanes[left]], fa[lanes[left]] = x[left], fx[left]
+        b[lanes[~left]], fb[lanes[~left]] = x[~left], fx[~left]
+        kept[lanes] = np.where(left, 1.0, -1.0)
+        lanes = lanes[~stop(a[lanes], b[lanes], fx)]
+    return a, b
+
+
+def _lattice(n, delta, lo, hi):
+    """The preimage lattice in (lo, hi]: the alphas with n omega(alpha) = k
+    an integer, omega the equilibrium mass of the left band
+    (`green.omega_rows`), increasing from 0 to 1/2 at alpha = 0.
+
+    Every k strictly between n omega(lo) and n omega(hi) is found by one
+    lockstep Illinois search on n omega - k, one `c_rows` quadrature per
+    step, to |n omega - k| <= _VALUE_TOL/10.  hi joins when it is alpha = 0
+    at even n, as omega(0) = 1/2.  Returns (alphas, c(alphas)), ascending.
+    """
+    ends = np.array([lo, hi])
+    f_lo, f_hi = n * omega_rows(ends, delta, c_rows(ends, delta))
+    if hi == 0.0:
+        f_hi = 0.5 * n
+    ks = np.arange(math.floor(f_lo) + 1, math.ceil(f_hi), dtype=float)
+    x, cx = np.empty(len(ks)), np.empty(len(ks))
+
+    def f(xs, lanes):
+        x[lanes], cx[lanes] = xs, c_rows(xs, delta)
+        return n * omega_rows(xs, delta, cx[lanes]) - ks[lanes]
+
+    _illinois(f, np.full(len(ks), lo), np.full(len(ks), hi), f_lo - ks, f_hi - ks,
+              lambda a, b, fx: np.abs(fx) <= 0.1 * _VALUE_TOL)
+    if hi == 0.0 and n % 2 == 0:
+        x, cx = np.append(x, hi), np.append(cx, c_rows(ends[1:], delta))
+    return x, cx
+
+
 def L_n_delta(x0: float, delta: float, n: int) -> AndrievskiiResult:
     """Best value over the two structured configuration families.
 
     The Remez candidate is the closed form (present when x0 < -1+2*delta);
-    Akhiezer candidates M_n(x0, E(alpha, delta)) are scanned on a coarse
-    alpha grid over all gaps containing x0, and the best is refined on the
-    sign of dM_n/dalpha, the sum of the dual sensitivities to the two gap
-    ends (see _alpha_max), which the result reports as its certificate.
-    By Bernstein-Walsh M_n(x0, E(alpha, delta)) <= exp(n G_alpha(x0)), so
-    when Remez exceeds exp(n max_alpha G) (1 + _PRUNE_MARGIN) it wins with
-    no LP solve, and `akhiezer_profile` is empty.  Otherwise the samples go
-    through `_best_first`, keyed by n G_alpha(x0) until their LP starts
-    bound M_n by sum_i |l_i(x0)|, until the best solved value beats every
-    bound left by that factor.  The samples left out can neither win nor
-    tie, so argmax and bracket are those of the full scan, and
-    `akhiezer_profile` holds the solved samples (with the argmax's
-    neighbour that starts the bracket, which finishes its start if it has
-    one).
+    the Akhiezer ones are M_n(x0, E(alpha, delta)), alpha in [lo, hi].  For
+    real x0, M_n(x0, E) <= cosh(n g_E(x0)), with equality exactly when E is
+    a degree-n polynomial preimage, as E(alpha, delta) is at the lattice
+    points alpha_k (`_lattice`), each valued so with no LP.  On a branch,
+    between consecutive points of {lo, alpha_k..., hi}, M_n is smooth.
+    G_alpha(x0) is unimodal with maximizer alpha* (`_interior_max`), so on
+    a branch not holding alpha* cosh(n G) stays below the value at its
+    lattice end nearer alpha* (`Ln.pruned` counts these).  The branch
+    holding alpha* is solved by LP at its ends, _ALPHA_TOL/2 inside a
+    lattice end; where their slopes dM_n/dalpha, the sums of the dual
+    sensitivities to the two gap ends, point inward, `_illinois` on the
+    slope closes on a smooth maximum, and a range end whose slope points
+    out of the range is a candidate.  When Remez beats cosh(n G(alpha*)) by
+    a factor 1 + _PRUNE_MARGIN, it wins with no lattice and no LP.
+
+    `dvalue_dalpha` holds (+, -) from solves at a lattice winner
+    -+ _ALPHA_TOL/2 (the - side alone at alpha = hi = 0), the final
+    bracket's slopes at a smooth maximum, or the outward slope at a range
+    end.  `akhiezer_profile` holds every lattice point and LP finished, and
+    `near_ties` the other candidates within 10*_VALUE_TOL of the best.
     """
     _check_point(x0, delta)
     if n < 0:
@@ -279,74 +260,74 @@ def L_n_delta(x0: float, delta: float, n: int) -> AndrievskiiResult:
         remez_val = remez_poly_value(n, delta, x0)
 
     # Near alpha = delta-1 the two-interval configuration degenerates and is
-    # dominated by the closed-form boundary candidate, so the scan is
+    # dominated by the closed-form boundary candidate, so the range is
     # clipped a fixed distance away from that edge.
     lo = max(delta - 1.0 + _BOUNDARY_CLIP, x0 - delta + _GAP_MARGIN)
     hi = min(0.0, x0 + delta - _GAP_MARGIN)
-    if remez_val is not None:
-        top = _interior_max(delta, x0)  # max G over a range holding [lo, hi]
-        if top and math.log(remez_val) >= n * top[1] + math.log1p(_PRUNE_MARGIN):
-            hi = lo   # no Akhiezer value reaches Remez: skip the scan
-    profile = []
-    best_alpha = None
-    best_val = -math.inf
-    slopes = ()
-    solves = pruned = 0
     if hi > lo:
+        alpha_star, g_star, _ = _interior_max(delta, x0)  # max G over a range holding [lo, hi]
+        alpha_star = min(max(alpha_star, lo), hi)
+        bound = np.logaddexp(n * g_star, -n * g_star) - math.log(2.0)   # log cosh(n G*)
+        if remez_val is not None and math.log(remez_val) >= bound + math.log1p(_PRUNE_MARGIN):
+            hi = lo   # no Akhiezer value reaches Remez
+    profile = {}    # alpha -> M_n of every lattice point and finished LP
+    cands = []      # (M_n, alpha, slopes): lattice points and branch maxima
+    slope = {}      # alpha -> dM_n/dalpha of every finished LP
+    pruned = lattice = 0
 
-        def slope(E, res):
-            # dM_n/dalpha: the sensitivities to the two gap ends
-            left, right = E.intervals
-            return res.dvalue_dendpoint(left.hi) + res.dvalue_dendpoint(right.lo)
+    def solve(alpha):
+        if alpha not in slope:
+            gap = GapParams(alpha, delta)
+            res = solve_extremal(make_gap_set(gap), x0, n, extension=False)
+            profile[alpha] = res.value
+            slope[alpha] = res.dvalue_dendpoint(gap.a) + res.dvalue_dendpoint(gap.b)
+        return profile[alpha], slope[alpha]
 
-        def solve(alpha):
-            nonlocal solves
-            solves += 1
-            E = make_gap_set(GapParams(alpha, delta))
-            res = solve_extremal(E, x0, n, extension=False)
-            return res.value, slope(E, res)
+    if hi > lo:
+        alphas, cs = _lattice(n, delta, lo, hi)
+        lattice = len(alphas)
+        if lattice:
+            profile.update(zip(alphas.tolist(), np.cosh(n * g_rows(alphas, delta, x0, cs)).tolist()))
+        cands = [(v, a, None) for a, v in profile.items()]
+        # only the branch (p, q) holding alpha* can beat a lattice value
+        pts = [lo, *profile] + ([] if hi in profile else [hi])
+        pruned = len(pts) - 2
+        j = min(bisect.bisect_right(pts, alpha_star), len(pts) - 1)
+        p, q = pts[j - 1], pts[j]
+        u = p + 0.5 * _ALPHA_TOL if p in profile else p
+        v = q - 0.5 * _ALPHA_TOL if q in profile else q
+        (fu, gu), (fv, gv) = solve(u), solve(v)
+        if u == lo and gu <= 0.0:
+            cands.append((fu, u, (gu,)))
+        if v == hi and gv >= 0.0:
+            cands.append((fv, v, (gv,)))
+        if gu > 0.0 > gv:   # a smooth maximum inside
+            (a,), (b,) = _illinois(lambda xs, _: np.array([-solve(float(x))[1] for x in xs]),
+                                   [u], [v], [-gu], [-gv], lambda a, b, _: b - a <= _ALPHA_TOL,
+                                   0.5 * _ALPHA_TOL)
+            a, b = float(a), float(b)
+            cands.append((*max((profile[a], a), (profile[b], b)), (slope[a], slope[b])))
 
-        alphas = np.linspace(lo, hi, _ALPHA_COARSE)
-        bounds = n * g_rows(alphas, delta, x0, c_rows(alphas, delta))
-        alphas = alphas.tolist()
-        sets = [make_gap_set(GapParams(a, delta)) for a in alphas]
-        done, rest = _best_first(x0, n, sets, bounds)
-        i = int(np.argmax([done[j].value if j in done else -math.inf
-                           for j in range(_ALPHA_COARSE)]))
-        # the bracket end beside the argmax that _alpha_max starts from
-        j = i + 1 if slope(sets[i], done[i]) >= 0.0 else i - 1
-        if 0 <= j < _ALPHA_COARSE and j not in done:
-            done[j] = _finish(rest.pop(j, None) or _ExchangeLP(sets[j], n, x0), False)
-        for lp in rest.values():
-            lp.count()
-        vals, ders = zip(*[(done[j].value, slope(sets[j], done[j])) if j in done
-                           else (-math.inf, math.nan) for j in range(_ALPHA_COARSE)])
-        profile = [(alphas[j], done[j].value) for j in sorted(done)]
-        solves = len(done)
-        pruned = _ALPHA_COARSE - solves
-        best_alpha, best_val, slopes = _alpha_max(solve, alphas, vals, ders)
-    _stats.add({"Ln.calls": 1, "Ln.solves": solves, "Ln.pruned": pruned})
-
-    if remez_val is None and best_alpha is None:
-        raise DomainError(
-            f"no admissible configuration for x0={x0}, delta={delta}"
-        )
-
+    if remez_val is None and not cands:
+        raise DomainError(f"no admissible configuration for x0={x0}, delta={delta}")
+    best_val, best_alpha, slopes = max(cands, key=lambda c: c[0],
+                                       default=(-math.inf, None, ()))
     tie_band = 10.0 * _VALUE_TOL * max(1.0, abs(best_val))
-    near_ties = tuple(
-        float(a) for a, v in profile if best_val - v <= tie_band and a != best_alpha
-    )
+    near_ties = tuple(sorted(a for v, a, _ in cands
+                             if best_val - v <= tie_band and a != best_alpha))
+    best = BEST_AKHIEZER
     if remez_val is not None and remez_val >= best_val:
-        return AndrievskiiResult(
-            value=float(remez_val), best=BEST_REMEZ, best_alpha=None,
-            dvalue_dalpha=(), remez_value=float(remez_val),
-            akhiezer_profile=tuple(profile), near_ties=near_ties,
-        )
+        best, best_val, best_alpha, slopes = BEST_REMEZ, remez_val, None, ()
+    elif slopes is None:    # a lattice winner: the slopes beside its kink
+        slopes = tuple(solve(best_alpha + s)[1] for s in (-0.5 * _ALPHA_TOL, 0.5 * _ALPHA_TOL)
+                       if best_alpha + s <= hi)
+    _stats.add({"Ln.calls": 1, "Ln.solves": len(slope), "Ln.pruned": pruned,
+                "Ln.lattice": lattice})
     return AndrievskiiResult(
-        value=float(best_val), best=BEST_AKHIEZER, best_alpha=float(best_alpha),
+        value=float(best_val), best=best, best_alpha=best_alpha,
         dvalue_dalpha=tuple(float(g) for g in slopes),
         remez_value=None if remez_val is None else float(remez_val),
-        akhiezer_profile=tuple(profile), near_ties=near_ties,
+        akhiezer_profile=tuple(sorted(profile.items())), near_ties=near_ties,
     )
 
 
@@ -440,7 +421,7 @@ def brute_force_theorem1(x0: float, delta: float, n: int, trials: int,
         E = random_multigap_set(delta, gap_count, sub_seed)
         if any(lo + _GAP_MARGIN < x0 < hi - _GAP_MARGIN for lo, hi in E.gaps()):
             draws.append((gap_count, sub_seed, E))
-    done, rest = _best_first(x0, n, [E for _, _, E in draws], [math.inf] * trials, bound)
+    done, rest = _best_first(x0, n, [E for _, _, E in draws], bound)
     for lp in rest.values():
         lp.count()
     top = max(res.value for res in done.values())

@@ -517,6 +517,9 @@ class _ExchangeLP:
             ratios = np.where(pos, lam_hat / np.where(pos, u_hat, 1.0), math.inf)
             theta = float(ratios.min())
             ties = np.flatnonzero(ratios <= theta * (1.0 + 1e-12) + 1e-300)
+            if not ties.size:   # NaN weights or directions leave no ratio to compare
+                raise SolverError(f"ratio test found no leaving slot at n = {self.n} on {m} "
+                                  f"grid points: entering x = {float(x_e)!r}, theta = {theta!r}")
             leave = max(ties, key=lambda i: u_hat[i])
             self.basis[leave] = enter
             self._cauchy_column(C, leave)

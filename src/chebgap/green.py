@@ -33,7 +33,8 @@ one panel partition of the unit interval, mapped affinely onto each range,
 so a whole alpha family costs one quadrature, and so do c and G together
 (rows over psi in [0, pi] and [phi(x), pi]).  The array cores `c_rows`,
 `c_cdot_rows`, `g_rows` and `dg_rows` give c, cdot, G and dG/dalpha over an
-alpha array (x broadcast); the scalar functions are one-row calls of them.
+alpha array (x broadcast); the scalar functions are one-row calls of them,
+and `omega_rows` turns c into the equilibrium mass of the left band.
 Nothing is cached per (alpha, delta): a caller that reuses c, such as the
 envelope's shared alpha grid, keeps it itself.
 
@@ -295,6 +296,20 @@ def c_rows(alpha, delta):
     n = len(alpha)
     (u, v), _ = _rows(_uv, alpha, delta, np.zeros(n), np.full(n, math.pi))
     return _c_of(alpha, delta, u, v)
+
+
+def omega_rows(alpha, delta, c):
+    """Equilibrium mass of the left band [-1, a] over an alpha array, given
+    c: omega = (1/pi) int_{-1}^{a} (c - x) / sqrt|R(x)| dx, R the product
+    of x - e over the four band ends e.  In the band chart x + 1 =
+    h(1 - cos(theta)), h = (1 + a)/2, dx / sqrt((x + 1)(a - x)) = dtheta
+    leaves (c - x) / sqrt((b - x)(1 - x)), smooth and periodic as
+    b - x >= 2 delta: 64 midpoint samples give omega to rounding.
+    """
+    h = 0.5 * (1.0 + alpha - delta)[:, None]
+    s = h * (1.0 - np.cos(math.pi * (np.arange(64) + 0.5) / 64))    # x + 1
+    f = ((1.0 + c)[:, None] - s) / np.sqrt(((1.0 + alpha + delta)[:, None] - s) * (2.0 - s))
+    return f.mean(axis=1)
 
 
 def _cdot_err(ints, errs):

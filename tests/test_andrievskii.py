@@ -17,7 +17,7 @@ from chebgap.chebyshev import cheb_T, remez_constant, remez_poly_value
 from chebgap.envelope import _interior_max
 from chebgap.errors import DomainError, SolverError
 from chebgap.extremal import solve_extremal
-from chebgap.green import c_rows, g_rows
+from chebgap.green import c_rows, g_rows, omega_rows
 from chebgap.intervals import GapParams, make_gap_set
 
 
@@ -59,24 +59,28 @@ class TestLnDelta:
         with pytest.raises(DomainError):
             L_n_delta(-0.1, 1.0, 5)
 
-    @pytest.mark.parametrize("n,max_solves", [(12, 2), (24, 9)])
+    @pytest.mark.parametrize("n,max_solves", [(12, 3), (24, 3)])
     def test_solve_count(self, n, max_solves):
-        # 22 and 24 with the Bernstein-Walsh prune alone, 15 and 8 with the
-        # samples scanned in its order and ended at their LP start's bound;
-        # best-first on the start bounds leaves 1 and 8
+        # the 33-point scan and its bracket search took 22 and 24 solves,
+        # 2 and 9 once best-first on the LP start bounds; the lattice leaves
+        # the two ends of the branch holding alpha* and the winner's
+        # certificate, one of whose solves is a branch end
         with _stats.collect() as counts:
             L_n_delta(-0.1, 0.4, n)
         assert counts["Ln.solves"] == counts["lp.solves"] <= max_solves
 
     def test_range_end_maximum_is_finished_first(self):
-        # the maximizer alpha = 0 is a range end whose Bernstein-Walsh bound
-        # ranks 16th of 33; scanned in that order, 15 samples were solved
-        # before it.  Its start bound ranks first once every start is keyed
-        # by its own, so it is the one LP finished
+        # the 33-point scan took the range end alpha = 0, M_n = 69.26135,
+        # for the maximum (D7); the lattice point alpha_5, n omega = 5, lies
+        # between two of its samples and is higher
         with _stats.collect() as counts:
             res = L_n_delta(-0.1, 0.4, 12)
-        assert res.best_alpha == 0.0 and len(res.dvalue_dalpha) == 1
-        assert counts["Ln.solves"] <= 2
+        assert res.best_alpha == pytest.approx(-0.2248366847, abs=1e-9)
+        assert res.value == pytest.approx(69.79681078925, rel=1e-11)
+        assert res.value > 69.26135 * 1.007
+        left, right = res.dvalue_dalpha
+        assert left > 0.0 > right
+        assert counts["Ln.solves"] <= 3 and counts["Ln.lattice"] == 3
 
     @pytest.mark.parametrize("n,max_pivots", [(12, 400), (24, 1300)])
     def test_pivot_count(self, n, max_pivots):
@@ -96,6 +100,22 @@ class TestLnDelta:
         assert res.best_alpha == pytest.approx(-0.2248366847294816, abs=1e-6)
         assert res.value >= max(v for _, v in res.akhiezer_profile)
 
+    def test_smooth_maximum_closes_on_zero_slope(self):
+        # the maximum lies inside a branch, n omega = 10.02, where dM_n/dalpha
+        # crosses 0 smoothly; the Illinois search on the slope takes 6 solves
+        # past the branch ends, where the bracket search bisected 25 times
+        with _stats.collect() as counts:
+            res = L_n_delta(-0.2, 0.2, 24)
+        left, right = res.dvalue_dalpha
+        assert 0.0 < left < 1e-4 and -1e-4 < right < 0.0
+        alpha = np.array([res.best_alpha])
+        k = 24 * omega_rows(alpha, 0.2, c_rows(alpha, 0.2))[0]
+        assert abs(k - round(k)) > 0.01
+        for h in (-1e-4, 1e-4):
+            E = make_gap_set(GapParams(res.best_alpha + h, 0.2))
+            assert solve_extremal(E, -0.2, 24, extension=False).value < res.value
+        assert counts["Ln.solves"] <= 10
+
     def test_certificate_slope_signs(self):
         interior = L_n_delta(-0.25, 0.4, 12)
         left, right = interior.dvalue_dalpha
@@ -107,21 +127,6 @@ class TestLnDelta:
         assert outward > 0.0
         assert L_n_delta(-0.7, 0.4, 12).dvalue_dalpha == ()
         assert json.loads(interior.to_json())["dvalue_dalpha"] == [left, right]
-
-    @staticmethod
-    def _spy_starts(monkeypatch):
-        """Every LP, as its work is counted: a start the best-first loop
-        dropped has run no simplex, and its `log_bound` is the key it was
-        dropped at, from its quantile basis or its last Remez step."""
-        starts = []
-        count = extremal._ExchangeLP.count
-
-        def spy(self):
-            starts.append(self)
-            count(self)
-
-        monkeypatch.setattr(extremal._ExchangeLP, "count", spy)
-        return starts
 
     def test_remez_prune_skips_the_alpha_search(self):
         with _stats.collect() as counts:
@@ -146,56 +151,43 @@ class TestLnDelta:
 
     @pytest.mark.parametrize("n", [12, 24])
     @pytest.mark.parametrize("x0", [-0.1, -0.19, 0.0])
-    def test_sample_prune_matches_full_scan(self, x0, n, monkeypatch):
-        # a sample is skipped only when the best solved value beats its key,
-        # a bound on its log M_n, by the prune margin: Bernstein-Walsh,
-        # M_n(x0, E(alpha)) <= exp(n G_alpha(x0)), before its LP start, and
-        # the bound sum_i |l_i(x0)| of the start's last basis after it; so
-        # the search ends where the full scan's does
-        margin = math.log1p(andrievskii._PRUNE_MARGIN)
-        starts = self._spy_starts(monkeypatch)
+    def test_sample_prune_matches_full_scan(self, x0, n):
+        # every sample of the former 33-point scan, solved by LP, is at most
+        # L_n; the branches left unsolved, all but the one holding alpha*,
+        # are those that cosh(n G) bounds by a lattice value
+        delta = 0.4
         with _stats.collect() as counts:
-            pruned = L_n_delta(x0, 0.4, n)
-        ended = {lp.E.intervals[0].hi: lp.log_bound for lp in starts if not lp.pivots}
-        monkeypatch.setattr(andrievskii, "_PRUNE_MARGIN", math.inf)
-        full = L_n_delta(x0, 0.4, n)
-        assert len(full.akhiezer_profile) == andrievskii._ALPHA_COARSE
-        for field in ("best", "value", "best_alpha", "dvalue_dalpha", "near_ties"):
-            assert getattr(pruned, field) == getattr(full, field), field
-        solved = dict(pruned.akhiezer_profile)
-        skipped = np.array([a for a, _ in full.akhiezer_profile if a not in solved])
-        assert len(skipped) == counts["Ln.pruned"] > 0
-        assert len(ended) == counts["lp.bounded"] > 0
-        best = max(solved.values())
-        bw = n * g_rows(skipped, 0.4, x0, c_rows(skipped, 0.4))
-        keys = np.array([ended.get(make_gap_set(GapParams(a, 0.4)).intervals[0].hi, k)
-                         for a, k in zip(skipped, bw)])
-        assert np.sum(keys != bw) == len(ended)
-        assert np.all(keys + margin <= math.log(best))
-        values = np.array([v for a, v in full.akhiezer_profile if a not in solved])
-        assert np.all(np.log(values) <= keys + 1e-9)
+            res = L_n_delta(x0, delta, n)
+        lo = max(delta - 1.0 + 1e-4, x0 - delta + 1e-9)
+        hi = min(0.0, x0 + delta - 1e-9)
+        for alpha in np.linspace(lo, hi, 33):
+            E = make_gap_set(GapParams(float(alpha), delta))
+            value = solve_extremal(E, x0, n, extension=False).value
+            assert value <= res.value * (1.0 + 1e-9)
+        branches = counts["Ln.lattice"] + (0 if hi == 0.0 and n % 2 == 0 else 1)
+        assert counts["Ln.pruned"] == branches - 1 > 0
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("x0, n", [(-0.1, 24), (-0.25, 12)])
     def test_pruned_bracket_end_is_solved(self, x0, n, monkeypatch):
-        # a bound that skips the argmax's neighbour on the side of its slope
-        # must not cost the bracket search that end
+        # a lattice winner's certificate comes from solves just beside it,
+        # also where the branch holding alpha* lies elsewhere and so no
+        # branch end sits next to the winner
         full = L_n_delta(x0, 0.4, n)
         assert len(full.dvalue_dalpha) == 2    # an interior maximum
-        alphas, vals = map(list, zip(*full.akhiezer_profile))
-        i = int(np.argmax(vals))
-        j = i + 1 if alphas[i] < full.best_alpha else i - 1
-        real_g_rows = andrievskii.g_rows
+        lo = 0.4 - 1.0 + 1e-4
 
-        def g_rows_low_at_j(al, *args):
-            g = real_g_rows(al, *args)
-            return np.where(al == alphas[j], -1e6, g)
+        def alpha_star_at_lo(delta, x):
+            _, g_star, at_clip = _interior_max(delta, x)
+            return lo, g_star, at_clip
 
-        monkeypatch.setattr(andrievskii, "g_rows", g_rows_low_at_j)
+        monkeypatch.setattr(andrievskii, "_interior_max", alpha_star_at_lo)
         res = L_n_delta(x0, 0.4, n)
-        assert alphas[j] in dict(res.akhiezer_profile)
         assert (res.value, res.best_alpha, res.dvalue_dalpha) == (
             full.value, full.best_alpha, full.dvalue_dalpha)
+        tol = andrievskii._ALPHA_TOL
+        solved = dict(res.akhiezer_profile)
+        assert res.best_alpha - 0.5 * tol in solved and res.best_alpha + 0.5 * tol in solved
 
     @pytest.mark.parametrize("x0", [-0.3, -0.45, -0.7])
     def test_prune_bound_is_the_global_green_maximum(self, x0):
@@ -209,10 +201,20 @@ class TestLnDelta:
 
     def test_degree_36(self):
         # the cold solve at alpha = -0.5 + 1e-9 used to exceed its pivot cap
-        # (D2); the value is that of the alpha search run to a 1e-11 bracket
+        # (D2); the 33-point scan gave 2,209,787.19073 at alpha = -0.0764
+        # (D7), and the value is that of the lattice point alpha_16, which an
+        # LP solve there matches within 1.1e-14
         res = L_n_delta(-0.1, 0.4, 36)
         assert res.value > L_n_delta(-0.1, 0.4, 30).value
-        assert res.value == pytest.approx(2209787.19073, rel=1e-8)
+        assert res.value == pytest.approx(2214746.96785, rel=1e-8)
+        assert res.best_alpha == pytest.approx(-0.151662708, abs=1e-9)
+
+    def test_maximum_between_scan_samples(self):
+        # D7: the 33-point scan gave 19,126.39, 10.5% below the lattice point
+        # alpha_9 = -0.328131554, n omega = 9, which it stepped over
+        res = L_n_delta(-0.25, 0.4, 24)
+        E = make_gap_set(GapParams(-0.328131554, 0.4))
+        assert res.value >= solve_extremal(E, -0.25, 24).value * (1 - 1e-8)
 
     def test_iteration_cap_states_the_solver(self, monkeypatch):
         # pricing that never prices out forces the cap; the message carries
@@ -228,6 +230,28 @@ class TestLnDelta:
         msg = str(exc_info.value)
         assert re.search(r"simplex exceeded \d+ pivots at n = 6 on \d+ grid points; "
                          r"entering reduced cost -1 at the cap", msg), msg
+
+
+class TestLattice:
+    """E(alpha, delta) is a degree-n polynomial preimage exactly where
+    n omega(alpha) = k, omega the equilibrium mass of its left band; there
+    M_n(x0) = cosh(n G_alpha(x0)) at every x0 in the gap."""
+
+    @pytest.mark.parametrize("n", [6, 12])
+    @pytest.mark.parametrize("delta", [0.2, 0.3, 0.4])
+    def test_lattice_points_are_preimages(self, delta, n):
+        lo = np.array([delta - 1.0 + 1e-4])
+        alphas, cs = andrievskii._lattice(n, delta, lo[0], 0.0)
+        # every k above n omega(lo), the last k = n/2 at alpha = 0
+        k_lo = math.floor(n * omega_rows(lo, delta, c_rows(lo, delta))[0]) + 1
+        k = n * omega_rows(alphas, delta, cs)
+        assert np.abs(k - np.arange(k_lo, n // 2 + 1)).max() <= 1e-9
+        for alpha, c in zip(alphas, cs):
+            x0 = alpha - 0.5 * delta
+            g = g_rows(np.array([alpha]), delta, x0, np.array([c]))[0]
+            E = make_gap_set(GapParams(float(alpha), delta))
+            value = solve_extremal(E, x0, n, extension=False).value
+            assert value == pytest.approx(math.cosh(n * g), rel=10 * andrievskii._VALUE_TOL)
 
 
 class TestResiduals:

@@ -684,6 +684,40 @@ def test_infeasible_basis_names_its_slot():
         lp.solve()
 
 
+def chebyshev_preimage(k, u, v):
+    """T_k^{-1}([u, v]) for -1 < u < v < 1: k bands, each of equilibrium
+    mass 1/k.  Its ends are cos(theta) where k theta = +-arccos(u or v)
+    mod 2 pi, theta in (0, pi)."""
+    t = np.arccos([u, v])
+    j = 2.0 * np.pi * np.arange(k // 2 + 1)[:, None]
+    theta = np.concatenate([j + t, j - t]).ravel() / k
+    ends = np.sort(np.cos(theta[(theta > 0.0) & (theta < np.pi)]))
+    return CompactSet(tuple(map(tuple, ends.reshape(-1, 2))))
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+def test_empty_ratio_test_states_the_solver():
+    # on the 100-band preimage the Lagrange weights overflow to NaN, and the
+    # ratio test used to fail with "max() arg is an empty sequence"
+    E = chebyshev_preimage(100, -0.8, 0.7)
+    x0 = 0.5 * sum(E.gaps()[50])
+    with pytest.raises(SolverError, match=r"ratio test found no leaving slot at n = 100 on "
+                                          r"\d+ grid points: entering x = \S+, theta = nan"):
+        solve_extremal(E, x0, 100, extension=False)
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")
+@pytest.mark.xfail(strict=True, reason="D8: the equilibrium start breaks down at 48 bands")
+def test_48_band_preimage_matches_the_closed_form():
+    # M_48(x0) = |P(x0)|, P = (2 T_48 - u - v)/(v - u), in every gap
+    k, u, v = 48, -0.2, 0.6
+    E = chebyshev_preimage(k, u, v)
+    assert len(E.intervals) == k
+    x0 = 0.5 * sum(E.gaps()[5])
+    closed = abs((2.0 * cheb_T(k, x0) - u - v) / (v - u))
+    assert solve_extremal(E, x0, k, extension=False).value == pytest.approx(closed, rel=1e-9)
+
+
 def _log_bound(lp):
     """log sum_i |l_i(x0)| for the LP's current basis."""
     t = lp.points[[j >> 1 for j in lp.basis]]

@@ -12,6 +12,7 @@ from hypothesis import strategies as st
 from chebgap import green
 from chebgap.envelope import x0_many
 from chebgap.errors import DomainError, QuadratureError
+from chebgap.extremal import _equilibrium
 from chebgap.green import (
     c_cdot_rows,
     c_dot,
@@ -24,7 +25,10 @@ from chebgap.green import (
     green_single_interval,
     green_two_interval,
     integrate_adaptive,
+    omega_rows,
 )
+
+from chebgap.intervals import GapParams, make_gap_set
 
 from _oracles import graded_midpoint_green, midpoint_c, midpoint_green
 
@@ -441,3 +445,41 @@ class TestGreenEval:
 
         payload = json.loads(green_eval(-0.3, 0.4, -0.2).to_json())
         assert set(payload) == {"g", "dg_dalpha", "c", "c_dot", "err_estimate"}
+
+
+class TestOmega:
+    """omega(alpha), the equilibrium mass of the left band [-1, a] of
+    E(alpha, delta), from the 64-point band chart of `omega_rows`."""
+
+    @staticmethod
+    def _omega(alpha, delta):
+        al = np.atleast_1d(np.asarray(alpha, dtype=float))
+        return omega_rows(al, delta, c_rows(al, delta))
+
+    @pytest.mark.parametrize("delta", [0.02, 0.1, 0.3, 0.5, 0.8])
+    def test_half_at_the_symmetric_gap(self, delta):
+        assert self._omega(0.0, delta)[0] == pytest.approx(0.5, abs=1e-15)
+
+    @pytest.mark.parametrize("delta", [0.02, 0.1, 0.2, 0.4, 0.6, 0.8])
+    def test_64_points_match_4096(self, delta):
+        # from the alpha clip of L_n_delta, where the band is 1e-4 long, to 0
+        al = np.linspace(delta - 1.0 + 1e-4, 0.0, 41)
+        c = c_rows(al, delta)
+        a, b = al - delta, al + delta
+        theta = math.pi * (np.arange(4096) + 0.5) / 4096
+        x = (0.5 * (a - 1.0))[:, None] - (0.5 * (a + 1.0))[:, None] * np.cos(theta)
+        ref = ((c[:, None] - x) / np.sqrt((b[:, None] - x) * (1.0 - x))).mean(axis=1)
+        w = omega_rows(al, delta, c)
+        assert np.abs(w - ref).max() <= 1e-14
+        assert np.all(np.diff(w) > 0.0)
+
+    @pytest.mark.parametrize("delta", [0.02, 0.1, 0.2, 0.3, 0.4, 0.45])
+    def test_matches_the_equilibrium_cdf(self, delta):
+        # where the left band is at least 0.01 long; shorter bands, and at
+        # delta = 0.8 a band of 0.01 (5e-11), are beyond the cosine charts
+        # of _equilibrium
+        al = np.linspace(delta - 1.0 + 1e-4, 0.0, 41)
+        al = al[1.0 + al - delta >= 0.01]
+        w = self._omega(al, delta)
+        cdf = np.array([_equilibrium(make_gap_set(GapParams(a, delta)))[1](a) for a in al])
+        assert np.abs(w - cdf).max() <= 1e-12

@@ -44,9 +44,11 @@ def test_lp_solves_per_L_n():
         L_n_delta(-0.1, 0.4, 12)
     assert counts["Ln.calls"] == 1
     assert counts["Ln.solves"] == counts["lp.solves"]
-    # a start its bound ended is no solve, and leaves its sample unsolved
-    assert 0 < counts["lp.bounded"] <= counts["Ln.pruned"]
-    # every start, finished or dropped, takes its Remez steps one at a time
+    # the lattice points alpha_4, alpha_5 and alpha_6 = 0 are valued with no
+    # LP, and of the three branches between lo and 0 two are left unsolved
+    assert (counts["Ln.lattice"], counts["Ln.pruned"]) == (3, 2)
+    # every LP is finished: none is dropped at its start's bound
+    assert "lp.bounded" not in counts
     assert counts["lp.start_steps"] >= counts["lp.solves"]
     assert counts["lp.exchange_rounds"] >= counts["lp.solves"]
     assert counts["lp.grid_pivots"] <= counts["lp.pivots"]
