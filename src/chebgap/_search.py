@@ -149,28 +149,26 @@ def golden_max_many(f, los, his, xtol: float = 1e-12):
     return xm, fm
 
 
-@_stats.counts_evals("search.bisect_many.evals")
-def bisect_many(f, los, his, iters: int = 80):
-    """Vectorized bisection: one root per bracket, all refined in lockstep.
-
-    `f` maps an array of abscissae to an array of values; every bracket must
-    carry a sign change (checked).  Runs a fixed number of halvings, which at
-    80 exhausts double precision for any bracket of O(1) width.  Signs are
-    compared, never multiplied, as in bisect_root.
-    """
-    los = np.asarray(los, dtype=float).copy()
-    his = np.asarray(his, dtype=float).copy()
-    f_lo = f(los)
-    f_hi = f(his)
-    bad = np.sign(f_lo) * np.sign(f_hi) > 0.0
-    if np.any(bad):
-        raise SolverError(f"{int(bad.sum())} bracket(s) without sign change")
-    for _ in range(iters):
-        mids = 0.5 * (los + his)
-        f_mid = f(mids)
-        left = np.sign(f_lo) * np.sign(f_mid) <= 0.0
-        his = np.where(left, mids, his)
-        f_hi = np.where(left, f_mid, f_hi)
-        los = np.where(left, los, mids)
-        f_lo = np.where(left, f_lo, f_mid)
-    return 0.5 * (los + his)
+def illinois_many(f, a, b, fa, fb, stop, inset=0.0):
+    """Roots of increasing functions on brackets [a, b], fa < 0 < fb, all
+    in lockstep: regula falsi whose end kept twice in a row has its value
+    halved (Illinois).  Each trial is kept `inset` inside its bracket.
+    f(xs, lanes) gives the values at the trials of the lanes left, and a
+    lane ends once stop(a, b, f) holds after its update.  Returns each
+    lane's final bracket (a, b), a = b at an exact root."""
+    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
+    kept = np.zeros(len(a))        # the end kept by the last step: -1 a, +1 b
+    lanes = np.arange(len(a))
+    while lanes.size:
+        x = (a[lanes] * fb[lanes] - b[lanes] * fa[lanes]) / (fb[lanes] - fa[lanes])
+        x = np.clip(x, a[lanes] + inset, b[lanes] - inset)
+        fx = f(x, lanes)
+        left = fx < 0.0
+        fb[lanes[left & (kept[lanes] > 0)]] *= 0.5
+        fa[lanes[~left & (kept[lanes] < 0)]] *= 0.5
+        a[lanes[left]], fa[lanes[left]] = x[left], fx[left]
+        b[lanes[~left]], fb[lanes[~left]] = x[~left], fx[~left]
+        a[lanes[fx == 0.0]] = x[fx == 0.0]     # an exact root closes its bracket
+        kept[lanes] = np.where(left, 1.0, -1.0)
+        lanes = lanes[~stop(a[lanes], b[lanes], fx)]
+    return a, b

@@ -33,6 +33,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import _stats
+from ._search import illinois_many
 from .chebyshev import remez_poly_value
 from .envelope import _interior_max, upper_envelope
 from .errors import DomainError
@@ -174,30 +175,6 @@ def _best_first(x0, n, sets, cap=math.inf):
     return done, started
 
 
-def _illinois(f, a, b, fa, fb, stop, inset=0.0):
-    """Roots of increasing functions on brackets [a, b], fa < 0 < fb, all
-    in lockstep: regula falsi whose end kept twice in a row has its value
-    halved (Illinois).  Each trial is kept `inset` inside its bracket.
-    f(xs, lanes) gives the values at the trials of the lanes left, and a
-    lane ends once stop(a, b, f) holds after its update.  Returns each
-    lane's final bracket (a, b)."""
-    a, b, fa, fb = (np.array(v, dtype=float) for v in (a, b, fa, fb))
-    kept = np.zeros(len(a))        # the end kept by the last step: -1 a, +1 b
-    lanes = np.arange(len(a))
-    while lanes.size:
-        x = (a[lanes] * fb[lanes] - b[lanes] * fa[lanes]) / (fb[lanes] - fa[lanes])
-        x = np.clip(x, a[lanes] + inset, b[lanes] - inset)
-        fx = f(x, lanes)
-        left = fx < 0.0
-        fb[lanes[left & (kept[lanes] > 0)]] *= 0.5
-        fa[lanes[~left & (kept[lanes] < 0)]] *= 0.5
-        a[lanes[left]], fa[lanes[left]] = x[left], fx[left]
-        b[lanes[~left]], fb[lanes[~left]] = x[~left], fx[~left]
-        kept[lanes] = np.where(left, 1.0, -1.0)
-        lanes = lanes[~stop(a[lanes], b[lanes], fx)]
-    return a, b
-
-
 def _lattice(n, delta, lo, hi):
     """The preimage lattice in (lo, hi]: the alphas with n omega(alpha) = k
     an integer, omega the equilibrium mass of the left band
@@ -219,8 +196,8 @@ def _lattice(n, delta, lo, hi):
         x[lanes], cx[lanes] = xs, c_rows(xs, delta)
         return n * omega_rows(xs, delta, cx[lanes]) - ks[lanes]
 
-    _illinois(f, np.full(len(ks), lo), np.full(len(ks), hi), f_lo - ks, f_hi - ks,
-              lambda a, b, fx: np.abs(fx) <= 0.1 * _VALUE_TOL)
+    illinois_many(f, np.full(len(ks), lo), np.full(len(ks), hi), f_lo - ks, f_hi - ks,
+                  lambda a, b, fx: np.abs(fx) <= 0.1 * _VALUE_TOL)
     if hi == 0.0 and n % 2 == 0:
         x, cx = np.append(x, hi), np.append(cx, c_rows(ends[1:], delta))
     return x, cx
@@ -240,7 +217,7 @@ def L_n_delta(x0: float, delta: float, n: int) -> AndrievskiiResult:
     lattice end nearer alpha* (`Ln.pruned` counts these).  The branch
     holding alpha* is solved by LP at its ends, _ALPHA_TOL/2 inside a
     lattice end; where their slopes dM_n/dalpha, the sums of the dual
-    sensitivities to the two gap ends, point inward, `_illinois` on the
+    sensitivities to the two gap ends, point inward, `illinois_many` on the
     slope closes on a smooth maximum, and a range end whose slope points
     out of the range is a candidate.  When Remez beats cosh(n G(alpha*)) by
     a factor 1 + _PRUNE_MARGIN, it wins with no lattice and no LP.
@@ -302,9 +279,9 @@ def L_n_delta(x0: float, delta: float, n: int) -> AndrievskiiResult:
         if v == hi and gv >= 0.0:
             cands.append((fv, v, (gv,)))
         if gu > 0.0 > gv:   # a smooth maximum inside
-            (a,), (b,) = _illinois(lambda xs, _: np.array([-solve(float(x))[1] for x in xs]),
-                                   [u], [v], [-gu], [-gv], lambda a, b, _: b - a <= _ALPHA_TOL,
-                                   0.5 * _ALPHA_TOL)
+            (a,), (b,) = illinois_many(
+                lambda xs, _: np.array([-solve(float(x))[1] for x in xs]),
+                [u], [v], [-gu], [-gv], lambda a, b, _: b - a <= _ALPHA_TOL, 0.5 * _ALPHA_TOL)
             a, b = float(a), float(b)
             cands.append((*max((profile[a], a), (profile[b], b)), (slope[a], slope[b])))
 

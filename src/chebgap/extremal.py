@@ -56,10 +56,14 @@ lam_i = s_i l_i(x0), which sum to the value and give dM/de for an endpoint
 e of E by the envelope theorem (`dvalue_dendpoint`).  Off E it is evaluated
 in the first barycentric form l(x) sum_i s_i w_i / (x - t_i), l(x) kept in
 logs; the second form loses all digits in the gaps at degree 100.  The
-n-extension P^{-1}([-1,1]) comes from the peaks of |P| (P has n real roots,
-so every critical point is a peak of |P|), the crossings of P = +-1
-between them, and the component structure relative to [-1, 1].  The JSON
-T_k coefficients are a cosine transform of values at Chebyshev points.
+n-extension P^{-1}([-1,1]) is bounded by the crossings of P = +-level,
+level just above the certified max_E |P|.  One evaluation on a dense grid
+holding E's ends brackets them: between neighbouring samples P is monotone
+except across a peak of |P|, and only a peak sampled below the level and
+not inside E (where |P| < level) can hide two crossings, so only such
+peaks are polished.  Lockstep Illinois steps then close every bracket to a
+few ulps.  The JSON T_k coefficients are a cosine transform of values at
+Chebyshev points.
 """
 
 from __future__ import annotations
@@ -72,7 +76,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _stats
-from ._search import bisect_many, golden_max_many
+from ._search import golden_max_many, illinois_many
 from .chebyshev import ChebPoly, cheb_interp
 from .errors import DomainError, SolverError
 from .intervals import CompactSet, Interval, discretize
@@ -727,26 +731,33 @@ def _finish(lp, extension):
 def n_extension(result: ExtremalResult, E: CompactSet):
     """Preimage P^{-1}([-1,1]) of a solved result's P and its case tag.
 
-    Components are bounded by transversal crossings of P with the levels
-    +-(1 + slack), slack being the (tiny) feasibility excess of |P| on E,
-    so that E itself is never notched by roundoff at active points.  The
-    tag classifies the structure relative to [-1, 1]: a separated interval
-    beyond one of the endpoints, an extension attached at an endpoint, or
-    no extension at all.
+    E must be the set `result` was solved on.  Components are bounded by
+    the crossings of P with +-level, level = 1 + slack, slack being the
+    (tiny) excess of the certified max_E |P| (`max_abs_p`) over 1, plus
+    1e-12, so that E itself is never notched by roundoff at active points.
+    P is evaluated once on Chebyshev samples of [-1, 1], cosh-spaced ones
+    out to R (|P(+-R)| > 2 level) and E's ends; each sign change of P -+
+    level between neighbouring samples brackets one crossing, which
+    lockstep Illinois steps close to 4 ulps.  Each boundary is its
+    bracket's end inside the preimage, so a component narrower than an ulp
+    or two keeps a point.  The tag classifies the structure relative to
+    [-1, 1]: a separated interval beyond one of the endpoints, an extension
+    attached at an endpoint, or no extension at all.  Counters: `ext.calls`,
+    `ext.steps` (evaluations of P, each over all lanes) and `ext.polished`.
     """
+    _stats.add({"ext.calls": 1})
     # equal signs at all nodes interpolate a constant
     if len(set(result.active_signs)) <= 1:
         return E, "none"
     deg = len(result.active_points) - 1
-    evaluate = result.evaluate
-    abs_p = lambda u: np.abs(evaluate(u))
+    level = 1.0 + max(0.0, result.max_abs_p - 1.0) + 1e-12
 
-    _, worst_on_E, _ = _scan_abs_max(result._nodes, E, deg)
-    slack = max(0.0, worst_on_E - 1.0) + 1e-12
-    level = 1.0 + slack
+    def evaluate(u):
+        _stats.add({"ext.steps": 1})
+        return result.evaluate(u)
 
     R = 4.0
-    while abs_p(-R) <= 2.0 * level or abs_p(R) <= 2.0 * level:
+    while np.any(np.abs(evaluate(np.array([-R, R]))) <= 2.0 * level):
         R *= 4.0
         if R > 1e9:
             raise SolverError(
@@ -754,27 +765,41 @@ def n_extension(result: ExtremalResult, E: CompactSet):
                 "(severe degree deficiency?)"
             )
 
-    # critical points of P = peaks of |P| (log|P| is concave between roots)
-    interior = np.cos(np.linspace(math.pi, 0.0, max(1024, 30 * deg)))
-    s_out = np.linspace(0.0, math.acosh(R), max(257, 6 * deg))
-    right = np.cosh(s_out)
-    grid = np.unique(np.concatenate([-right[::-1], interior, right]))
-    av = abs_p(grid)
-    peak = np.flatnonzero((av[1:-1] >= av[:-2]) & (av[1:-1] >= av[2:])) + 1
-    crit = golden_max_many(abs_p, grid[peak - 1], grid[peak + 1], 1e-12)[0]
+    ends = np.array([[iv.lo, iv.hi] for iv in E.intervals])
+    s_out = np.cosh(np.linspace(0.0, math.acosh(R), max(257, 6 * deg)))
+    xs = np.unique(np.concatenate([-s_out, np.cos(np.linspace(math.pi, 0.0, max(1024, 30 * deg))),
+                                   s_out, ends.ravel()]))
+    ps = evaluate(xs)
+    # P is monotone between neighbouring samples except across a peak of
+    # |P|, and a peak sampled below the level may rise above it between
+    # samples, hiding two crossings.  A peak whose neighbours lie in one
+    # interval of E stays below max_E |P| < level; the others are polished.
+    av = np.abs(ps)
+    peak = np.flatnonzero((av[1:-1] >= av[:-2]) & (av[1:-1] >= av[2:]) & (av[1:-1] < level)) + 1
+    k = np.clip(np.searchsorted(ends[:, 0], xs[peak + 1], side="right") - 1, 0, None)
+    peak = peak[(xs[peak - 1] < ends[k, 0]) | (xs[peak + 1] > ends[k, 1])]
+    _stats.add({"ext.polished": peak.size})
+    if peak.size:
+        xp = golden_max_many(lambda u: np.abs(evaluate(u)), xs[peak - 1], xs[peak + 1], 1e-12)[0]
+        xs, ps = np.concatenate([xs, xp]), np.concatenate([ps, evaluate(xp)])
+        order = np.argsort(xs)
+        xs, ps = xs[order], ps[order]
 
-    nodes = np.unique(np.concatenate([[-R], crit, [R]]))
-    levels = np.array([level, -level])
-    g = evaluate(nodes) - levels[:, None]
-    k, idx = np.nonzero(np.sign(g[:, :-1]) * np.sign(g[:, 1:]) < 0)
-    boundaries = np.sort(bisect_many(lambda u: evaluate(u) - levels[k],
-                                     nodes[idx], nodes[idx + 1]))
+    g = ps - np.array([[level], [-level]])
+    row, j = np.nonzero((g[:, :-1] > 0.0) != (g[:, 1:] > 0.0))
+    target, up = np.where(row == 0, level, -level), np.where(g[row, j + 1] > 0.0, 1.0, -1.0)
+    a, b = illinois_many(
+        lambda u, lane: up[lane] * (evaluate(u) - target[lane]), xs[j], xs[j + 1],
+        up * g[row, j], up * g[row, j + 1],
+        lambda a, b, _: ~(b - a > 4.0 * np.spacing(np.maximum(abs(a), abs(b)))))  # nan ends too
+    # where |P| rises through the level to the right, a is the inside end
+    boundaries = np.sort(np.where(up * target > 0.0, a, b))
 
     comps = []
     cuts = np.concatenate([[-R], boundaries, [R]])
-    inside = abs_p(0.5 * (cuts[:-1] + cuts[1:])) <= level
+    inside = np.abs(evaluate(0.5 * (cuts[:-1] + cuts[1:]))) <= level
     for lo, hi, keep in zip(cuts[:-1].tolist(), cuts[1:].tolist(), inside):
-        if hi - lo <= 0 or not keep:
+        if not keep:
             continue
         if comps and lo - comps[-1][1] < 1e-12:
             comps[-1] = (comps[-1][0], hi)

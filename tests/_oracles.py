@@ -112,18 +112,27 @@ def exact_interpolant(t, s, x):
 
     The floats are exact dyadic rationals; scaled to a common denominator
     they become integers, and the Lagrange formula
-    sum_i s_i prod_{k != i} (x - t_k) / (t_i - t_k) is evaluated in integer
-    and Fraction arithmetic.  Returns a Fraction.
+    sum_i s_i prod_{k != i} (x - t_k) / (t_i - t_k) is evaluated over the
+    integer lcm D of the denominators prod_{k != i} (t_i - t_k), so that
+    no Fraction sum is normalized term by term.  Returns a Fraction, or a
+    list of them when x is a sequence (the weights are shared).
     """
-    pts = [Fraction(float(v)) for v in t] + [Fraction(float(x))]
+    xs = [float(v) for v in np.atleast_1d(x)]
+    pts = [Fraction(v) for v in [*map(float, t), *xs]]
     scale = max(q.denominator for q in pts)
-    *T, X = (int(q * scale) for q in pts)
-    total = Fraction(0)
-    for i, (ti, si) in enumerate(zip(T, s)):
-        num = den = 1
-        for k, tk in enumerate(T):
-            if k != i:
-                num *= X - tk
-                den *= ti - tk
-        total += Fraction(int(si) * num, den)
-    return total
+    T = [int(q * scale) for q in pts[:len(t)]]
+    dens = [math.prod(ti - tk for k, tk in enumerate(T) if k != i) for i, ti in enumerate(T)]
+    D = math.lcm(*dens)
+    coef = [int(si) * (D // di) for si, di in zip(s, dens)]
+    out = []
+    for q in pts[len(t):]:
+        d = [int(q * scale) - tk for tk in T]
+        prefix = [1]
+        for v in d[:-1]:
+            prefix.append(prefix[-1] * v)
+        total, suffix = 0, 1
+        for i in range(len(d) - 1, -1, -1):
+            total += coef[i] * prefix[i] * suffix
+            suffix *= d[i]
+        out.append(Fraction(total, D))
+    return out if np.ndim(x) else out[0]

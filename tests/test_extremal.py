@@ -507,6 +507,54 @@ class TestNewtonPolish:
                            rtol=1e-7, atol=1e-7)
 
 
+class TestExtensionBoundaries:
+    # the six pinned oracle sets at n = 12, two of them at n = 50, and the
+    # case tag each extension has
+    CASES = [
+        *((name, 12, tag) for name, tag in zip(list(TestNewtonPolish.CASES)[:6], (
+            "left_interval", "left_interval", "none", "none", "left_interval",
+            "extend_right"))),
+        ("E(-0.1,0.4)", 50, "right_interval"), ("four-gap(0.4)", 50, "left_interval"),
+    ]
+
+    @pytest.mark.parametrize("case, n, tag", CASES)
+    def test_ends_are_crossings_of_the_level(self, case, n, tag):
+        # Within 64 ulps of every component end the exact |P| crosses the
+        # level 1 + slack that the extension bounds its components by: it
+        # is above the level 64 ulps outside, and at or below it 64 ulps
+        # inside, or at the midpoint of a component narrower than that.
+        E, x0 = TestNewtonPolish.CASES[case]
+        res = solve_extremal(E, x0, n)
+        assert res.case_tag == tag
+        level = 1.0 + max(0.0, res.max_abs_p - 1.0) + 1e-12
+        probes = []
+        for c in res.n_extension.intervals:
+            mid, lo, hi = 0.5 * (c.lo + c.hi), 64 * math.ulp(c.lo), 64 * math.ulp(c.hi)
+            probes += [c.lo - lo, min(c.lo + lo, mid), max(c.hi - hi, mid), c.hi + hi]
+        exact = exact_interpolant(res.active_points, res.active_signs, probes)
+        above = [abs(v) > level for v in exact]
+        assert above == [True, False, False, True] * len(res.n_extension.intervals)
+
+    @pytest.mark.parametrize("case, n, tag", CASES)
+    def test_public_entry_matches_the_solve(self, case, n, tag):
+        E, x0 = TestNewtonPolish.CASES[case]
+        ext, got = extremal.n_extension(solve_extremal(E, x0, n, extension=False), E)
+        res = solve_extremal(E, x0, n)
+        assert (ext, got) == (res.n_extension, res.case_tag) and got == tag
+
+    def test_peak_between_samples_is_polished(self):
+        # |P| rises to 1.0047 at x = -0.2006, just left of E's interval
+        # [-0.2, 0.2], between two samples below the level: the gap it
+        # opens splits the extension there
+        E, x0 = TestNewtonPolish.CASES["four-gap(0.4)"]
+        with _stats.collect() as counts:
+            res = solve_extremal(E, x0, 200)
+        assert counts["ext.polished"] == 1
+        left, right = [c for c in res.n_extension.intervals if -0.21 < c.hi and c.lo < -0.19]
+        assert right.lo == pytest.approx(-0.2, abs=1e-12) and -0.201 < left.hi < right.lo
+        assert abs(res.evaluate(0.5 * (left.hi + right.lo))) > 1.004
+
+
 class TestCertificate:
     def test_bounds_bracket_the_value(self):
         res = solve_extremal(SEED205, -0.6810723933289962, 50, extension=False)

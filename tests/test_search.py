@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from chebgap._search import bisect_many, bisect_root, brent_max
+from chebgap._search import bisect_root, brent_max, illinois_many
 from chebgap.errors import SolverError
 
 
@@ -17,24 +17,40 @@ def huge(x):
     return 1e200 * (x - 0.3)
 
 
-def test_bisect_many_tiny_values():
-    assert bisect_many(tiny, [0.0], [1.0])[0] == pytest.approx(0.3, abs=1e-15)
-
-
 def test_bisect_root_tiny_values():
     assert bisect_root(tiny, 0.0, 1.0, 1e-12) == pytest.approx(0.3, abs=1e-12)
 
 
-def test_bisect_many_huge_values_without_overflow():
+def test_illinois_many_closes_lanes_in_lockstep():
+    # cube roots of c, and huge values that must not overflow the trial
+    c = np.array([0.001, 0.5, 2.0, 7.0])
+    calls = []
+
+    def f(x, lanes):
+        calls.append(len(lanes))
+        return x ** 3 - c[lanes]
+
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        roots = bisect_many(huge, np.array([0.0, -1.0]), np.array([1.0, 0.5]))
-    assert roots == pytest.approx([0.3, 0.3], abs=1e-15)
+        a, b = illinois_many(f, np.zeros(4), np.full(4, 2.0), -c, 8.0 - c,
+                             lambda a, b, _: b - a <= 4 * np.spacing(b))
+        (h,), _ = illinois_many(lambda x, _: huge(x), [0.0], [1.0], [huge(0.0)], [huge(1.0)],
+                                lambda a, b, _: b - a <= 1e-15)
+    assert np.all(a <= np.cbrt(c)) and np.all(np.cbrt(c) <= b)
+    assert np.all(b - a <= 4 * np.spacing(b))
+    # bisection would take 52 halvings of [0, 2] to reach 4 ulps at 0.1
+    assert len(calls) <= 20 and calls == sorted(calls, reverse=True)
+    assert h == pytest.approx(0.3, abs=1e-15)
+
+
+def test_illinois_many_exact_root_closes_its_bracket():
+    # the first trial is the root; a bracket stop with any width fires
+    a, b = illinois_many(lambda x, _: x - 0.5, [0.0], [1.0], [-0.5], [0.5],
+                         lambda a, b, _: b - a <= 0.0)
+    assert (a[0], b[0]) == (0.5, 0.5)
 
 
 def test_tiny_values_without_sign_change_rejected():
-    with pytest.raises(SolverError):
-        bisect_many(lambda x: 1e-200 * (x + 1.0), [0.0], [1.0])
     with pytest.raises(SolverError):
         bisect_root(lambda x: 1e-200 * (x + 1.0), 0.0, 1.0, 1e-12)
 

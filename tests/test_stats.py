@@ -1,9 +1,9 @@
-import numpy as np
-
 from chebgap import _stats
-from chebgap._search import bisect_many, bisect_root
+from chebgap._search import bisect_root
 from chebgap.andrievskii import L_n_delta
+from chebgap.extremal import solve_extremal
 from chebgap.green import green_eval
+from chebgap.intervals import GapParams, make_gap_set
 
 
 def test_off_by_default():
@@ -26,8 +26,7 @@ def test_sums_maxima_and_nesting():
 def test_search_evaluations_are_counted():
     with _stats.collect() as counts:
         bisect_root(lambda x: x - 0.3, 0.0, 1.0, 2.0 ** -10)
-        bisect_many(lambda x: x - 0.3, np.zeros(4), np.ones(4), iters=7)
-    assert counts == {"search.bisect_root.evals": 2 + 10, "search.bisect_many.evals": 2 + 7}
+    assert counts == {"search.bisect_root.evals": 2 + 10}
 
 
 def test_quadrature_counts():
@@ -52,3 +51,17 @@ def test_lp_solves_per_L_n():
     assert counts["lp.start_steps"] >= counts["lp.solves"]
     assert counts["lp.exchange_rounds"] >= counts["lp.solves"]
     assert counts["lp.grid_pivots"] <= counts["lp.pivots"]
+
+
+def test_extension_counts():
+    E = make_gap_set(GapParams(-0.3, 0.4))
+    with _stats.collect() as counts:
+        solve_extremal(E, -0.3, 12, extension=False)
+    assert not any(key.startswith("ext.") for key in counts)
+    with _stats.collect() as counts:
+        solve_extremal(E, -0.3, 12)
+    # one evaluation at +-R, one on the grid, 9 lockstep Illinois steps on
+    # the 6 component ends and one at the midpoints between them; no
+    # sampled peak needs a polish
+    ext = {key: v for key, v in counts.items() if key.startswith("ext.")}
+    assert ext == {"ext.calls": 1, "ext.steps": 12, "ext.polished": 0}
