@@ -1,4 +1,5 @@
-"""Scalar bracketed search primitives used across the package."""
+"""Bracketed search primitives used across the package: Brent and golden
+section for maxima, lockstep Illinois for roots."""
 
 from __future__ import annotations
 
@@ -7,42 +8,8 @@ import math
 import numpy as np
 
 from . import _stats
-from .errors import SolverError
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/golden ratio
-
-
-@_stats.counts_evals("search.bisect_root.evals")
-def bisect_root(f, lo: float, hi: float, xtol: float, f_lo=None, f_hi=None) -> float:
-    """Root of f on [lo, hi] by bisection; requires a sign change.
-
-    Sides are chosen by comparing signs, never by multiplying values, so
-    f values near the under- or overflow limits bisect correctly.
-    """
-    if f_lo is None:
-        f_lo = f(lo)
-    if f_hi is None:
-        f_hi = f(hi)
-    if f_lo == 0.0:
-        return lo
-    if f_hi == 0.0:
-        return hi
-    if np.sign(f_lo) * np.sign(f_hi) > 0.0:
-        raise SolverError(
-            f"no sign change on [{lo}, {hi}]: f(lo)={f_lo}, f(hi)={f_hi}"
-        )
-    while hi - lo > xtol:
-        mid = 0.5 * (lo + hi)
-        if mid <= lo or mid >= hi:  # float resolution exhausted
-            break
-        f_mid = f(mid)
-        if f_mid == 0.0:
-            return mid
-        if np.sign(f_lo) * np.sign(f_mid) < 0.0:
-            hi, f_hi = mid, f_mid
-        else:
-            lo, f_lo = mid, f_mid
-    return 0.5 * (lo + hi)
 
 
 @_stats.counts_evals("search.brent_max.evals")
@@ -149,6 +116,7 @@ def golden_max_many(f, los, his, xtol: float = 1e-12):
     return xm, fm
 
 
+@_stats.counts_evals("search.illinois_many.evals")
 def illinois_many(f, a, b, fa, fb, stop, inset=0.0):
     """Roots of increasing functions on brackets [a, b], fa < 0 < fb, all
     in lockstep: regula falsi whose end kept twice in a row has its value

@@ -60,10 +60,10 @@ def counts_evals(key: str):
                 return search(f, *args, **kwargs)
             evals = 0
 
-            def g(x):
+            def g(*args):
                 nonlocal evals
                 evals += 1
-                return f(x)
+                return f(*args)
 
             try:
                 return search(g, *args, **kwargs)

@@ -212,10 +212,14 @@ def L_n_delta(x0: float, delta: float, n: int) -> AndrievskiiResult:
     a degree-n polynomial preimage, as E(alpha, delta) is at the lattice
     points alpha_k (`_lattice`), each valued so with no LP.  On a branch,
     between consecutive points of {lo, alpha_k..., hi}, M_n is smooth.
-    G_alpha(x0) is unimodal with maximizer alpha* (`_interior_max`), so on
+    G_alpha(x0) rises toward its maximizer alpha* (`_interior_max`), so on
     a branch not holding alpha* cosh(n G) stays below the value at its
-    lattice end nearer alpha* (`Ln.pruned` counts these).  The branch
-    holding alpha* is solved by LP at its ends, _ALPHA_TOL/2 inside a
+    lattice end nearer alpha* (`Ln.pruned` counts these).  G is not
+    unimodal, though, for x0 in (x_*, -1+2*delta): it also rises toward
+    lo, to about 0.8 of its boundary limit G_delta(x0), so the branch at lo
+    is not bounded by its lattice end.  There cosh(n G) stays below the
+    Remez candidate cosh(n G_delta(x0)), which keeps the prune exact.  The
+    branch holding alpha* is solved by LP at its ends, _ALPHA_TOL/2 inside a
     lattice end; where their slopes dM_n/dalpha, the sums of the dual
     sensitivities to the two gap ends, point inward, `illinois_many` on the
     slope closes on a smooth maximum, and a range end whose slope points

@@ -32,7 +32,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._search import bisect_root, brent_max
+from ._search import brent_max, illinois_many
 from .errors import DomainError, SolverError
 from .green import (
     _admissible,
@@ -54,8 +54,8 @@ _ALPHA_TOL = 1e-8         # Brent bracket width in alpha; G is flat to
                           # rounding within about 1e-8 of its maximizer
 _TIE_TOL = 1e-9           # branch values closer than this tie
 _BOUNDARY_CLIP = 1e-8     # keep alpha >= delta-1+clip
-_ROOT_TOL = 1e-10         # bisection width for x0(alpha)
-_SWITCH_TOL = 1e-9        # bisection width for x_s
+_ROOT_TOL = 1e-10         # bracket width for x0(alpha)
+_SWITCH_TOL = 1e-9        # bracket width for x_s
 
 
 @dataclass(frozen=True)
@@ -113,16 +113,17 @@ def delta_star(tol: float = 1e-8) -> float:
     return 0.5 * (lo + hi)
 
 
-def x0_many(alphas, delta: float, tol: float = _ROOT_TOL):
-    """x0(alpha) for an array of alphas by lockstep bisection.
+def x0_many(alphas, delta: float):
+    """x0(alpha) for an array of alphas by lockstep Illinois steps.
 
     Each bracket is the gap pulled in by max(1e-8*(b-a), 2e-10) at both
     ends, where the strictly increasing map x -> dG/dalpha goes from
     negative to positive.  c and cdot come from one quadrature for the whole
-    batch, and each bisection step evaluates dG/dalpha at the midpoints of
-    all open brackets in one quadrature.  Rows with an inadmissible alpha,
-    or without that sign change (numerical breakdown near the boundary),
-    come back as nan.
+    batch, and each `illinois_many` step evaluates dG/dalpha at the trials
+    of all open brackets in one quadrature, until a bracket is _ROOT_TOL
+    wide; its midpoint is the root.  Rows with an inadmissible alpha, or
+    without that sign change (numerical breakdown near the boundary), come
+    back as nan.
     """
     alphas = np.asarray(alphas, dtype=float)
     out = np.full(alphas.shape, np.nan)
@@ -137,35 +138,24 @@ def x0_many(alphas, delta: float, tol: float = _ROOT_TOL):
     # both bracket ends of every row in one quadrature
     f = dg_rows(np.concatenate([al, al]), delta, np.concatenate([lo, hi]),
                 np.concatenate([c, c]), np.concatenate([cd, cd]))
-    root = np.full(al.shape, np.nan)
-    rows = np.flatnonzero((f[: al.size] < 0.0) & (0.0 < f[al.size :]))
-    al, c, cd, lo, hi = al[rows], c[rows], cd[rows], lo[rows], hi[rows]
-    while rows.size:
-        mid = 0.5 * (lo + hi)
-        done = (hi - lo <= tol) | (mid <= lo) | (mid >= hi)
-        if not done.any():
-            f = dg_rows(al, delta, mid, c, cd)
-            up = f > 0.0
-            lo, hi = np.where(up, lo, mid), np.where(up, mid, hi)
-            done = f == 0.0
-            if not done.any():
-                continue
-        # a row is done when its bracket is narrow enough or it hit a root
-        root[rows[done]] = mid[done]
-        keep = ~done
-        rows, al, c, cd, lo, hi = rows[keep], al[keep], c[keep], cd[keep], lo[keep], hi[keep]
-    out[ok] = root
+    f_lo, f_hi = f[: al.size], f[al.size :]
+    rows = np.flatnonzero((f_lo < 0.0) & (0.0 < f_hi))
+    al, c, cd = al[rows], c[rows], cd[rows]
+    lo, hi = illinois_many(lambda x, lanes: dg_rows(al[lanes], delta, x, c[lanes], cd[lanes]),
+                           lo[rows], hi[rows], f_lo[rows], f_hi[rows],
+                           lambda a, b, _: b - a <= _ROOT_TOL)
+    out[ok[rows]] = 0.5 * (lo + hi)
     return out
 
 
-def x0_of_alpha(alpha: float, delta: float, tol: float = _ROOT_TOL) -> float:
+def x0_of_alpha(alpha: float, delta: float) -> float:
     """Unique zero of x -> dG/dalpha in the gap (alpha-delta, alpha+delta).
 
-    The map is strictly increasing from -inf to +inf, so bisection on a
-    bracket pulled slightly inside the gap always applies (see x0_many).
+    The map is strictly increasing from -inf to +inf, so a bracket pulled
+    slightly inside the gap always holds it (see x0_many).
     """
     _check_gap(alpha, delta)
-    x0 = x0_many(np.array([float(alpha)]), delta, tol)[0]
+    x0 = x0_many(np.array([float(alpha)]), delta)[0]
     if math.isnan(x0):
         raise SolverError(
             f"dG/dalpha shows no sign change on the gap for alpha={alpha}, "
@@ -290,27 +280,30 @@ def upper_envelope(delta: float, x: float) -> EnvelopePoint:
 def switching_point(delta: float) -> float:
     """Abscissa x_s where the boundary branch ties the interior branch.
 
-    Bisection on the signed branch difference over (-1, -1+2*delta); raises
-    when no crossing exists (large delta regime).
+    Illinois steps (`illinois_many`, one lane) on the interior branch minus
+    the boundary branch over (-1, -1+2*delta), until the bracket is
+    _SWITCH_TOL wide; raises when no crossing exists (large delta regime).
     """
     if not (0.0 < delta < 1.0):
         raise DomainError(f"delta must lie in (0, 1), got {delta}")
     edge = -1.0 + 2.0 * delta
 
-    def diff(x):
+    def gain(x):
         interior = _interior_max(delta, x)
         best = interior[1] if interior is not None else 0.0
-        return green_single_interval(delta, x) - best
+        return best - green_single_interval(delta, x)
 
     lo = -1.0 + 1e-4
     hi = min(edge, 0.0) - 1e-6
-    f_lo, f_hi = diff(lo), diff(hi)
-    if not (f_lo > 0.0 > f_hi):
+    f_lo, f_hi = gain(lo), gain(hi)
+    if not (f_lo < 0.0 < f_hi):
         raise SolverError(
-            f"no switching point for delta={delta}: branch difference is "
-            f"{f_lo:.3g} at {lo} and {f_hi:.3g} at {hi}"
+            f"no switching point for delta={delta}: interior minus boundary "
+            f"branch is {f_lo:.3g} at {lo} and {f_hi:.3g} at {hi}"
         )
-    return bisect_root(diff, lo, hi, _SWITCH_TOL, f_lo, f_hi)
+    (a,), (b,) = illinois_many(lambda xs, _: np.array([gain(float(x)) for x in xs]),
+                               [lo], [hi], [f_lo], [f_hi], lambda a, b, _: b - a <= _SWITCH_TOL)
+    return float(0.5 * (a + b))
 
 
 def x_star(delta: float) -> float:

@@ -150,11 +150,12 @@ class TestLnDelta:
         assert (pruned.best, pruned.value) == (full.best, full.value)
 
     @pytest.mark.parametrize("n", [12, 24])
-    @pytest.mark.parametrize("x0", [-0.1, -0.19, 0.0])
+    @pytest.mark.parametrize("x0", [-0.1, -0.19, -0.24, 0.0])
     def test_sample_prune_matches_full_scan(self, x0, n):
         # every sample of the former 33-point scan, solved by LP, is at most
         # L_n; the branches left unsolved, all but the one holding alpha*,
-        # are those that cosh(n G) bounds by a lattice value
+        # are those that cosh(n G) bounds by a lattice value or, at -0.24,
+        # by the Remez value
         delta = 0.4
         with _stats.collect() as counts:
             res = L_n_delta(x0, delta, n)
@@ -166,6 +167,14 @@ class TestLnDelta:
             assert value <= res.value * (1.0 + 1e-9)
         branches = counts["Ln.lattice"] + (0 if hi == 0.0 and n % 2 == 0 else 1)
         assert counts["Ln.pruned"] == branches - 1 > 0
+        if x0 == -0.24:
+            # x0 lies between x_* and -1+2*delta, where G has a second local
+            # maximum at lo: G rises toward lo on the first branch, so its
+            # lattice end does not bound it, but cosh(n G) stays below Remez
+            first = np.linspace(lo, andrievskii._lattice(n, delta, lo, hi)[0][0], 9)
+            g = g_rows(first, delta, x0, c_rows(first, delta))
+            assert np.all(np.diff(g) < 0.0)
+            assert np.cosh(n * g).max() < res.remez_value
 
     @pytest.mark.filterwarnings("error")
     @pytest.mark.parametrize("x0, n", [(-0.1, 24), (-0.25, 12)])

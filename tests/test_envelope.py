@@ -4,6 +4,7 @@ import tracemalloc
 import numpy as np
 import pytest
 
+from chebgap import _stats
 from chebgap.envelope import (
     akhiezer_curve,
     delta_star,
@@ -66,7 +67,7 @@ class TestStationaryPoint:
         from chebgap.green import dalpha_green
 
         for alpha, delta in ((-0.25, 0.4), (-0.1, 0.3), (-0.4, 0.45)):
-            x0 = x0_of_alpha(alpha, delta, tol=1e-10)
+            x0 = x0_of_alpha(alpha, delta)
             assert abs(dalpha_green(alpha, delta, x0)) < 1e-6
 
 
@@ -220,6 +221,12 @@ class TestSwitchingPoint:
         xs = switching_point(0.1)
         assert -1.0 < xs < -0.8
 
+    def test_quadratures(self):
+        # bisection to _SWITCH_TOL needs 350 quadratures
+        with _stats.collect() as counts:
+            switching_point(0.4)
+        assert counts["quad.calls"] <= 170
+
 
 class TestXStar:
     def test_range(self):
@@ -242,6 +249,12 @@ class TestXStar:
                            min(coarse[i] + 0.01, 0.0), 41)
         brute_min = min(x0_of_alpha(float(al), d) for al in fine)
         assert 0.0 <= brute_min - x_star(d) <= 1e-6
+
+    def test_quadratures(self):
+        # four x0 sweeps; lockstep bisection to _ROOT_TOL needs 140 quadratures
+        with _stats.collect() as counts:
+            x_star(0.4)
+        assert counts["quad.calls"] <= 110
 
 
 @pytest.fixture(scope="module")

@@ -1,5 +1,5 @@
 from chebgap import _stats
-from chebgap._search import bisect_root
+from chebgap._search import illinois_many
 from chebgap.andrievskii import L_n_delta
 from chebgap.extremal import solve_extremal
 from chebgap.green import green_eval
@@ -24,9 +24,11 @@ def test_sums_maxima_and_nesting():
 
 
 def test_search_evaluations_are_counted():
+    # the first trial is the root, so one evaluation closes the bracket
     with _stats.collect() as counts:
-        bisect_root(lambda x: x - 0.3, 0.0, 1.0, 2.0 ** -10)
-    assert counts == {"search.bisect_root.evals": 2 + 10}
+        illinois_many(lambda x, _: x - 0.5, [0.0], [1.0], [-0.5], [0.5],
+                      lambda a, b, _: b - a <= 0.0)
+    assert counts == {"search.illinois_many.evals": 1}
 
 
 def test_quadrature_counts():
