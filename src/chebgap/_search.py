@@ -1,4 +1,4 @@
-"""Bracketed search primitives used across the package: Brent and golden
+"""Bracketed search primitives used across the package: lockstep golden
 section for maxima, lockstep Illinois for roots."""
 
 from __future__ import annotations
@@ -10,72 +10,6 @@ import numpy as np
 from . import _stats
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/golden ratio
-
-
-@_stats.counts_evals("search.brent_max.evals")
-def brent_max(f, lo: float, hi: float, xtol: float, f_lo=None, f_hi=None):
-    """Maximize f on [lo, hi] by Brent's method; returns (x, f(x)).
-
-    Parabolic steps safeguarded by golden section (Brent 1973, ch. 5) until
-    the bracket lies within xtol of the best point.  First the higher end is
-    compared with f one xtol inside it: a unimodal f that does not rise there
-    peaks at that end.  Known endpoint values may be passed in; the
-    endpoints are checked against the interior maximum at the end.
-    """
-    if f_lo is None:
-        f_lo = f(lo)
-    if f_hi is None:
-        f_hi = f(hi)
-    x_end, f_end, step = (lo, f_lo, 1.0) if f_lo >= f_hi else (hi, f_hi, -1.0)
-    if f(x_end + step * min(xtol, 0.5 * (hi - lo))) <= f_end:
-        return x_end, f_end
-    tol1 = 0.5 * xtol
-    a, b = lo, hi
-    x = w = v = a + (1.0 - _INVPHI) * (b - a)
-    fx = fw = fv = f(x)
-    d = e = 0.0
-    while True:
-        xm = 0.5 * (a + b)
-        if abs(x - xm) <= xtol - 0.5 * (b - a):
-            break
-        golden = True
-        if abs(e) > tol1:
-            r = (x - w) * (fx - fv)
-            q = (x - v) * (fx - fw)
-            p = (x - v) * q - (x - w) * r
-            q = 2.0 * (q - r)
-            if q > 0.0:
-                p = -p
-            q = abs(q)
-            if abs(p) < abs(0.5 * q * e) and q * (a - x) < p < q * (b - x):
-                e, d = d, p / q
-                golden = False
-                if x + d - a < xtol or b - x - d < xtol:
-                    d = math.copysign(tol1, xm - x)
-        if golden:
-            e = (a if x >= xm else b) - x
-            d = (1.0 - _INVPHI) * e
-        u = x + (d if abs(d) >= tol1 else math.copysign(tol1, d))
-        fu = f(u)
-        if fu >= fx:
-            if u >= x:
-                a = x
-            else:
-                b = x
-            v, w, x, fv, fw, fx = w, x, u, fw, fx, fu
-        else:
-            if u < x:
-                a = u
-            else:
-                b = u
-            if fu >= fw or w == x:
-                v, w, fv, fw = w, u, fw, fu
-            elif fu >= fv or v == x or v == w:
-                v, fv = u, fu
-    for xe, fe in ((lo, f_lo), (hi, f_hi)):
-        if fe > fx:
-            x, fx = xe, fe
-    return x, fx
 
 
 @_stats.counts_evals("search.golden_max_many.evals")

@@ -32,17 +32,15 @@ from functools import lru_cache
 
 import numpy as np
 
-from ._search import brent_max, illinois_many
+from ._search import illinois_many
 from .errors import DomainError, SolverError
 from .green import (
     _admissible,
     _check_gap,
     c_cdot_rows,
-    c_rows,
-    dg_rows,
+    g_dg_rows,
     g_rows,
     green_single_interval,
-    green_two_interval,
 )
 
 SOURCE_REMEZ = "remez"
@@ -50,8 +48,9 @@ SOURCE_AKHIEZER = "akhiezer"
 SOURCE_TIE = "tie"
 
 _COARSE_ALPHA = 64        # coarse grid points per maximization
-_ALPHA_TOL = 1e-8         # Brent bracket width in alpha; G is flat to
-                          # rounding within about 1e-8 of its maximizer
+_ALPHA_TOL = 1e-7         # bracket width of the alpha maximizer; G is
+                          # quadratic there, so it ends within about
+                          # 1e-14 of its maximum
 _TIE_TOL = 1e-9           # branch values closer than this tie
 _BOUNDARY_CLIP = 1e-8     # keep alpha >= delta-1+clip
 _ROOT_TOL = 1e-10         # bracket width for x0(alpha)
@@ -106,6 +105,8 @@ def delta_star(tol: float = 1e-8) -> float:
     lo, hi = 0.0, 1.0
     while hi - lo > tol:
         mid = 0.5 * (lo + hi)
+        if mid in (lo, hi):    # tol below the float spacing: no float between
+            break
         if f(mid) > 0.0:
             hi = mid
         else:
@@ -136,12 +137,12 @@ def x0_many(alphas, delta: float):
     h = np.maximum(1e-8 * (b - a), 2e-10)
     lo, hi = a + h, b - h
     # both bracket ends of every row in one quadrature
-    f = dg_rows(np.concatenate([al, al]), delta, np.concatenate([lo, hi]),
-                np.concatenate([c, c]), np.concatenate([cd, cd]))
+    _, f = g_dg_rows(np.concatenate([al, al]), delta, np.concatenate([lo, hi]),
+                     np.concatenate([c, c]), np.concatenate([cd, cd]))
     f_lo, f_hi = f[: al.size], f[al.size :]
     rows = np.flatnonzero((f_lo < 0.0) & (0.0 < f_hi))
     al, c, cd = al[rows], c[rows], cd[rows]
-    lo, hi = illinois_many(lambda x, lanes: dg_rows(al[lanes], delta, x, c[lanes], cd[lanes]),
+    lo, hi = illinois_many(lambda x, lanes: g_dg_rows(al[lanes], delta, x, c[lanes], cd[lanes])[1],
                            lo[rows], hi[rows], f_lo[rows], f_hi[rows],
                            lambda a, b, _: b - a <= _ROOT_TOL)
     out[ok[rows]] = 0.5 * (lo + hi)
@@ -188,16 +189,21 @@ def _shared_alpha_grid(delta: float):
 
 @lru_cache(maxsize=256)
 def _shared_c(delta: float):
-    """c on _shared_alpha_grid(delta), reused by every x of one delta."""
-    return c_rows(_shared_alpha_grid(delta), delta)
+    """(c, cdot) rows on _shared_alpha_grid(delta), reused by every x of one
+    delta."""
+    return np.array(c_cdot_rows(_shared_alpha_grid(delta), delta)[:2])
 
 
 def _interior_max(delta: float, x: float):
     """Maximize alpha -> G_{alpha,delta}(x) over admissible interior alpha.
 
-    About 66 alphas are scanned in one quadrature (c from the cached shared
-    grid where it applies); Brent's method then polishes between the
-    neighbours of the best one.
+    About 66 alphas are scanned for G and dG/dalpha in one quadrature (c and
+    cdot from the cached shared grid where it applies).  The maximizer lies
+    where the slope turns from + to - beside the best of them; a gap end at
+    x counts as slope +-inf, and a best alpha at a range end whose slope
+    points out of the range is the maximum.  One-lane `illinois_many` steps
+    on -dG/dalpha close that bracket to _ALPHA_TOL, each at the cost of one
+    c, cdot and one G, dG/dalpha quadrature, and the best G seen is kept.
 
     Returns (alpha, value, at_clip) or None when no alpha admits x in its
     gap.  at_clip flags maximizers stuck at the clipped left boundary, where
@@ -218,27 +224,33 @@ def _interior_max(delta: float, x: float):
 
     grid = _shared_alpha_grid(delta)
     inside = (grid > lo) & (grid < hi)
-    cand, c_cand = grid[inside], _shared_c(delta)[inside]
+    cand, cc_cand = grid[inside], _shared_c(delta)[:, inside]
     if cand.size > int(1.5 * _COARSE_ALPHA):
         stride = int(math.ceil(cand.size / _COARSE_ALPHA))
-        cand, c_cand = cand[::stride], c_cand[::stride]
+        cand, cc_cand = cand[::stride], cc_cand[:, ::stride]
     if cand.size < 16:
         alphas = np.linspace(lo, hi, _COARSE_ALPHA)
-        cs = c_rows(alphas, delta)
+        cc = c_cdot_rows(alphas, delta)[:2]
     else:
         alphas = np.concatenate(([lo], cand, [hi]))
-        c_lo, c_hi = c_rows(alphas[[0, -1]], delta)
-        cs = np.concatenate(([c_lo], c_cand, [c_hi]))
+        cc_ends = np.array(c_cdot_rows(alphas[[0, -1]], delta)[:2])
+        cc = np.concatenate([cc_ends[:, :1], cc_cand, cc_ends[:, 1:]], axis=1)
 
-    vals = g_rows(alphas, delta, x, cs)
+    vals, slopes = g_dg_rows(alphas, delta, x, *cc)
     i = int(np.argmax(vals))
-    j, k = max(i - 1, 0), min(i + 1, len(alphas) - 1)
-    alpha_star, g_star = brent_max(
-        lambda al: green_two_interval(al, delta, x), alphas[j], alphas[k], _ALPHA_TOL,
-        vals[j], vals[k],
-    )
-    if vals[i] > g_star:
-        alpha_star, g_star = alphas[i], vals[i]
+    best = [alphas[i], vals[i]]
+    j, k = sorted((i, i + 1 if slopes[i] > 0.0 else i - 1))
+    if 0 <= j and k < len(alphas) and slopes[j] > 0.0 > slopes[k]:
+
+        def neg_slope(al, _):
+            g, s = g_dg_rows(al, delta, x, *c_cdot_rows(al, delta)[:2])
+            if g[0] > best[1]:
+                best[:] = al[0], g[0]
+            return -s
+
+        illinois_many(neg_slope, [alphas[j]], [alphas[k]], [-slopes[j]], [-slopes[k]],
+                      lambda a, b, _: b - a <= _ALPHA_TOL)
+    alpha_star, g_star = best
     at_clip = alpha_star - clip_lo < 1e-6
     return float(alpha_star), float(g_star), at_clip
 
@@ -246,9 +258,10 @@ def _interior_max(delta: float, x: float):
 def upper_envelope(delta: float, x: float) -> EnvelopePoint:
     """Phi_delta(x) with its source tag, for x in (-1, 0].
 
-    Interior maximization (one batched coarse alpha scan, then Brent's
-    method) against the closed-form boundary branch; branches closer than
-    _TIE_TOL are tagged tie.
+    The interior maximum (`_interior_max`: one batched alpha scan of G and
+    dG/dalpha, then Illinois steps to the root of dG/dalpha) against the
+    closed-form boundary branch; branches closer than _TIE_TOL are tagged
+    tie.
     """
     if not (0.0 < delta < 1.0):
         raise DomainError(f"delta must lie in (0, 1), got {delta}")

@@ -32,9 +32,10 @@ r integrates several integrands over its own tau-range, and all rows share
 one panel partition of the unit interval, mapped affinely onto each range,
 so a whole alpha family costs one quadrature, and so do c and G together
 (rows over psi in [0, pi] and [phi(x), pi]).  The array cores `c_rows`,
-`c_cdot_rows`, `g_rows` and `dg_rows` give c, cdot, G and dG/dalpha over an
-alpha array (x broadcast); the scalar functions are one-row calls of them,
-and `omega_rows` turns c into the equilibrium mass of the left band.
+`c_cdot_rows`, `g_rows` and `g_dg_rows` give c, cdot, G, and G with
+dG/dalpha over an alpha array (x broadcast); the scalar functions are
+one-row calls of them, and `omega_rows` turns c into the equilibrium mass
+of the left band.
 Nothing is cached per (alpha, delta): a caller that reuses c, such as the
 envelope's shared alpha grid, keeps it itself.
 
@@ -221,13 +222,6 @@ def _uvj(phi, alpha, delta):
     )
 
 
-def _dg(phi, alpha, delta, c):
-    op, om = _one_pm_xi(alpha, delta, phi)
-    xi = alpha - delta * np.cos(phi)
-    sq = np.sqrt(op * om)
-    return np.array([(1.0 - c * xi) / (op * om * sq), 1.0 / sq])
-
-
 def _uv_i1(phi, alpha, delta, c):
     op, om = _one_pm_xi(alpha, delta, phi)
     cos = np.cos(phi)
@@ -357,12 +351,6 @@ def _tail(integrand, alpha, delta, x, *params):
     return _rows(integrand, alpha, delta, _phi(alpha, delta, x), np.full(n, math.pi), *params)[0]
 
 
-def _dg_of(alpha, delta, x, c, cd, i1, i3):
-    a, b = alpha - delta, alpha + delta
-    i2 = (x - c) / np.sqrt((1.0 - x) * (1.0 + x) * (b - x) * (x - a))
-    return i1 + i2 - cd * i3
-
-
 def g_rows(alpha, delta, x, c=None):
     """G_{alpha,delta}(x) = (alpha - c) V - delta U over an alpha array; x
     broadcasts and must lie in each row's closed gap.  When c(alpha) is not
@@ -377,11 +365,16 @@ def g_rows(alpha, delta, x, c=None):
     return (alpha - c) * v[n:] - delta * u[n:]
 
 
-def dg_rows(alpha, delta, x, c, cd):
-    """dG/dalpha at x over an alpha array, given c and cdot; x broadcasts
-    and must lie strictly inside each row's gap."""
-    i1, i3 = _tail(_dg, alpha, delta, x, c)
-    return _dg_of(alpha, delta, x, c, cd, i1, i3)
+def g_dg_rows(alpha, delta, x, c, cd):
+    """(G, dG/dalpha) at x over an alpha array, given c and cdot, from one
+    quadrature of U, V = I3 and I1 (see dalpha_green); x broadcasts and must
+    lie in each row's closed gap.  Where x is a gap end, dG/dalpha reads
+    -inf at a and +inf at b."""
+    u, i3, i1 = _tail(_uv_i1, alpha, delta, x, c)
+    a, b = alpha - delta, alpha + delta
+    with np.errstate(divide="ignore"):
+        i2 = (x - c) / np.sqrt((1.0 - x) * (1.0 + x) * (b - x) * (x - a))
+    return (alpha - c) * i3 - delta * u, i1 + i2 - cd * i3
 
 
 # ----------------------------------------------------------------------
@@ -455,7 +448,7 @@ def dalpha_green(alpha: float, delta: float, x: float) -> float:
         )
     al = np.array([alpha])
     c, cd, _, _ = c_cdot_rows(al, delta)
-    return float(dg_rows(al, delta, x, c, cd)[0])
+    return float(g_dg_rows(al, delta, x, c, cd)[1][0])
 
 
 def green_eval(alpha: float, delta: float, x: float) -> GreenEval:
@@ -468,12 +461,10 @@ def green_eval(alpha: float, delta: float, x: float) -> GreenEval:
     _check_closed_gap(alpha, delta, x)
     al = np.array([alpha])
     c, cd, ints, errs = c_cdot_rows(al, delta)
-    u_x, i3, i1 = _tail(_uv_i1, al, delta, x, c)[:, 0].tolist()
+    g, dg = (float(v[0]) for v in g_dg_rows(al, delta, x, c, cd))
     c, cd = float(c[0]), float(cd[0])
-    g = (alpha - c) * i3 - delta * u_x
-    dg = None
-    if not _refused(alpha, delta, x):
-        dg = float(_dg_of(alpha, delta, x, c, cd, i1, i3))
+    if _refused(alpha, delta, x):
+        dg = None
     ints, errs = ints[:, 0].tolist(), errs[:, 0].tolist()
     (u, v, *_), (eu, ev, *_) = ints, errs
     ec = delta * (eu / v + abs(u) * ev / (v * v))

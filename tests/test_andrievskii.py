@@ -198,10 +198,12 @@ class TestLnDelta:
         solved = dict(res.akhiezer_profile)
         assert res.best_alpha - 0.5 * tol in solved and res.best_alpha + 0.5 * tol in solved
 
-    @pytest.mark.parametrize("x0", [-0.3, -0.45, -0.7])
+    @pytest.mark.parametrize("x0", [0.0, -0.1, -0.2, -0.3, -0.45, -0.7])
     def test_prune_bound_is_the_global_green_maximum(self, x0):
         # the prune trusts envelope._interior_max to find max_alpha G; a
-        # 2049-point alpha grid over the same range finds nothing higher
+        # 2049-point alpha grid over the same range finds nothing higher.
+        # The root polish sets the maximum at x0 = -0.2 and -0.1, the range
+        # end alpha = 0 at x0 = 0, and the clip from x0 = -0.3 down
         delta = 0.4
         _, g_star, _ = _interior_max(delta, x0)
         alphas = np.linspace(delta - 1.0 + 1e-8, min(0.0, x0 + delta) - 1e-9, 2049)

@@ -31,6 +31,13 @@ class TestDeltaStar:
         d = delta_star(1e-10)
         assert abs(d * d - (1 - d) / (1 + d)) <= 1e-9
 
+    @pytest.mark.parametrize("tol", [1e-16, 1e-300])
+    def test_tol_below_float_spacing(self, tol):
+        # floats near 0.5437 are 1.1e-16 apart: the last midpoint rounds onto
+        # a bracket end, and the bisection must stop there
+        d = delta_star(tol)
+        assert abs(d * d - (1 - d) / (1 + d)) <= 1e-15
+
     def test_green_values_tie_at_threshold(self):
         # the threshold is exactly where the boundary branch at 0 ties the
         # symmetric two-interval value at 0
@@ -173,6 +180,14 @@ class TestUpperEnvelope:
         neighbour = upper_envelope(d, math.nextafter(x, 0.0))
         assert p.source == neighbour.source
         assert p.phi == pytest.approx(neighbour.phi, abs=1e-9)
+
+    def test_quadratures(self):
+        # the maximizer is the range end alpha = 0, where dG/dalpha is 0 up
+        # to rounding: the scan and a step of the polish find it, where
+        # Brent's method took 31 quadratures
+        with _stats.collect() as counts:
+            upper_envelope(0.4, 0.0)
+        assert counts["quad.calls"] <= 8
 
     def test_domain(self):
         with pytest.raises(DomainError):

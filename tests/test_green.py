@@ -2,6 +2,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -19,7 +20,7 @@ from chebgap.green import (
     c_rows,
     critical_point_c,
     dalpha_green,
-    dg_rows,
+    g_dg_rows,
     g_rows,
     green_eval,
     green_single_interval,
@@ -148,12 +149,20 @@ class TestArrayCores:
     def test_g_and_dg_match_scalar_functions(self):
         c, cd, _, _ = c_cdot_rows(self.ALPHAS, self.DELTA)
         g = g_rows(self.ALPHAS, self.DELTA, self.X, c)
-        dg = dg_rows(self.ALPHAS, self.DELTA, self.X, c, cd)
+        g2, dg = g_dg_rows(self.ALPHAS, self.DELTA, self.X, c, cd)
+        assert g2 == pytest.approx(g, abs=1e-13)
         for r, al in enumerate(self.ALPHAS):
             assert g[r] == pytest.approx(green_two_interval(al, self.DELTA, self.X), abs=1e-13)
             assert dg[r] == pytest.approx(dalpha_green(al, self.DELTA, self.X), abs=1e-11)
         # without c, the rows for c join the quadrature of G
         assert g_rows(self.ALPHAS, self.DELTA, self.X) == pytest.approx(g, abs=1e-13)
+        # at the gap ends a and b, dG/dalpha reads -inf and +inf
+        al = np.array([-0.3, -0.3])
+        ends = np.array([-0.3 - self.DELTA, -0.3 + self.DELTA])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            _, dg_end = g_dg_rows(al, self.DELTA, ends, *c_cdot_rows(al, self.DELTA)[:2])
+        assert dg_end.tolist() == [-math.inf, math.inf]
         # x broadcasts: one x per row
         xs = self.ALPHAS + 0.5 * self.DELTA
         g_x = g_rows(self.ALPHAS, self.DELTA, xs, c)

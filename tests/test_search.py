@@ -1,10 +1,9 @@
-import math
 import warnings
 
 import numpy as np
 import pytest
 
-from chebgap._search import brent_max, illinois_many
+from chebgap._search import illinois_many
 
 
 def tiny(x):
@@ -47,47 +46,3 @@ def test_illinois_many_exact_root_closes_its_bracket():
     a, b = illinois_many(lambda x, _: x - 0.5, [0.0], [1.0], [-0.5], [0.5],
                          lambda a, b, _: b - a <= 0.0)
     assert (a[0], b[0]) == (0.5, 0.5)
-
-
-class Counted:
-    def __init__(self, f):
-        self.f, self.n = f, 0
-
-    def __call__(self, x):
-        self.n += 1
-        return self.f(x)
-
-
-def peaked_at(argmax, f):
-    f.argmax = argmax
-    return f
-
-
-@pytest.mark.parametrize("f,lo,hi", [
-    (peaked_at(0.3, lambda x: -(x - 0.3) ** 2), 0.0, 1.0),
-    (peaked_at(math.atan(1.0 / 0.3), lambda x: math.sin(x) * math.exp(-0.3 * x)), 0.0, 3.0),
-    (peaked_at(0.9, lambda x: 1.0 / (1.0 + 50.0 * (x - 0.9) ** 2)), 0.0, 1.0),
-])
-def test_brent_max_agrees_with_golden_max_in_fewer_evaluations(f, lo, hi):
-    # against the closed-form argmax, and golden section's evaluation count:
-    # two to start, then one per 1/phi shrink of the bracket
-    xtol = 1e-8
-    fb = Counted(f)
-    xb, vb = brent_max(fb, lo, hi, xtol)
-    assert abs(xb - f.argmax) <= xtol
-    assert vb == f(xb)
-    golden_evals = math.ceil(math.log((hi - lo) / xtol) / math.log((1 + math.sqrt(5)) / 2)) + 2
-    assert fb.n < golden_evals
-
-
-@pytest.mark.parametrize("f,end", [(lambda x: x, 1.0), (lambda x: -x, 0.0),
-                                   (lambda x: math.exp(-x * x), 0.0)])
-def test_brent_max_end_maximum_in_four_evaluations(f, end):
-    fc = Counted(f)
-    x, v = brent_max(fc, 0.0, 1.0, 1e-10)
-    assert x == end and v == f(end)
-    assert fc.n <= 4
-    # known endpoint values are not evaluated again
-    fc.n = 0
-    assert brent_max(fc, 0.0, 1.0, 1e-10, f(0.0), f(1.0)) == (end, f(end))
-    assert fc.n <= 2
