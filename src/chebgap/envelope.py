@@ -94,24 +94,15 @@ def delta_star(tol: float = 1e-8) -> float:
     """Threshold half-gap: unique root in (0,1) of d^2 = (1-d)/(1+d).
 
     Below it the symmetric two-interval value at x=0 beats the boundary
-    branch; numerically 0.543689...
+    branch; numerically 0.543689...  Illinois steps on the increasing
+    d^2 - (1-d)/(1+d) close [0, 1] to a width of tol, or of two float
+    spacings when tol is below them; the midpoint is returned.
     """
     if tol <= 0:
         raise DomainError("tol must be positive")
-
-    def f(d):
-        return d * d - (1.0 - d) / (1.0 + d)
-
-    lo, hi = 0.0, 1.0
-    while hi - lo > tol:
-        mid = 0.5 * (lo + hi)
-        if mid in (lo, hi):    # tol below the float spacing: no float between
-            break
-        if f(mid) > 0.0:
-            hi = mid
-        else:
-            lo = mid
-    return 0.5 * (lo + hi)
+    a, b = illinois_many(lambda d, _: d * d - (1.0 - d) / (1.0 + d), [0.0], [1.0], [-1.0], [1.0],
+                         lambda a, b, _: b - a <= np.maximum(tol, 2.0 * np.spacing(b)))
+    return float(0.5 * (a[0] + b[0]))
 
 
 def x0_many(alphas, delta: float):

@@ -44,12 +44,16 @@ A pivot moves one basis node, so the pricing values come from a Cauchy
 matrix 1/(x_j - t_i) built once per solve and updated by one column per
 pivot.
 
-Exchange rounds then locate the true local maxima of |P| on E by lockstep
-Newton on P' (Berrut & Trefethen, SIAM Rev. 2004, section 9), append them
-as grid columns and move every basis node at once to the largest s_i P in
-its window, as a Remez step does (Pachon & Trefethen, BIT 49, 2009); node
-order and the side of x0 are kept, so the moved basis stays feasible, and
-the simplex re-optimizes from it until a scan certifies |P| <= 1 + 1e-10.
+Exchange rounds then locate the true local maxima of |P| on E.  The
+simplex's last pricing holds P at every grid point, and each discrete peak
+of |P| on an interval's sorted grid is polished between its two grid
+neighbours by lockstep Newton on P' (Berrut & Trefethen, SIAM Rev. 2004,
+section 9); the grid is the only sampling of E.  The rounds append the
+polished peaks as grid columns and move every basis node at once to the
+largest s_i P in its window, as a Remez step does (Pachon & Trefethen, BIT
+49, 2009); node order and the side of x0 are kept, so the moved basis stays
+feasible, and the simplex re-optimizes from it until the grid values and
+the polished peaks certify |P| <= 1 + 1e-10.
 
 The answer is its active points and signs (t, s), with the dual weights
 lam_i = s_i l_i(x0), which sum to the value and give dM/de for an endpoint
@@ -246,20 +250,6 @@ def _bary_logweights(t):
     return logw, signw
 
 
-def _bary_values(t, s, logw, signw, xs):
-    """Second-form barycentric values of the interpolant of (t_i, s_i) at an
-    array xs.  Exact node hits surface as non-finite entries and are patched
-    after the fact; scanning for them upfront would cost more."""
-    wt = signw * np.exp(logw - logw.max())
-    d = np.asarray(xs, dtype=float)[:, None] - t
-    with np.errstate(divide="ignore", invalid="ignore"):
-        C = 1.0 / d
-        vals = (C @ (wt * s)) / (C @ wt)
-    bad = np.flatnonzero(~np.isfinite(vals))
-    vals[bad] = s[np.argmin(np.abs(d[bad]), axis=1)]
-    return vals
-
-
 def _bary_derivs(t, s, logw, signw, xs):
     """(P, P', P'') at xs of the interpolant of (t_i, s_i) in the second form
     (Berrut & Trefethen 2004, section 9), d_i = x - t_i, D = sum_i w_i / d_i:
@@ -425,8 +415,8 @@ class _ExchangeLP:
         C[p, i] = 0.0
 
     def _price(self, C, t, s, logw, signw):
-        """Interpolant values at every grid point, as `_bary_values` gives
-        them, from the cached pricing matrix."""
+        """Interpolant values at every grid point in the second barycentric
+        form, from the cached pricing matrix."""
         wt = signw * np.exp(logw - logw.max())
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = (C @ (wt * s)) / (C @ wt)
@@ -472,6 +462,10 @@ class _ExchangeLP:
         return moved
 
     def solve(self):
+        """The simplex from the current basis (placed and stepped first if
+        there is none yet).  Returns the optimal nodes (t, s, logw, signw)
+        and P's values at every grid point from the last pricing, which
+        optimality bounds by 1 + _EPS_RC in modulus."""
         m = len(self.points)
         if self.basis is None:
             self._initial_basis()
@@ -506,7 +500,7 @@ class _ExchangeLP:
             else:
                 enter, dent = 2 * im + 1, d_minus[im]
             if dent >= -self._EPS_RC:
-                return t, s, logw, signw
+                return (t, s, logw, signw), pv
             x_e = self.points[enter >> 1]
             s_e = 1.0 if enter % 2 == 0 else -1.0
             lam_hat = np.maximum(lam_hat, 0.0)
@@ -546,7 +540,9 @@ class _ExchangeLP:
 
 
 def _grid_density(n, k_intervals):
-    """Grid points per interval for the initial LP."""
+    """Grid points per interval for the initial LP.  The grid is also the
+    sample set on which `_scan_abs_max` finds the peaks of |P|, so this
+    density is what resolves P's oscillations."""
     return max(64, int(math.ceil(20 * (n + 1) / max(k_intervals, 1))))
 
 
@@ -558,12 +554,12 @@ def _nearest_distance(points, xs):
     return np.minimum(np.abs(xs - pts[right - 1]), np.abs(xs - pts[right]))
 
 
-def _newton_peaks(nodes, los, his, starts, signs):
+def _newton_peaks(nodes, los, his, signs):
     """Maxima (xs, |P(xs)|) of |P| on the brackets [los, his], in lockstep.
 
     A lane is live when signs * P' rises at its low end and falls at its
-    high end, else the better end wins.  Newton on P' runs from the scan
-    peak `starts` inside the bracket the signs of P' keep, bisecting when
+    high end, else the better end wins.  Newton on P' runs from the bracket
+    midpoint inside the bracket the signs of P' keep, bisecting when
     P'' >= 0 or a step leaves it.  A lane stops when the predicted gain
     g^2 / 2|h| is below _PEAK_GAIN (P' carries eps / |x - t_i| of noise
     near a node, so no step-size stop), or after _NEWTON_STEPS by golden
@@ -573,7 +569,8 @@ def _newton_peaks(nodes, los, his, starts, signs):
     best_x = np.where(abs(P[m:]) > abs(P[:m]), his, los)
     best_f = np.maximum(abs(P[m:]), abs(P[:m]))
     live = np.flatnonzero((signs * dP[:m] > 0.0) & (signs * dP[m:] < 0.0))
-    a, b, x = los[live], his[live], starts[live]
+    a, b = los[live], his[live]
+    x = 0.5 * (a + b)
     for _ in range(_NEWTON_STEPS):
         if not live.size:
             return best_x, best_f
@@ -588,52 +585,41 @@ def _newton_peaks(nodes, los, his, starts, signs):
             open_ = ~((h < 0.0) & (g * g <= -2.0 * _PEAK_GAIN * h))
         live, a, b, x = live[open_], a[open_], b[open_], x[open_]
     if live.size:
-        xg, fg = golden_max_many(lambda u: np.abs(_bary_values(*nodes, u)), a, b, 1e-12)
+        xg, fg = golden_max_many(lambda u: np.abs(_bary_derivs(*nodes, u)[0]), a, b, 1e-12)
         up = fg > best_f[live]
         best_x[live[up]], best_f[live[up]] = xg[up], fg[up]
     return best_x, best_f
 
 
-def _scan_abs_max(nodes, E, n, known=()):
-    """Local maxima of |P| on E for nodes = (t, s, logw, signw): a dense
-    Chebyshev-spaced scan per interval, each discrete peak, end samples
-    included, polished by `_newton_peaks` from that sample.
+def _scan_abs_max(nodes, E, points, values):
+    """Local maxima of |P| on E for nodes = (t, s, logw, signw), from its
+    `values` at the LP grid `points` (the simplex's last pricing).
 
-    A peak bracket may straddle an active constraint point (where |P| = 1
-    exactly) next to a genuine violation, which breaks the unimodality
-    the polish needs; brackets are therefore split at every `known`
-    constraint point they contain and each piece is polished separately.
-    Returns the points found (with raw samples witnessing |P| > 1 as a
-    safety net), max |P| seen and its x."""
-    K = max(257, 8 * (n + 1))
-    base = 0.5 * (1.0 - np.cos(np.linspace(0.0, math.pi, K)))  # ascending in [0, 1]
-    known = np.sort(known)
-    seen_x, seen_v, brackets = [], [], []
-    for iv in E.intervals:
-        xs = iv.lo + iv.length * base
-        pv = _bary_values(*nodes, xs)
-        vals = np.abs(pv)
-        seen_x, seen_v = seen_x + [xs], seen_v + [vals]
-        # discrete peaks, end samples included: an end peak may hide a bump
-        # before the next sample
-        v = np.concatenate([[-1.0], vals, [-1.0]])
-        peak = np.flatnonzero((v[1:-1] >= v[:-2]) & (v[1:-1] >= v[2:]))
-        left, right = np.maximum(peak - 1, 0), np.minimum(peak + 1, K - 1)
-        first = np.searchsorted(known, xs[left], side="right")
-        stop = np.searchsorted(known, xs[right], side="left")
-        for i, j, q, k0, k1 in zip(left, right, peak, first, stop):
-            cuts = [xs[i], *known[k0:k1].tolist(), xs[j]]
-            brackets += [(lo, hi, xs[q], 1.0 if pv[q] >= 0.0 else -1.0)
-                         for lo, hi in zip(cuts[:-1], cuts[1:]) if hi - lo >= 1e-15]
-    xs, vals = np.concatenate(seen_x), np.concatenate(seen_v)
-    found = [xs[vals > 1.0 + 1e-10]]
-    if brackets:
-        los, his, starts, signs = np.array(brackets).T
-        xp, vp = _newton_peaks(nodes, los, his, starts, signs)
-        found.append(xp)
-        xs, vals = np.concatenate([xs, xp]), np.concatenate([vals, vp])
+    Each discrete peak of |P| on an interval's sorted points, end points
+    included, is polished by `_newton_peaks` on the brackets to its two
+    grid neighbours.  No grid point lies inside a bracket, so an active
+    point (|P| = 1 exactly) next to a violation bounds the bracket instead
+    of breaking its unimodality.  Returns the points found, the largest
+    |P| over the grid and the polished peaks, and its x."""
+    order = np.argsort(points)
+    xs, pv = points[order], values[order]
+    av = np.abs(pv)
+    # cut[k]: xs[k - 1] and xs[k] lie on different intervals of E
+    cut = np.zeros(xs.size + 1, dtype=bool)
+    cut[[0, -1]] = True
+    cut[np.searchsorted(xs, [0.5 * (lo + hi) for lo, hi in E.gaps()])] = True
+    left = np.where(cut[:-1], -1.0, np.roll(av, 1))
+    right = np.where(cut[1:], -1.0, np.roll(av, -1))
+    peak = np.flatnonzero((av >= left) & (av >= right))
+    # the peaks with a neighbour on the left, and those with one on the right
+    lq, rq = peak[~cut[peak]], peak[~cut[peak + 1]]
+    los = np.concatenate([xs[lq - 1], xs[rq]])
+    his = np.concatenate([xs[lq], xs[rq + 1]])
+    signs = np.where(pv[np.concatenate([lq, rq])] >= 0.0, 1.0, -1.0)
+    xp, vp = _newton_peaks(nodes, los, his, signs)
+    xs, vals = np.concatenate([xs, xp]), np.concatenate([av, vp])
     i = int(np.argmax(vals))
-    return np.concatenate(found), float(vals[i]), float(xs[i])
+    return xp, float(vals[i]), float(xs[i])
 
 
 def _optimize(lp, E):
@@ -642,13 +628,14 @@ def _optimize(lp, E):
     Returns (t, s, logw, signw, raw, L0, worst): the optimal basis, its
     scaled dual weights s_i l_i(x0) exp(-L0) and the certified max_E |P|.
     """
-    t, s, logw, signw = lp.solve()
+    nodes, values = lp.solve()
     for round_ in range(_REFINE_ROUNDS + 1):
+        t, s, logw, signw = nodes
         # value = sum_i s_i l_i(x0): same-sign terms at the optimum, so the
         # log form keeps full relative precision at any magnitude.
         lam_hat, L0 = _lagrange_scaled(t, logw, signw, lp.x0)
         raw = s * lam_hat
-        peaks, worst, worst_x = _scan_abs_max((t, s, logw, signw), E, lp.n, known=lp.points)
+        peaks, worst, worst_x = _scan_abs_max(nodes, E, lp.points, values)
         if worst <= 1.0 + 10.0 * _ExchangeLP._EPS_RC:
             return t, s, logw, signw, raw, L0, worst
         peaks = np.sort(peaks)
@@ -661,7 +648,7 @@ def _optimize(lp, E):
         # the whole reference moves to the fresh peaks in one step; the
         # simplex then only settles what that step could not
         lp.exchange()
-        t, s, logw, signw = lp.solve()
+        nodes, values = lp.solve()
 
 
 def solve_extremal(E: CompactSet, x0: float, n: int, *,
@@ -670,10 +657,11 @@ def solve_extremal(E: CompactSet, x0: float, n: int, *,
 
     x0 inside E short-circuits to value 1 (the constant polynomial);
     otherwise the dual LP is solved on a Chebyshev grid and sharpened by
-    exchange rounds until a scan of E certifies max_E |P| <= 1 + 1e-10
-    (`max_abs_p`, `value_lo`, `rel_gap`), else SolverError after
-    _REFINE_ROUNDS rounds.  The returned polynomial satisfies P(x0) =
+    exchange rounds until the grid and its polished peaks certify max_E |P|
+    <= 1 + 1e-10 (`max_abs_p`, `value_lo`, `rel_gap`), else SolverError
+    after _REFINE_ROUNDS rounds.  The returned polynomial satisfies P(x0) =
     value > 0.  `extension` also computes P^{-1}([-1, 1]) and its case tag.
+    A non-finite x0 raises DomainError.
 
     Every solve starts cold, from the equilibrium quantiles of E.
     """
@@ -681,6 +669,8 @@ def solve_extremal(E: CompactSet, x0: float, n: int, *,
         raise DomainError(f"degree must be >= 0, got {n}")
     if not E.intervals:
         raise DomainError("E must be nonempty")
+    if not math.isfinite(x0):
+        raise DomainError(f"x0 must be finite, got {x0}")
     if E.contains(x0):
         poly = ChebPoly(n, (1.0,) + (0.0,) * n, degree_deficient=n > 0)
         return ExtremalResult(

@@ -22,14 +22,15 @@ DEDUP_TOL = 1e-14
 
 @dataclass(frozen=True)
 class Interval:
-    """Closed interval [lo, hi]; degenerate (lo == hi) is allowed."""
+    """Closed interval [lo, hi] with finite ends; degenerate (lo == hi) is
+    allowed."""
 
     lo: float
     hi: float
 
     def __post_init__(self):
-        if not (self.lo <= self.hi):
-            raise DomainError(f"interval requires lo <= hi, got [{self.lo}, {self.hi}]")
+        if not (-np.inf < self.lo <= self.hi < np.inf):
+            raise DomainError(f"interval requires finite lo <= hi, got [{self.lo}, {self.hi}]")
 
     @property
     def length(self) -> float:

@@ -136,3 +136,17 @@ def exact_interpolant(t, s, x):
             suffix *= d[i]
         out.append(Fraction(total, D))
     return out if np.ndim(x) else out[0]
+
+
+def bary_values(t, s, logw, signw, xs):
+    """Second-form barycentric values of the interpolant of (t_i, s_i) at
+    xs, w_i = signw_i exp(logw_i) its weights, priced from scratch: one
+    Cauchy matrix 1/(x - t_i) per call.  An exact node hit gives its s_i."""
+    wt = signw * np.exp(logw - logw.max())
+    d = np.asarray(xs, dtype=float)[:, None] - t
+    with np.errstate(divide="ignore", invalid="ignore"):
+        C = 1.0 / d
+        vals = (C @ (wt * s)) / (C @ wt)
+    bad = np.flatnonzero(~np.isfinite(vals))
+    vals[bad] = s[np.argmin(np.abs(d[bad]), axis=1)]
+    return vals

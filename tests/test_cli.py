@@ -18,6 +18,16 @@ def run(capsys, *argv):
     return rc, captured.out, captured.err
 
 
+def run_process(*argv):
+    """`python -m chebgap.cli` in a subprocess; a timeout turns a hang into
+    a failure."""
+    src = str(Path(green.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    return subprocess.run([sys.executable, "-m", "chebgap.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=60)
+
+
 class TestGreenCommand:
     def test_symmetric_value(self, capsys):
         rc, out, _ = run(capsys, "green", "--alpha", "0", "--delta", "0.5", "--x", "0")
@@ -39,16 +49,8 @@ class TestGreenCommand:
         assert "delta" in err
 
     def test_alpha_within_an_ulp_of_the_clip_exits_2(self):
-        # 1 + alpha - delta rounds to 0 here; a subprocess with a timeout
-        # turns a hang into a failure
-        src = str(Path(green.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            p for p in (src, os.environ.get("PYTHONPATH")) if p))
-        proc = subprocess.run(
-            [sys.executable, "-m", "chebgap.cli", "green", "--alpha=-0.49999999999999994",
-             "--delta=0.5", "--x=-0.9"],
-            capture_output=True, text=True, env=env, timeout=60,
-        )
+        # 1 + alpha - delta rounds to 0 here
+        proc = run_process("green", "--alpha=-0.49999999999999994", "--delta=0.5", "--x=-0.9")
         assert proc.returncode == 2, proc.stderr
         assert "alpha" in proc.stderr
 
@@ -182,6 +184,17 @@ class TestExtremalCommand:
     def test_malformed_set(self, capsys):
         rc, _, err = run(capsys, "extremal", "--set", "oops", "--x0", "0", "--n", "4")
         assert rc == 2
+
+    @pytest.mark.parametrize("set_, x0, word", [
+        ("[[-1,-0.5],[0.5,Infinity]]", "0", "finite"),   # used to die in np.linalg
+        ("[[-1,-0.5],[0.5,1]]", "nan", "x0"),            # in an empty argmax
+        ("[[-1,-0.5],[0.5,1]]", "inf", "x0"),            # in math.log
+    ])
+    def test_non_finite_input_exits_2(self, set_, x0, word):
+        proc = run_process("extremal", "--set", set_, "--x0", x0, "--n", "6")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and word in proc.stderr
+        assert "Traceback" not in proc.stderr
 
 
 class TestAndrievskiiCommand:

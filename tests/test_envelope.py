@@ -33,8 +33,8 @@ class TestDeltaStar:
 
     @pytest.mark.parametrize("tol", [1e-16, 1e-300])
     def test_tol_below_float_spacing(self, tol):
-        # floats near 0.5437 are 1.1e-16 apart: the last midpoint rounds onto
-        # a bracket end, and the bisection must stop there
+        # floats near 0.5437 are 1.1e-16 apart: the search must stop at a
+        # bracket two spacings wide
         d = delta_star(tol)
         assert abs(d * d - (1 - d) / (1 + d)) <= 1e-15
 

@@ -28,7 +28,7 @@ from chebgap.intervals import (
     random_multigap_set,
 )
 
-from _oracles import exact_interpolant
+from _oracles import bary_values, exact_interpolant
 
 VALUE_TOL = 1e-9
 
@@ -193,8 +193,7 @@ class TestPricingCache:
     def _price_from_scratch(monkeypatch):
         monkeypatch.setattr(
             extremal._ExchangeLP, "_price",
-            lambda self, C, t, s, logw, signw: extremal._bary_values(
-                t, s, logw, signw, self.points),
+            lambda self, C, t, s, logw, signw: bary_values(t, s, logw, signw, self.points),
         )
 
     @staticmethod
@@ -428,6 +427,18 @@ class TestVerifyFeasibility:
         res = solve_extremal(SEED205, -0.6810723933289962, 50, extension=False)
         assert verify_feasibility(res, SEED205).ok
 
+    def test_peak_beside_an_active_node_is_found(self):
+        # D9: a scan sample 24 ulps left of the active node at the middle
+        # interval's midpoint read P' from rounding noise, the Newton
+        # polish shut out the peak at 0.02719, and the certificate said
+        # |P| <= 1 + 6.2e-13 where |P| reached 1 + 2.9e-4
+        E = random_multigap_set(0.4, 2, 45)
+        lo, hi = E.gaps()[0]
+        res = solve_extremal(E, 0.5 * (lo + hi), 24, extension=False)
+        assert verify_feasibility(res, E, probes=200_000).ok
+        peak = exact_interpolant(res.active_points, res.active_signs, 0.02719)
+        assert abs(peak) <= 1 + 1e-9
+
     def test_constant_one(self):
         E = make_gap_set(GapParams(0.0, 0.5))
         rep = verify_feasibility(ChebPoly(0, (1.0,)), E, probes=1000)
@@ -444,9 +455,9 @@ class TestVerifyFeasibility:
         assert rep.max_violation > 1e-9
 
 
-def golden_peaks(nodes, los, his, starts, signs):
+def golden_peaks(nodes, los, his, signs):
     """Golden-section polish to an x-width of 1e-12, the reference."""
-    return golden_max_many(lambda u: np.abs(extremal._bary_values(*nodes, u)), los, his, 1e-12)
+    return golden_max_many(lambda u: np.abs(bary_values(*nodes, u)), los, his, 1e-12)
 
 
 class TestNewtonPolish:
@@ -468,10 +479,10 @@ class TestNewtonPolish:
         scan, newton = extremal._scan_abs_max, extremal._newton_peaks
         out = []
 
-        def spy(nodes, E, n, known=()):
-            res = scan(nodes, E, n, known)
+        def spy(nodes, E, points, values):
+            res = scan(nodes, E, points, values)
             monkeypatch.setattr(extremal, "_newton_peaks", golden_peaks)
-            ref = scan(nodes, E, n, known)
+            ref = scan(nodes, E, points, values)
             monkeypatch.setattr(extremal, "_newton_peaks", newton)
             out.append(ref[1] - res[1])
             return res
@@ -640,8 +651,8 @@ class TestExchangeStep:
     def test_infeasible_basis_is_left_unmoved(self):
         E, x0, n = TWO_GAP, -0.4, 12
         lp = extremal._ExchangeLP(E, n, x0)
-        nodes = lp.solve()
-        peaks, worst, _ = extremal._scan_abs_max(nodes, E, n, known=lp.points)
+        nodes, values = lp.solve()
+        peaks, worst, _ = extremal._scan_abs_max(nodes, E, lp.points, values)
         assert worst > 1.0
         lp.append_points(peaks[extremal._nearest_distance(lp.points, peaks) > 1e-13])
         k = int(np.argmax(_lambda_signs(lp.points, lp.basis, x0)))
@@ -905,3 +916,4 @@ class TestEquilibriumStart:
         x0 = lo + (hi - lo) * where
         res = solve_extremal(E, x0, n, extension=False)
         assert res.rel_gap <= 1e-10
+        assert verify_feasibility(res, E, probes=10_000).ok
