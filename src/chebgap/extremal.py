@@ -48,10 +48,12 @@ Exchange rounds then locate the true local maxima of |P| on E.  The
 simplex's last pricing holds P at every grid point, and each discrete peak
 of |P| on an interval's sorted grid is polished between its two grid
 neighbours by lockstep Newton on P' (Berrut & Trefethen, SIAM Rev. 2004,
-section 9); the grid is the only sampling of E.  The rounds append the
-polished peaks as grid columns and move every basis node at once to the
-largest s_i P in its window, as a Remez step does (Pachon & Trefethen, BIT
-49, 2009); node order and the side of x0 are kept, so the moved basis stays
+section 9), and the few lanes Newton leaves open by lockstep Illinois steps
+on P'; the grid is the only sampling of E.  The rounds append the polished
+peaks as grid columns and move every basis node at once to the largest
+s_i P in its window, found for all windows by one segmented maximum over
+the sorted grid, as a Remez step does (Pachon & Trefethen, BIT 49, 2009);
+node order and the side of x0 are kept, so the moved basis stays
 feasible, and the simplex re-optimizes from it until the grid values and
 the polished peaks certify |P| <= 1 + 1e-10.
 
@@ -94,7 +96,7 @@ DEGREE_DEFICIENCY_REL = 1e-10
 _REFINE_ROUNDS = 8        # cap on exchange rounds after the grid solve
 _FEAS_TOL = 1e-9          # promised bound 1 + _FEAS_TOL on |P| over E
 _ENDPOINT_ULPS = 4        # match of an endpoint against the active points
-_NEWTON_STEPS = 12        # Newton steps per peak before golden section
+_NEWTON_STEPS = 12        # Newton steps per peak before Illinois steps
 _PEAK_GAIN = 1e-14        # predicted |P| gain that ends a Newton lane
 _ROW_BLOCK = 256          # rows per block of the derivative temporaries
 
@@ -191,8 +193,9 @@ def _equilibrium(E):
     into dtheta / sqrt(prod of |x - e| over the other ends), even, periodic
     and smooth in theta unless another end is close; its cosine series from
     64 midpoint samples gives the gap integrals (its mean) and, term by
-    term, a band's mass up to x.  Touching intervals merge; zero-length ones
-    carry no mass."""
+    term, a band's mass up to x, whose sine series cdf sums by Clenshaw's
+    recurrence over the points inside all bands at once.  Touching
+    intervals merge; zero-length ones carry no mass."""
     bands = []
     for iv in E.intervals:
         if bands and iv.lo <= bands[-1][1]:
@@ -216,21 +219,29 @@ def _equilibrium(E):
     if k > 1:
         M = np.array([np.vander(x, k).T @ w for x, w in map(chart, range(1, 2 * k - 1, 2))])
         q = np.concatenate([q, np.linalg.solve(M[:, 1:], -M[:, 0])])
-    series = []
-    for i in range(0, 2 * k, 2):
-        x, w = chart(i)
+    c0, cj = np.empty(k), np.empty((j.size, k))
+    for i in range(k):
+        x, w = chart(2 * i)
         density = np.abs(np.polyval(q, x)) * w / math.pi
-        series.append((ends[i], ends[i + 1], density.mean(), cosines @ density / j))
+        c0[i], cj[:, i] = density.mean(), cosines @ density / j
+    below = np.concatenate([[0.0], np.cumsum(c0 * math.pi)])   # mass of the bands before
 
     def cdf(xs):
         xs = np.asarray(xs, dtype=float)
-        mass = np.zeros(xs.shape)
-        for lo, hi, c0, cj in series:
-            inside = (lo < xs) & (xs < hi)
-            th = 2.0 * np.arctan2(np.sqrt(hi - xs[inside]), np.sqrt(xs[inside] - lo))
-            mass[inside] += c0 * (math.pi - th) - np.sin(np.outer(th, j)) @ cj
-            mass[xs >= hi] += c0 * math.pi
-        return mass
+        flat = xs.ravel()
+        band = np.searchsorted(ends[1::2], flat, side="right")
+        mass = below[band]
+        inside = np.flatnonzero(band < k)
+        inside = inside[ends[2 * band[inside]] < flat[inside]]
+        band, x = band[inside], flat[inside]
+        th = 2.0 * np.arctan2(np.sqrt(ends[2 * band + 1] - x), np.sqrt(x - ends[2 * band]))
+        # sum_j cj_j sin(j th) = b_1 sin(th) by Clenshaw's recurrence
+        b1 = b2 = np.zeros(x.size)
+        two_cos = 2.0 * np.cos(th)
+        for row in cj[::-1, band]:
+            b1, b2 = row + two_cos * b1 - b2, b1
+        mass[inside] += c0[band] * (math.pi - th) - b1 * np.sin(th)
+        return mass.reshape(xs.shape)
 
     return q, cdf
 
@@ -259,21 +270,22 @@ def _bary_derivs(t, s, logw, signw, xs):
     xs = np.asarray(xs, dtype=float)
     wt = signw * np.exp(logw - logw.max())
     out = np.empty((3, xs.size))
-    for lo in range(0, xs.size, _ROW_BLOCK):
-        d = xs[lo:lo + _ROW_BLOCK, None] - t
-        k, i = np.nonzero(d == 0.0)
-        with np.errstate(divide="ignore", invalid="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
+        for lo in range(0, xs.size, _ROW_BLOCK):
+            d = xs[lo:lo + _ROW_BLOCK, None] - t
             C = wt / d
             den = C.sum(axis=1)
             p = (C @ s) / den
             R = (p[:, None] - s) / d
             dp = np.einsum("ij,ij->i", C, R) / den
             d2p = 2.0 * np.einsum("ij,ij->i", C / d, dp[:, None] - R) / den
-            node = (signw * signw[i, None] * np.exp(logw - logw[i, None])
-                    * (s - s[i, None]) / (t[i, None] - t))
-        p[k], d2p[k] = s[i], math.nan
-        dp[k] = np.where(np.isnan(node), 0.0, node).sum(axis=1)
-        out[:, lo:lo + _ROW_BLOCK] = p, dp, d2p
+            if not np.isfinite(den).all():     # some row hits a node
+                k, i = np.nonzero(d == 0.0)
+                node = (signw * signw[i, None] * np.exp(logw - logw[i, None])
+                        * (s - s[i, None]) / (t[i, None] - t))
+                p[k], d2p[k] = s[i], math.nan
+                dp[k] = np.where(np.isnan(node), 0.0, node).sum(axis=1)
+            out[:, lo:lo + _ROW_BLOCK] = p, dp, d2p
     return out
 
 
@@ -452,12 +464,22 @@ class _ExchangeLP:
         left = ts < self.x0
         lo = np.where(left, lo, np.maximum(lo, self.x0))
         hi = np.where(left, np.minimum(hi, self.x0), hi)
-        moved = 0
-        for i, a, b in zip(slots, np.searchsorted(xs, lo), np.searchsorted(xs, hi)):
-            k = a + int(np.argmax(s[i] * pv[a:b]))
-            if s[i] * pv[k] > 1.0:
-                self.basis[i] = 2 * int(order[k]) + (self.basis[i] & 1)
-                moved += 1
+        # window w holds the sorted points a[w] <= k < b[w].  x0 can clip
+        # points out of every window: those before a[0] are left out, those
+        # from b[w] to a[w + 1] or past b[-1] score -inf in segment w
+        a, b = np.searchsorted(xs, lo), np.searchsorted(xs, hi)
+        span = np.diff(np.append(a, len(xs)))
+        k = np.arange(a[0], len(xs))
+        v = np.where(k < np.repeat(b, span), np.repeat(s[slots], span) * pv[a[0]:], -math.inf)
+        top = np.maximum.reduceat(v, a - a[0])
+        # the first point of each window at its maximum, as np.argmax picks
+        hits = np.flatnonzero(v == np.repeat(top, span))
+        best = k[hits[np.searchsorted(hits, a - a[0])]]
+        move = top > 1.0
+        basis = np.array(self.basis)
+        basis[slots[move]] = 2 * order[best[move]] + (basis[slots[move]] & 1)
+        self.basis = basis.tolist()
+        moved = int(move.sum())
         self.moved += moved
         return moved
 
@@ -562,32 +584,44 @@ def _newton_peaks(nodes, los, his, signs):
     midpoint inside the bracket the signs of P' keep, bisecting when
     P'' >= 0 or a step leaves it.  A lane stops when the predicted gain
     g^2 / 2|h| is below _PEAK_GAIN (P' carries eps / |x - t_i| of noise
-    near a node, so no step-size stop), or after _NEWTON_STEPS by golden
-    section."""
+    near a node, so no step-size stop), or after _NEWTON_STEPS by Illinois
+    steps on -signs * P' from the values kept at its bracket ends, to a
+    width of 1e-12.  Every evaluation keeps the largest |P| it sees; each
+    counts once in `lp.polish_evals`."""
     m = len(los)
     P, dP, _ = _bary_derivs(*nodes, np.concatenate([los, his]))
+    evals = 1
     best_x = np.where(abs(P[m:]) > abs(P[:m]), his, los)
     best_f = np.maximum(abs(P[m:]), abs(P[:m]))
-    live = np.flatnonzero((signs * dP[:m] > 0.0) & (signs * dP[m:] < 0.0))
-    a, b = los[live], his[live]
+
+    def probe(x, lanes):    # signs * (P', P'') at x, keeping the largest |P|
+        nonlocal evals
+        evals += 1
+        P, dP, d2P = _bary_derivs(*nodes, x)
+        up = abs(P) > best_f[lanes]
+        best_x[lanes[up]], best_f[lanes[up]] = x[up], abs(P[up])
+        return signs[lanes] * dP, signs[lanes] * d2P
+
+    ga, gb = signs * dP[:m], signs * dP[m:]
+    live = np.flatnonzero((ga > 0.0) & (gb < 0.0))
+    a, b, ga, gb = los[live], his[live], ga[live], gb[live]
     x = 0.5 * (a + b)
     for _ in range(_NEWTON_STEPS):
         if not live.size:
-            return best_x, best_f
+            break
         x = np.where((a < x) & (x < b), x, 0.5 * (a + b))
-        P, dP, d2P = _bary_derivs(*nodes, x)
-        up = abs(P) > best_f[live]
-        best_x[live[up]], best_f[live[up]] = x[up], abs(P[up])
-        g, h = signs[live] * dP, signs[live] * d2P
-        a, b = np.where(g > 0.0, x, a), np.where(g > 0.0, b, x)
+        g, h = probe(x, live)
+        rise = g > 0.0
+        a, b = np.where(rise, x, a), np.where(rise, b, x)
+        ga, gb = np.where(rise, g, ga), np.where(rise, gb, g)
         with np.errstate(divide="ignore", invalid="ignore"):
             x = np.where(h < 0.0, x - g / h, math.nan)
             open_ = ~((h < 0.0) & (g * g <= -2.0 * _PEAK_GAIN * h))
-        live, a, b, x = live[open_], a[open_], b[open_], x[open_]
+        live, a, b, ga, gb, x = (v[open_] for v in (live, a, b, ga, gb, x))
     if live.size:
-        xg, fg = golden_max_many(lambda u: np.abs(_bary_derivs(*nodes, u)[0]), a, b, 1e-12)
-        up = fg > best_f[live]
-        best_x[live[up]], best_f[live[up]] = xg[up], fg[up]
+        illinois_many(lambda u, k: -probe(u, live[k])[0], a, b, -ga, -gb,
+                      lambda a, b, _: ~(b - a > 1e-12))
+    _stats.add({"lp.polish_evals": evals})
     return best_x, best_f
 
 

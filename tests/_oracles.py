@@ -150,3 +150,55 @@ def bary_values(t, s, logw, signw, xs):
     bad = np.flatnonzero(~np.isfinite(vals))
     vals[bad] = s[np.argmin(np.abs(d[bad]), axis=1)]
     return vals
+
+
+def exchange_moves(points, t, s, pv, x0):
+    """The exchange step one basis slot at a time: {slot: point index} for
+    every node t_i (sign s_i) whose window holds a grid point of s_i P above
+    1, pv being P at `points`.  A window runs between the midpoints to the
+    node's sorted neighbours, half-open, clipped at x0; np.argmax takes the
+    first point of the largest value."""
+    order = np.argsort(points)
+    xs, pv = points[order], pv[order]
+    slots = np.argsort(t)
+    ts = t[slots]
+    mids = 0.5 * (ts[:-1] + ts[1:])
+    lo = np.concatenate([[-math.inf], mids])
+    hi = np.concatenate([mids, [math.inf]])
+    left = ts < x0
+    lo = np.where(left, lo, np.maximum(lo, x0))
+    hi = np.where(left, np.minimum(hi, x0), hi)
+    moves = {}
+    for i, a, b in zip(slots, np.searchsorted(xs, lo), np.searchsorted(xs, hi)):
+        k = a + int(np.argmax(s[i] * pv[a:b]))
+        if s[i] * pv[k] > 1.0:
+            moves[int(i)] = int(order[k])
+    return moves
+
+
+def equilibrium_cdf(E, q, xs):
+    """mu(E n (-inf, x]) for the equilibrium density |q| / (pi sqrt|R|) on
+    the bands of E (touching intervals merged, points dropped): each band's
+    cosine series from 64 midpoint samples in x = m + h cos(theta), its sine
+    sum over j = 1..63 taken as one (points x 63) matrix product."""
+    bands = []
+    for iv in E.intervals:
+        if bands and iv.lo <= bands[-1][1]:
+            bands[-1][1] = max(bands[-1][1], iv.hi)
+        elif iv.length > 0.0:
+            bands.append([iv.lo, iv.hi])
+    ends = np.ravel(bands)
+    theta = math.pi * (np.arange(64) + 0.5) / 64
+    j = np.arange(1, 64)
+    xs = np.asarray(xs, dtype=float)
+    mass = np.zeros(xs.shape)
+    for lo, hi in bands:
+        x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta)
+        R = np.prod([np.abs(x - e) for e in ends if e not in (lo, hi)] or [np.ones(64)], axis=0)
+        density = np.abs(np.polyval(q, x)) * (1.0 / np.sqrt(R)) / math.pi
+        c0, cj = density.mean(), np.cos(np.outer(j, theta)) / 32 @ density / j
+        inside = (lo < xs) & (xs < hi)
+        th = 2.0 * np.arctan2(np.sqrt(hi - xs[inside]), np.sqrt(xs[inside] - lo))
+        mass[inside] += c0 * (math.pi - th) - np.sin(np.outer(th, j)) @ cj
+        mass[xs >= hi] += c0 * math.pi
+    return mass

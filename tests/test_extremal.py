@@ -24,11 +24,12 @@ from chebgap.intervals import (
     CompactSet,
     GapParams,
     Interval,
+    discretize,
     make_gap_set,
     random_multigap_set,
 )
 
-from _oracles import bary_values, exact_interpolant
+from _oracles import bary_values, equilibrium_cdf, exact_interpolant, exchange_moves
 
 VALUE_TOL = 1e-9
 
@@ -634,7 +635,46 @@ class TestExchangeStep:
             assert np.array_equal(t1 < x0, t0 < x0)                         # side of x0 kept
             assert len({j >> 1 for j in after}) == len(after)               # no shared point
             assert _lambda_signs(points, after, x0).min() >= 0.0
+            # the same moves as one argmax per window, on a feasible basis
+            s = np.array([-1.0 if j & 1 else 1.0 for j in before])
+            pv = bary_values(t0, s, *extremal._bary_logweights(t0), points)
+            expect = exchange_moves(points, t0, s, pv, x0)
+            if _lambda_signs(points, before, x0).min() < 0.0:
+                expect = {}
+            assert moved == len(expect)
+            assert after == [2 * expect[i] + (j & 1) if i in expect else j
+                             for i, j in enumerate(before)]
         assert sum(step[-1] for step in steps) > 0
+
+    def test_step_leaves_out_points_between_clipped_windows(self):
+        # nodes on the outer bands only: x0 = -0.4 ends the last left window,
+        # and the first right one starts at the midpoint 0.014, so the middle
+        # band's points in [x0, 0.014) lie in no window, though s_i P
+        # reaches 1196 there for the last left node
+        E, x0, n = TWO_GAP, -0.4, 12
+        lp = extremal._ExchangeLP(E, n, x0)
+        order = np.argsort(lp.points)
+        outer = np.flatnonzero(np.abs(lp.points[order]) > 0.5)
+        idx = order[outer[np.linspace(0, outer.size - 1, n + 1).round().astype(int)]]
+        t = lp.points[idx]
+        lhat, _ = extremal._lagrange_scaled(t, *extremal._bary_logweights(t), x0)
+        lp.basis = (2 * idx + (lhat < 0.0)).tolist()
+        state = lp._state()
+        t, s = state[:2]
+        pv = lp._price(lp._cauchy(), *state)
+        last = np.flatnonzero(t < x0)[-1]
+        gap = (x0 <= lp.points) & (lp.points < 0.5 * (t[last] + t[t > x0].min()))
+        assert gap.sum() > 0 and (s[last] * pv[gap]).max() > 1.0
+        before = list(lp.basis)
+        # P rounded to quarters ties within windows: the first point of a
+        # window's maximum wins, as np.argmax picks
+        for values in (pv, np.round(4.0 * pv) / 4.0):
+            expect = exchange_moves(lp.points, t, s, values, x0)
+            lp.basis, lp._price = list(before), lambda *_: values
+            assert lp.exchange() == len(expect) > 0
+            assert lp.basis == [2 * expect[i] + (j & 1) if i in expect else j
+                                for i, j in enumerate(before)]
+            assert not gap[lp.basis[last] >> 1]
 
     @pytest.mark.parametrize("n", [50, 100])
     @pytest.mark.parametrize("case", PINNED)
@@ -777,6 +817,15 @@ def test_48_band_preimage_matches_the_closed_form():
     assert solve_extremal(E, x0, k, extension=False).value == pytest.approx(closed, rel=1e-9)
 
 
+@pytest.mark.xfail(strict=True, reason="D10: the n-extension drops the roots of P beyond R")
+def test_extension_keeps_the_root_beyond_R():
+    # P changes sign 6 times on [-10, 10], the last time at x = 4.18373,
+    # beyond the sampling radius R = 4 that |P(+-4)| > 2 level stops at
+    res = solve_extremal(make_gap_set(GapParams(-0.3, 0.4)), -0.3, 6)
+    assert any(c.lo - 1e-3 <= 4.18373 <= c.hi + 1e-3 for c in res.n_extension.intervals)
+    assert res.case_tag == "right_interval"
+
+
 def _log_bound(lp):
     """log sum_i |l_i(x0)| for the LP's current basis."""
     t = lp.points[[j >> 1 for j in lp.basis]]
@@ -897,6 +946,38 @@ class TestEquilibriumStart:
         _, dotted = extremal._equilibrium(CompactSet(TWO_GAP.intervals + (
             Interval(-0.4, -0.4), Interval(0.25, 0.25))))
         assert np.abs(dotted(x) - two(x)).max() <= 1e-14
+
+    BANDS = {1: single_interval(0.4), 2: make_gap_set(GapParams(-0.3, 0.4)), 3: TWO_GAP,
+             4: SEED205, 5: FOUR_GAP}
+
+    @pytest.mark.parametrize("n", [6, 12, 50, 100])
+    @pytest.mark.parametrize("bands", BANDS)
+    def test_cdf_matches_the_sine_matrix_sum(self, bands, n):
+        # the LP grid (m = 140 to 2022 points), the band ends and points off E
+        E = self.BANDS[bands]
+        q, cdf = extremal._equilibrium(E)
+        xs = np.concatenate([discretize(E, extremal._grid_density(n, bands)),
+                             [v for iv in E.intervals for v in (iv.lo, iv.hi)],
+                             np.linspace(-1.2, 1.2, 25)])
+        assert 140 <= xs.size - 2 * bands - 25 <= 2022
+        assert np.abs(cdf(xs) - equilibrium_cdf(E, q, xs)).max() <= 1e-15
+        for x in xs[::97]:
+            value = cdf(x)
+            assert np.ndim(value) == 0
+            assert abs(value - equilibrium_cdf(E, q, x)) <= 1e-15
+
+    @pytest.mark.parametrize("n", [12, 50, 100, 200])
+    @pytest.mark.parametrize("case", PINNED)
+    def test_start_nodes_match_the_sine_matrix_sum(self, case, n, monkeypatch):
+        E, x0 = PINNED[case]
+        lp = extremal._ExchangeLP(E, n, x0)
+        lp._initial_basis()
+        q, _ = extremal._equilibrium(E)
+        monkeypatch.setattr(extremal, "_equilibrium",
+                            lambda E: (q, lambda xs: equilibrium_cdf(E, q, xs)))
+        ref = extremal._ExchangeLP(E, n, x0)
+        ref._initial_basis()
+        assert lp.basis == ref.basis
 
     @pytest.mark.parametrize("n", [0, 1, 12, 50, 200])
     @pytest.mark.parametrize("case", PINNED)

@@ -67,3 +67,14 @@ def test_extension_counts():
     # sampled peak needs a polish
     ext = {key: v for key, v in counts.items() if key.startswith("ext.")}
     assert ext == {"ext.calls": 1, "ext.steps": 11, "ext.polished": 0}
+
+
+def test_polish_counts():
+    # three scans (two exchange rounds and the final check); one lane
+    # outlives the Newton steps and one Illinois step closes it
+    with _stats.collect() as counts:
+        solve_extremal(make_gap_set(GapParams(-0.3, 0.4)), -0.3, 50, extension=False)
+    assert counts["lp.exchange_rounds"] == 2
+    assert counts["lp.polish_evals"] == 27
+    assert counts["search.illinois_many.evals"] == 1
+    assert "search.golden_max_many.evals" not in counts
