@@ -15,18 +15,25 @@ points t_i with signs s_i; with s_i = sign l_i(x0) its weights are
 lam_i = |l_i(x0)|, so it is basic feasible and no phase 1 is needed.
 Every solve starts cold, from the grid points nearest the quantiles k/n of
 the equilibrium measure of E, whose density the extremal polynomial's
-equioscillation follows, and moves them by Remez steps (below) before the
-simplex runs.  Seeds from a neighbouring solve would save nothing: from
-this start the simplex takes a few pivots or none.
+equioscillation follows, and moves them by Remez steps before the simplex
+runs.  Each step is one global alternating exchange (`exchange`, after
+Pachon & Trefethen, BIT 49, 2009): on each side of x0 the nodes move at
+once to the extrema of the sign runs of P where |P| >= 1, wherever they
+lie on that side.  The quantiles can round a band's share of the nodes
+the wrong way, and only such a step can move a node from one band to
+another on the same side of x0; from this start the simplex takes a few
+pivots or none, so seeds from a neighbouring solve would save nothing.
 
 Every basis of the start bounds M_n: a P with |P| <= 1 on E has P(x0) =
 sum_i P(t_i) l_i(x0) <= sum_i |l_i(x0)|.  The start keeps that bound of its
 current basis in `log_bound` and is resumable: `_initial_basis` places the
-quantile nodes and each `step` takes one Remez step, which only lowers the
-bound.  So a caller ranking many candidates (the best-first loop of
-`andrievskii`) refines only the one whose bound is highest, finishes it by
-`_finish` (the start's remaining steps, the grid simplex and the exchange
-rounds, exactly as `solve_extremal` runs them) and drops the rest unsolved.
+quantile nodes and each `step` takes one exchange step, which keeps every
+sign s_i = sign l_i(x0) and moves nodes only to where s_i P >= 1, so the
+bound only falls.  So a caller ranking many candidates (the best-first
+loop of `andrievskii`) refines only the one whose bound is highest,
+finishes it by `_finish` (the start's remaining steps, the grid simplex
+and the exchange rounds, exactly as `solve_extremal` runs them) and drops
+the rest unsolved.
 A grid end lo + length*1.0 can miss hi by an ulp, where |P| may exceed 1 by
 about ulp * |P'|; the callers' margin of 1 + 1e-6 covers that.
 
@@ -50,12 +57,10 @@ of |P| on an interval's sorted grid is polished between its two grid
 neighbours by lockstep Newton on P' (Berrut & Trefethen, SIAM Rev. 2004,
 section 9), and the few lanes Newton leaves open by lockstep Illinois steps
 on P'; the grid is the only sampling of E.  The rounds append the polished
-peaks as grid columns and move every basis node at once to the largest
-s_i P in its window, found for all windows by one segmented maximum over
-the sorted grid, as a Remez step does (Pachon & Trefethen, BIT 49, 2009);
-node order and the side of x0 are kept, so the moved basis stays
-feasible, and the simplex re-optimizes from it until the grid values and
-the polished peaks certify |P| <= 1 + 1e-10.
+peaks as grid columns and take the start's exchange step on the grown
+grid, which keeps the node count on each side of x0 and the signs, so the
+moved basis stays feasible, and the simplex re-optimizes from it until the
+grid values and the polished peaks certify |P| <= 1 + 1e-10.
 
 The answer is its active points and signs (t, s), with the dual weights
 lam_i = s_i l_i(x0), which sum to the value and give dM/de for an endpoint
@@ -389,10 +394,10 @@ class _ExchangeLP:
         self.log_bound = _log_abs_sum(lhat, L)
 
     def step(self):
-        """One Remez step of the start, carrying its nodes towards the peaks
-        of |P| (`exchange`), and the new basis's bound into `log_bound`.  The
-        start has converged once a step moves no node or _REFINE_ROUNDS
-        steps have run."""
+        """One exchange step of the start, moving its nodes to the extrema
+        of P on their side of x0 (`exchange`), and the new basis's bound
+        into `log_bound`.  The start has converged once a step moves no node
+        or _REFINE_ROUNDS steps have run."""
         moved = self.exchange()
         self.steps += 1
         self.converged = not moved or self.steps == _REFINE_ROUNDS
@@ -438,50 +443,60 @@ class _ExchangeLP:
         return vals
 
     def exchange(self):
-        """Move every basis node at once to the grid point of largest s_i P
-        in its window, where that exceeds 1; returns how many moved.
+        """One global alternating exchange (Pachon & Trefethen, BIT 49,
+        2009): every basis node moves at once to an extremum of s_i P on
+        the grid, anywhere on its side of x0; returns how many moved.
 
-        A node's window runs between the midpoints to its sorted neighbours,
-        half-open so that no two slots can take the same point, and is
-        clipped at x0.  Node order and the side of x0 are kept, so every sign
-        of l_i(x0), and with it lam_i = s_i l_i(x0) >= 0, is kept: the moved
-        basis is basic feasible, and the simplex resumes from it.  A basis
-        with some lam_i < 0 is left as it is, since moving it would carry
-        the infeasibility along.
+        On each side of x0, ordered outward, the sign runs of P that reach
+        |P| >= 1 give their maxima, neighbouring runs of one sign merge, and
+        `_alternating_cut` keeps as many extrema as the side has nodes, the
+        nearest of sign +1 and alternating outward.  The k-th node outward
+        takes the k-th extremum, unless that extremum's |P| does not exceed
+        1 and the node already lies in its merged run: a node moves only on
+        a strict gain.  Every count per side, every sign s_i = sign l_i(x0)
+        and with them lam_i >= 0 are kept, so the moved basis is basic
+        feasible; as s_i P >= 1 at every new node, its bound sum_i |l_i(x0)|
+        <= P(x0) is no higher.  A basis with some lam_i < 0 is left as it is,
+        since moving it would carry the infeasibility along.
         """
         t, s, logw, signw = self._state()
         lam_hat, _ = _lagrange_scaled(t, logw, signw, self.x0)
         if np.any(s * lam_hat < 0.0):
             return 0
-        order = np.argsort(self.points)
-        xs = self.points[order]
-        pv = self._price(self._cauchy(), t, s, logw, signw)[order]
-        slots = np.argsort(t)
-        ts = t[slots]
-        mids = 0.5 * (ts[:-1] + ts[1:])
-        lo = np.concatenate([[-math.inf], mids])
-        hi = np.concatenate([mids, [math.inf]])
-        left = ts < self.x0
-        lo = np.where(left, lo, np.maximum(lo, self.x0))
-        hi = np.where(left, np.minimum(hi, self.x0), hi)
-        # window w holds the sorted points a[w] <= k < b[w].  x0 can clip
-        # points out of every window: those before a[0] are left out, those
-        # from b[w] to a[w + 1] or past b[-1] score -inf in segment w
-        a, b = np.searchsorted(xs, lo), np.searchsorted(xs, hi)
-        span = np.diff(np.append(a, len(xs)))
-        k = np.arange(a[0], len(xs))
-        v = np.where(k < np.repeat(b, span), np.repeat(s[slots], span) * pv[a[0]:], -math.inf)
-        top = np.maximum.reduceat(v, a - a[0])
-        # the first point of each window at its maximum, as np.argmax picks
-        hits = np.flatnonzero(v == np.repeat(top, span))
-        best = k[hits[np.searchsorted(hits, a - a[0])]]
-        move = top > 1.0
+        pv = self._price(self._cauchy(), t, s, logw, signw)
+        # grid and slots outward from x0: the right side ascending, then the
+        # left side descending
+        order, n_right = _outward(self.points, self.x0)
+        slots, need_right = _outward(t, self.x0)
+        # the outward points where |P| >= 1: group g holds those from
+        # high[first[g]] to the next group, all of one sign and one side
+        high = np.flatnonzero(np.abs(pv[order]) >= 1.0)
+        vh = pv[order[high]]
+        av = np.abs(vh)
+        key = (vh > 0.0) + 2 * (high >= n_right)
+        first = np.flatnonzero(np.concatenate([[True], key[1:] != key[:-1]]))
+        gtop = np.maximum.reduceat(av, first)
+        # each group's first point at its maximum
+        hits = np.flatnonzero(av == np.repeat(gtop, np.diff(np.append(first, high.size))))
+        gbest = hits[np.searchsorted(hits, first)]
+        # each side cut to its node count: right first, as in `slots`
+        gplus, split = key[first] & 1, int(np.count_nonzero(key[first] < 2))
+        picked = np.concatenate([
+            _alternating_cut(gtop[:split], gplus[:split], need_right),
+            split + _alternating_cut(gtop[split:], gplus[split:], self.r - need_right)])
+        # every node is a point of |P| = 1, so some group holds it: the k-th
+        # node outward is the k-th node among the high points
         basis = np.array(self.basis)
-        basis[slots[move]] = 2 * order[best[move]] + (basis[slots[move]] & 1)
+        node = np.zeros(order.size, dtype=bool)
+        node[basis >> 1] = True
+        at = np.flatnonzero(node[order[high]])
+        stay = (np.searchsorted(first, at, side="right") - 1 == picked) \
+            & ((gtop[picked] <= 1.0) | (at == gbest[picked]))
+        move = slots[~stay]
+        basis[move] = 2 * order[high[gbest[picked[~stay]]]] + (basis[move] & 1)
         self.basis = basis.tolist()
-        moved = int(move.sum())
-        self.moved += moved
-        return moved
+        self.moved += move.size
+        return int(move.size)
 
     def solve(self):
         """The simplex from the current basis (placed and stepped first if
@@ -530,10 +545,9 @@ class _ExchangeLP:
             u_hat = s_e * s * u_hat_l
             pos = u_hat > 0.0
             if not np.any(pos):
-                raise SolverError(
-                    "simplex direction unbounded; the grid does not pin the "
-                    "polynomial at x0"
-                )
+                raise SolverError(f"simplex direction unbounded at n = {self.n} on {m} grid "
+                                  f"points: entering x = {float(x_e)!r}; the grid does not pin "
+                                  f"the polynomial at x0")
             ratios = np.where(pos, lam_hat / np.where(pos, u_hat, 1.0), math.inf)
             theta = float(ratios.min())
             ties = np.flatnonzero(ratios <= theta * (1.0 + 1e-12) + 1e-300)
@@ -559,6 +573,37 @@ class _ExchangeLP:
             "lp.exchange_rounds": len(rounds), "lp.round_pivots_max": max(rounds, default=0),
             "lp.nodes_moved": self.moved, "lp.start_steps": self.steps,
         })
+
+
+def _outward(x, x0):
+    """Indices of x ordered outward from x0, those right of x0 ascending and
+    then those left of it descending, and how many lie right of it."""
+    order = np.argsort(x)
+    k = int(np.searchsorted(x[order], x0))
+    return np.concatenate([order[k:], order[:k][::-1]]), x.size - k
+
+
+def _alternating_cut(top, plus, need):
+    """Indices of `need` of one side's alternating extrema (|P| maxima `top`
+    and signs `plus`, ordered outward from x0), keeping the pattern of the
+    nodes: +1 nearest x0, alternating outward.
+
+    A nearest extremum of sign -1 leaves first.  Then, smallest first, an
+    extremum leaves together with its smaller neighbour (the nearest with
+    its only one), so the rest still alternates.  Only the outermost leaves
+    alone: when it is the smallest, or when one extremum is too many.  The
+    interpolant of a feasible basis has at most n + 1 sign runs and its
+    nodes fill at least n, so there at most one extremum is too many, the
+    outermost on one side."""
+    keep = np.arange(int(top.size > 0 and not plus[0]), top.size)
+    while keep.size > need:
+        k = int(np.argmin(top[keep]))
+        if keep.size == need + 1 or k == keep.size - 1:
+            keep = keep[:-1]
+        else:
+            j = k + 1 if k == 0 or top[keep[k + 1]] < top[keep[k - 1]] else k - 1
+            keep = np.delete(keep, [k, j])
+    return keep
 
 
 def _grid_density(n, k_intervals):
@@ -679,8 +724,8 @@ def _optimize(lp, E):
             raise SolverError(f"exchange round {round_} left max |P| - 1 = {worst - 1.0:.3g}"
                               f" on E at x = {worst_x!r} ({fresh.size} new points)")
         lp.append_points(fresh)
-        # the whole reference moves to the fresh peaks in one step; the
-        # simplex then only settles what that step could not
+        # the whole basis moves to the extrema among the fresh peaks in one
+        # step; the simplex then only settles what that step could not
         lp.exchange()
         nodes, values = lp.solve()
 

@@ -152,27 +152,51 @@ def bary_values(t, s, logw, signw, xs):
     return vals
 
 
-def exchange_moves(points, t, s, pv, x0):
-    """The exchange step one basis slot at a time: {slot: point index} for
-    every node t_i (sign s_i) whose window holds a grid point of s_i P above
-    1, pv being P at `points`.  A window runs between the midpoints to the
-    node's sorted neighbours, half-open, clipped at x0; np.argmax takes the
-    first point of the largest value."""
-    order = np.argsort(points)
-    xs, pv = points[order], pv[order]
-    slots = np.argsort(t)
-    ts = t[slots]
-    mids = 0.5 * (ts[:-1] + ts[1:])
-    lo = np.concatenate([[-math.inf], mids])
-    hi = np.concatenate([mids, [math.inf]])
-    left = ts < x0
-    lo = np.where(left, lo, np.maximum(lo, x0))
-    hi = np.where(left, np.minimum(hi, x0), hi)
+def alternating_exchange(points, nodes, s, pv, x0):
+    """The global alternating exchange one point at a time: {slot: point
+    index} for every basis slot i (at points[nodes[i]], sign s_i) that
+    moves, pv being P at `points`.
+
+    Each side of x0 is walked outward.  The points with |P| >= 1 form
+    groups of one sign of P, each group's extremum being its first point of
+    largest |P|.  A first group of sign -1 is dropped.  While the side has
+    more groups than nodes, the outermost group goes alone when one group is
+    too many or it is the smallest; otherwise the smallest goes with its
+    smaller neighbour (ties to the nearer one).  The k-th node outward takes
+    the k-th group's extremum, unless the node lies in that group and is at
+    its extremum or the extremum's |P| is at most 1."""
     moves = {}
-    for i, a, b in zip(slots, np.searchsorted(xs, lo), np.searchsorted(xs, hi)):
-        k = a + int(np.argmax(s[i] * pv[a:b]))
-        if s[i] * pv[k] > 1.0:
-            moves[int(i)] = int(order[k])
+    dist = np.abs(points - x0)
+    for side in (points > x0, points < x0):
+        groups = []         # [sign, largest |P|, its point, members]
+        for k in sorted(np.flatnonzero(side), key=lambda k: dist[k]):
+            if abs(pv[k]) < 1.0:
+                continue
+            sign = 1 if pv[k] > 0.0 else -1
+            if groups and groups[-1][0] == sign:
+                group = groups[-1]
+                group[3].add(int(k))
+                if abs(pv[k]) > group[1]:
+                    group[1], group[2] = abs(pv[k]), int(k)
+            else:
+                groups.append([sign, abs(pv[k]), int(k), {int(k)}])
+        slots = sorted((i for i in range(len(nodes)) if side[nodes[i]]),
+                       key=lambda i: dist[nodes[i]])
+        if groups and groups[0][0] < 0:
+            groups.pop(0)
+        while len(groups) > len(slots):
+            k = min(range(len(groups)), key=lambda g: groups[g][1])
+            if len(groups) == len(slots) + 1 or k == len(groups) - 1:
+                groups.pop()
+                continue
+            j = k + 1 if k == 0 or groups[k + 1][1] < groups[k - 1][1] else k - 1
+            for g in sorted((k, j), reverse=True):
+                groups.pop(g)
+        for i, (sign, top, best, members) in zip(slots, groups, strict=True):
+            assert sign == s[i]
+            if nodes[i] in members and (top <= 1.0 or best == nodes[i]):
+                continue
+            moves[i] = best
     return moves
 
 

@@ -29,7 +29,7 @@ from chebgap.intervals import (
     random_multigap_set,
 )
 
-from _oracles import bary_values, equilibrium_cdf, exact_interpolant, exchange_moves
+from _oracles import alternating_exchange, bary_values, equilibrium_cdf, exact_interpolant
 
 VALUE_TOL = 1e-9
 
@@ -602,8 +602,9 @@ def _lambda_signs(points, basis, x0):
 
 
 class TestExchangeStep:
-    """Each exchange round moves every basis node to the peak of s_i P in
-    its window before the simplex resumes (`_ExchangeLP.exchange`)."""
+    """Each start step and each exchange round moves every basis node at
+    once to an extremum of s_i P on its side of x0, by one global
+    alternating exchange (`_ExchangeLP.exchange`)."""
 
     @staticmethod
     def _steps(monkeypatch):
@@ -619,6 +620,28 @@ class TestExchangeStep:
         monkeypatch.setattr(extremal._ExchangeLP, "exchange", spy)
         return steps
 
+    @staticmethod
+    def _check(points, x0, before, after, moved):
+        """The invariants of one step, and its moves against the reference."""
+        t0 = points[[j >> 1 for j in before]]
+        t1 = points[[j >> 1 for j in after]]
+        assert sum(a != b for a, b in zip(before, after)) == moved
+        assert [j & 1 for j in after] == [j & 1 for j in before]      # signs kept
+        assert np.array_equal(np.argsort(t1), np.argsort(t0))           # order kept
+        assert np.array_equal(t1 < x0, t0 < x0)         # side of x0, so count per side, kept
+        assert len({j >> 1 for j in after}) == len(after)               # no shared point
+        assert _lambda_signs(points, after, x0).min() >= 0.0
+        s = np.array([-1.0 if j & 1 else 1.0 for j in before])
+        pv = bary_values(t0, s, *extremal._bary_logweights(t0), points)
+        expect = alternating_exchange(points, [j >> 1 for j in before], s, pv, x0)
+        if _lambda_signs(points, before, x0).min() < 0.0:
+            expect = {}
+        assert after == [2 * expect[i] + (j & 1) if i in expect else j
+                         for i, j in enumerate(before)]
+        # every moved node lands where s_i P >= 1, so the bound cannot rise
+        moves = [i for i, (a, b) in enumerate(zip(before, after)) if a != b]
+        assert np.all(s[moves] * pv[[after[i] >> 1 for i in moves]] >= 1.0)
+
     @pytest.mark.parametrize("n", [12, 50, 100])
     @pytest.mark.parametrize("case", PINNED)
     def test_step_keeps_order_side_and_feasibility(self, case, n, monkeypatch):
@@ -626,55 +649,88 @@ class TestExchangeStep:
         steps = self._steps(monkeypatch)
         solve_extremal(E, x0, n, extension=False)
         assert steps
-        for points, x0, before, after, moved in steps:
-            t0 = points[[j >> 1 for j in before]]
-            t1 = points[[j >> 1 for j in after]]
-            assert sum(a != b for a, b in zip(before, after)) == moved
-            assert [j & 1 for j in after] == [j & 1 for j in before]      # signs kept
-            assert np.array_equal(np.argsort(t1), np.argsort(t0))           # order kept
-            assert np.array_equal(t1 < x0, t0 < x0)                         # side of x0 kept
-            assert len({j >> 1 for j in after}) == len(after)               # no shared point
-            assert _lambda_signs(points, after, x0).min() >= 0.0
-            # the same moves as one argmax per window, on a feasible basis
-            s = np.array([-1.0 if j & 1 else 1.0 for j in before])
-            pv = bary_values(t0, s, *extremal._bary_logweights(t0), points)
-            expect = exchange_moves(points, t0, s, pv, x0)
-            if _lambda_signs(points, before, x0).min() < 0.0:
-                expect = {}
-            assert moved == len(expect)
-            assert after == [2 * expect[i] + (j & 1) if i in expect else j
-                             for i, j in enumerate(before)]
+        for step in steps:
+            self._check(*step)
         assert sum(step[-1] for step in steps) > 0
 
-    def test_step_leaves_out_points_between_clipped_windows(self):
-        # nodes on the outer bands only: x0 = -0.4 ends the last left window,
-        # and the first right one starts at the midpoint 0.014, so the middle
-        # band's points in [x0, 0.014) lie in no window, though s_i P
-        # reaches 1196 there for the last left node
-        E, x0, n = TWO_GAP, -0.4, 12
+    def test_step_moves_a_node_into_the_middle_band(self, monkeypatch):
+        # the equilibrium quantiles put [38, 25, 38] nodes on the bands of
+        # two-gap(0.3) at n = 100, where the extremal polynomial holds
+        # [38, 26, 37]: x0 = -0.4 lies left of the middle band, so a step
+        # kept inside each node's window could not carry a node across the
+        # gap from the right band, and the grid simplex pivoted 94 times
+        E, x0, n = TWO_GAP, -0.4, 100
+        steps = self._steps(monkeypatch)
         lp = extremal._ExchangeLP(E, n, x0)
-        order = np.argsort(lp.points)
-        outer = np.flatnonzero(np.abs(lp.points[order]) > 0.5)
-        idx = order[outer[np.linspace(0, outer.size - 1, n + 1).round().astype(int)]]
-        t = lp.points[idx]
-        lhat, _ = extremal._lagrange_scaled(t, *extremal._bary_logweights(t), x0)
-        lp.basis = (2 * idx + (lhat < 0.0)).tolist()
-        state = lp._state()
-        t, s = state[:2]
-        pv = lp._price(lp._cauchy(), *state)
-        last = np.flatnonzero(t < x0)[-1]
-        gap = (x0 <= lp.points) & (lp.points < 0.5 * (t[last] + t[t > x0].min()))
-        assert gap.sum() > 0 and (s[last] * pv[gap]).max() > 1.0
+        lp._initial_basis()
+
+        def per_band():
+            t = lp.points[[j >> 1 for j in lp.basis]]
+            return [int(((iv.lo <= t) & (t <= iv.hi)).sum()) for iv in E.intervals]
+
+        assert per_band() == [38, 25, 38]
+        lp.step()
+        assert per_band() == [38, 26, 37]
+        self._check(*steps[0])
+
+    @staticmethod
+    def _exchange_with(lp, values):
+        """lp.exchange() on the given values of P, checked against the
+        reference; returns the moved basis."""
         before = list(lp.basis)
-        # P rounded to quarters ties within windows: the first point of a
-        # window's maximum wins, as np.argmax picks
+        state = lp._state()
+        lp._price = lambda *_: values
+        expect = alternating_exchange(lp.points, [j >> 1 for j in before], state[1], values,
+                                      lp.x0)
+        assert lp.exchange() == len(expect) > 0
+        assert lp.basis == [2 * expect[i] + (j & 1) if i in expect else j
+                            for i, j in enumerate(before)]
+        after, lp.basis = lp.basis, before
+        del lp._price
+        return after
+
+    def test_ties_take_the_first_point_outward(self):
+        # P rounded to quarters ties within runs: the point nearest x0 of a
+        # run's largest |P| wins
+        lp = extremal._ExchangeLP(TWO_GAP, 12, -0.4)
+        lp._initial_basis()
+        pv = lp._price(lp._cauchy(), *lp._state())
         for values in (pv, np.round(4.0 * pv) / 4.0):
-            expect = exchange_moves(lp.points, t, s, values, x0)
-            lp.basis, lp._price = list(before), lambda *_: values
-            assert lp.exchange() == len(expect) > 0
-            assert lp.basis == [2 * expect[i] + (j & 1) if i in expect else j
-                                for i, j in enumerate(before)]
-            assert not gap[lp.basis[last] >> 1]
+            self._exchange_with(lp, values)
+
+    def test_cut_keeps_the_alternation(self):
+        # a synthetic P on a hand-placed basis of 5 nodes left of x0 and 8
+        # right of it: every point takes 0.5 times the sign of its nearest
+        # node on its side, each node s_i and its outward neighbour 2 s_i.
+        # Then four extra extrema: -3 nearest x0 on the left (the nearest
+        # must be +1, so it leaves), -5 at the far left end (one too many
+        # there: the outermost leaves, though it is the largest), and -1.5
+        # then +2 between the third and fourth right nodes (two too many:
+        # the smallest leaves with its smaller neighbour, the third node's
+        # own extremum, which ties with the +2 and is the nearer, and that
+        # node takes the +2)
+        lp = extremal._ExchangeLP(TWO_GAP, 12, -0.4)
+        order = np.argsort(lp.points)
+        xs = lp.points[order]
+        k0 = int(np.searchsorted(xs, lp.x0))          # xs[:k0] lie left of x0
+        pos = np.concatenate([k0 - 8 - 6 * np.arange(5), k0 + 6 + 8 * np.arange(8)])
+        t = xs[pos]
+        lhat, _ = extremal._lagrange_scaled(t, *extremal._bary_logweights(t), lp.x0)
+        s = np.where(lhat < 0.0, -1.0, 1.0)
+        assert s.tolist() == [1, -1, 1, -1, 1, 1, -1, 1, -1, 1, -1, 1, -1]
+        lp.basis = (2 * order[pos] + (s < 0.0)).tolist()
+        v = np.empty(xs.size)
+        for side, slots in ((np.arange(k0), np.arange(5)),
+                            (np.arange(k0, xs.size), np.arange(5, 13))):
+            v[side] = 0.5 * s[slots[np.argmin(np.abs(side[:, None] - pos[slots]), axis=1)]]
+        v[pos], v[pos + np.where(pos < k0, -1, 1)] = s, 2.0 * s
+        v[[k0 - 1, 0, pos[7] + 3, pos[7] + 5]] = -3.0, -5.0, -1.5, 2.0
+        values = np.empty(xs.size)
+        values[order] = v
+        after = self._exchange_with(lp, values)
+        to = np.argsort(order)[[j >> 1 for j in after]]     # sorted positions
+        assert to.tolist() == [*(pos[:7] + np.where(pos[:7] < k0, -1, 1)), pos[7] + 5,
+                               *(pos[8:] + 1)]
 
     @pytest.mark.parametrize("n", [50, 100])
     @pytest.mark.parametrize("case", PINNED)
@@ -687,6 +743,28 @@ class TestExchangeStep:
         assert counts["lp.round_pivots_max"] <= 10
         assert counts["lp.nodes_moved"] >= n
         assert res.rel_gap <= 1e-10
+
+    @pytest.mark.parametrize("n", [50, 100])
+    @pytest.mark.parametrize("case", ["two-gap(0.3)", "four-gap(0.4)"])
+    def test_start_needs_no_grid_pivots(self, case, n):
+        # the start moves nodes between bands on one side of x0, which a
+        # step inside each node's window could not: two-gap(0.3) at n = 100
+        # took 94 grid pivots after 8 start steps
+        E, x0 = PINNED[case]
+        with _stats.collect() as counts:
+            solve_extremal(E, x0, n, extension=False)
+        assert counts["lp.grid_pivots"] == 0
+        assert counts["lp.start_steps"] < extremal._REFINE_ROUNDS
+
+    @pytest.mark.parametrize("n", [8, 10])
+    def test_start_moves_only_on_a_strict_gain(self, n):
+        # on the oracle benchmark's [-0.2, 1] the start reaches the Remez
+        # polynomial, whose runs peak at |P| = 1 on more than their node:
+        # moving a node there gains nothing, and a step that did so moved a
+        # node on each of its 8 steps
+        with _stats.collect() as counts:
+            solve_extremal(CompactSet((Interval(-0.2, 1.0),)), -1.0, n, extension=False)
+        assert counts["lp.start_steps"] <= 2
 
     def test_infeasible_basis_is_left_unmoved(self):
         E, x0, n = TWO_GAP, -0.4, 12
@@ -796,12 +874,13 @@ def chebyshev_preimage(k, u, v):
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_empty_ratio_test_states_the_solver():
-    # on the 100-band preimage the Lagrange weights overflow to NaN, and the
-    # ratio test used to fail with "max() arg is an empty sequence"
+    # on the 100-band preimage (D8) the entering direction has no positive
+    # entry, so the ratio test is empty; the error states the solver as the
+    # NaN-ratio error does, where "max() arg is an empty sequence" once was
     E = chebyshev_preimage(100, -0.8, 0.7)
     x0 = 0.5 * sum(E.gaps()[50])
-    with pytest.raises(SolverError, match=r"ratio test found no leaving slot at n = 100 on "
-                                          r"\d+ grid points: entering x = \S+, theta = nan"):
+    with pytest.raises(SolverError, match=r"simplex direction unbounded at n = 100 on \d+ grid "
+                                          r"points: entering x = -?\d\.\d+"):
         solve_extremal(E, x0, 100, extension=False)
 
 
