@@ -10,14 +10,13 @@ at its end:
     counts["lp.pivots"]
 
 Keys are flat dotted names: `lp.*` for the LP oracle, `quad.*` for the
-adaptive quadrature, `search.*` for the bracketed search primitives and
+adaptive quadrature, `search.*` for the bracketed search primitive and
 `Ln.*` for `L_n_delta`.  A key ending in `_max` holds a maximum, every
 other key a sum.
 """
 
 from __future__ import annotations
 
-import functools
 from contextlib import contextmanager
 from contextvars import ContextVar
 
@@ -48,28 +47,3 @@ def collect():
         _counts.reset(token)
         add(counts)
 
-
-def counts_evals(key: str):
-    """Decorator for a search primitive f-first: counts the calls of f
-    under `key` (a vectorized primitive's call evaluates every lane)."""
-
-    def decorate(search):
-        @functools.wraps(search)
-        def counted(f, *args, **kwargs):
-            if _counts.get() is None:
-                return search(f, *args, **kwargs)
-            evals = 0
-
-            def g(*args):
-                nonlocal evals
-                evals += 1
-                return f(*args)
-
-            try:
-                return search(g, *args, **kwargs)
-            finally:
-                add({key: evals})
-
-        return counted
-
-    return decorate

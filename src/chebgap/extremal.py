@@ -54,13 +54,13 @@ pivot.
 Exchange rounds then locate the true local maxima of |P| on E.  The
 simplex's last pricing holds P at every grid point, and each discrete peak
 of |P| on an interval's sorted grid is polished between its two grid
-neighbours by lockstep Newton on P' (Berrut & Trefethen, SIAM Rev. 2004,
-section 9), and the few lanes Newton leaves open by lockstep Illinois steps
-on P'; the grid is the only sampling of E.  The rounds append the polished
-peaks as grid columns and take the start's exchange step on the grown
-grid, which keeps the node count on each side of x0 and the signs, so the
-moved basis stays feasible, and the simplex re-optimizes from it until the
-grid values and the polished peaks certify |P| <= 1 + 1e-10.
+neighbours by lockstep Illinois steps on P' in the second form (`_peaks`;
+Berrut & Trefethen, SIAM Rev. 2004, section 9); the grid is the only
+sampling of E.  The rounds append the polished peaks as grid columns and
+take the start's exchange step on the grown grid, which keeps the node
+count on each side of x0 and the signs, so the moved basis stays
+feasible, and the simplex re-optimizes from it until the grid values and
+the polished peaks certify |P| <= 1 + 1e-10.
 
 The answer is its active points and signs (t, s), with the dual weights
 lam_i = s_i l_i(x0), which sum to the value and give dM/de for an endpoint
@@ -72,9 +72,11 @@ level just above the certified max_E |P|.  One evaluation on a dense grid
 holding E's ends brackets them: between neighbouring samples P is monotone
 except across a peak of |P|, and only a peak sampled below the level and
 not inside E (where |P| < level) can hide two crossings, so only such
-peaks are polished.  Lockstep Illinois steps then close every bracket to a
-few ulps.  The JSON T_k coefficients are a cosine transform of values at
-Chebyshev points.
+peaks are polished, by `_peaks` as on E: |P| is about 1 there, so next to
+it the second form's error eps * Lebesgue(x) is as small as the first
+form's.  Lockstep Illinois steps then close every bracket to a few ulps.
+The JSON T_k coefficients are a cosine transform of values at Chebyshev
+points.
 """
 
 from __future__ import annotations
@@ -87,7 +89,7 @@ from functools import cached_property
 import numpy as np
 
 from . import _stats
-from ._search import golden_max_many, illinois_many
+from ._search import illinois_many
 from .chebyshev import ChebPoly, cheb_interp
 from .errors import DomainError, SolverError
 from .intervals import CompactSet, Interval, discretize
@@ -101,8 +103,7 @@ DEGREE_DEFICIENCY_REL = 1e-10
 _REFINE_ROUNDS = 8        # cap on exchange rounds after the grid solve
 _FEAS_TOL = 1e-9          # promised bound 1 + _FEAS_TOL on |P| over E
 _ENDPOINT_ULPS = 4        # match of an endpoint against the active points
-_NEWTON_STEPS = 12        # Newton steps per peak before Illinois steps
-_PEAK_GAIN = 1e-14        # predicted |P| gain that ends a Newton lane
+_PEAK_GAIN = 1e-14        # bound on the |P| gain left that ends a peak lane
 _ROW_BLOCK = 256          # rows per block of the derivative temporaries
 
 
@@ -267,30 +268,28 @@ def _bary_logweights(t):
 
 
 def _bary_derivs(t, s, logw, signw, xs):
-    """(P, P', P'') at xs of the interpolant of (t_i, s_i) in the second form
+    """(P, P') at xs of the interpolant of (t_i, s_i) in the second form
     (Berrut & Trefethen 2004, section 9), d_i = x - t_i, D = sum_i w_i / d_i:
-    P' = sum_i w_i (P - s_i) / d_i^2 / D, P'' = 2 sum_i w_i [P' - (P - s_i)
-    / d_i] / d_i^2 / D.  A node hit x = t_i gives s_i, P'(t_i) = sum_{k != i}
-    (w_k / w_i) (s_k - s_i) / (t_i - t_k) and nan.  Rows go in blocks."""
+    P' = sum_i w_i (P - s_i) / d_i^2 / D.  A node hit x = t_i gives s_i and
+    P'(t_i) = sum_{k != i} (w_k / w_i) (s_k - s_i) / (t_i - t_k).  Rows go
+    in blocks."""
     xs = np.asarray(xs, dtype=float)
     wt = signw * np.exp(logw - logw.max())
-    out = np.empty((3, xs.size))
+    out = np.empty((2, xs.size))
     with np.errstate(divide="ignore", invalid="ignore"):
         for lo in range(0, xs.size, _ROW_BLOCK):
             d = xs[lo:lo + _ROW_BLOCK, None] - t
             C = wt / d
             den = C.sum(axis=1)
             p = (C @ s) / den
-            R = (p[:, None] - s) / d
-            dp = np.einsum("ij,ij->i", C, R) / den
-            d2p = 2.0 * np.einsum("ij,ij->i", C / d, dp[:, None] - R) / den
+            dp = np.einsum("ij,ij->i", C, (p[:, None] - s) / d) / den
             if not np.isfinite(den).all():     # some row hits a node
                 k, i = np.nonzero(d == 0.0)
                 node = (signw * signw[i, None] * np.exp(logw - logw[i, None])
                         * (s - s[i, None]) / (t[i, None] - t))
-                p[k], d2p[k] = s[i], math.nan
+                p[k] = s[i]
                 dp[k] = np.where(np.isnan(node), 0.0, node).sum(axis=1)
-            out[:, lo:lo + _ROW_BLOCK] = p, dp, d2p
+            out[:, lo:lo + _ROW_BLOCK] = p, dp
     return out
 
 
@@ -621,53 +620,37 @@ def _nearest_distance(points, xs):
     return np.minimum(np.abs(xs - pts[right - 1]), np.abs(xs - pts[right]))
 
 
-def _newton_peaks(nodes, los, his, signs):
-    """Maxima (xs, |P(xs)|) of |P| on the brackets [los, his], in lockstep.
+def _peaks(nodes, los, his, signs):
+    """Maxima (xs, |P(xs)|) of |P| on the brackets [los, his] in lockstep,
+    and the evaluations of P they took, each one over every lane open.
 
     A lane is live when signs * P' rises at its low end and falls at its
-    high end, else the better end wins.  Newton on P' runs from the bracket
-    midpoint inside the bracket the signs of P' keep, bisecting when
-    P'' >= 0 or a step leaves it.  A lane stops when the predicted gain
-    g^2 / 2|h| is below _PEAK_GAIN (P' carries eps / |x - t_i| of noise
-    near a node, so no step-size stop), or after _NEWTON_STEPS by Illinois
-    steps on -signs * P' from the values kept at its bracket ends, to a
-    width of 1e-12.  Every evaluation keeps the largest |P| it sees; each
-    counts once in `lp.polish_evals`."""
+    high end, else the better end wins.  Illinois steps on -signs * P'
+    close the live lanes, every trial keeping the largest |P| it sees.  A
+    lane ends when |P'| (b - a) at its trial, which bounds the gain left
+    where |P| is concave, is at most _PEAK_GAIN, or when its bracket is at
+    most 4 ulps wide: regula falsi cannot shrink two adjacent floats."""
     m = len(los)
-    P, dP, _ = _bary_derivs(*nodes, np.concatenate([los, his]))
+    P, dP = _bary_derivs(*nodes, np.concatenate([los, his]))
     evals = 1
     best_x = np.where(abs(P[m:]) > abs(P[:m]), his, los)
     best_f = np.maximum(abs(P[m:]), abs(P[:m]))
-
-    def probe(x, lanes):    # signs * (P', P'') at x, keeping the largest |P|
-        nonlocal evals
-        evals += 1
-        P, dP, d2P = _bary_derivs(*nodes, x)
-        up = abs(P) > best_f[lanes]
-        best_x[lanes[up]], best_f[lanes[up]] = x[up], abs(P[up])
-        return signs[lanes] * dP, signs[lanes] * d2P
-
     ga, gb = signs * dP[:m], signs * dP[m:]
     live = np.flatnonzero((ga > 0.0) & (gb < 0.0))
-    a, b, ga, gb = los[live], his[live], ga[live], gb[live]
-    x = 0.5 * (a + b)
-    for _ in range(_NEWTON_STEPS):
-        if not live.size:
-            break
-        x = np.where((a < x) & (x < b), x, 0.5 * (a + b))
-        g, h = probe(x, live)
-        rise = g > 0.0
-        a, b = np.where(rise, x, a), np.where(rise, b, x)
-        ga, gb = np.where(rise, g, ga), np.where(rise, gb, g)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            x = np.where(h < 0.0, x - g / h, math.nan)
-            open_ = ~((h < 0.0) & (g * g <= -2.0 * _PEAK_GAIN * h))
-        live, a, b, ga, gb, x = (v[open_] for v in (live, a, b, ga, gb, x))
-    if live.size:
-        illinois_many(lambda u, k: -probe(u, live[k])[0], a, b, -ga, -gb,
-                      lambda a, b, _: ~(b - a > 1e-12))
-    _stats.add({"lp.polish_evals": evals})
-    return best_x, best_f
+
+    def slope(x, lanes):    # -signs * P' at x, keeping the largest |P|
+        nonlocal evals
+        evals += 1
+        k = live[lanes]
+        P, dP = _bary_derivs(*nodes, x)
+        up = abs(P) > best_f[k]
+        best_x[k[up]], best_f[k[up]] = x[up], abs(P[up])
+        return -signs[k] * dP
+
+    illinois_many(slope, los[live], his[live], -ga[live], -gb[live],
+                  lambda a, b, g: (abs(g) * (b - a) <= _PEAK_GAIN)
+                  | ~(b - a > 4.0 * np.spacing(np.maximum(abs(a), abs(b)))))
+    return best_x, best_f, evals
 
 
 def _scan_abs_max(nodes, E, points, values):
@@ -675,11 +658,12 @@ def _scan_abs_max(nodes, E, points, values):
     `values` at the LP grid `points` (the simplex's last pricing).
 
     Each discrete peak of |P| on an interval's sorted points, end points
-    included, is polished by `_newton_peaks` on the brackets to its two
-    grid neighbours.  No grid point lies inside a bracket, so an active
-    point (|P| = 1 exactly) next to a violation bounds the bracket instead
-    of breaking its unimodality.  Returns the points found, the largest
-    |P| over the grid and the polished peaks, and its x."""
+    included, is polished by `_peaks` on the brackets to its two grid
+    neighbours, its evaluations of P counted in `lp.polish_evals`.  No grid
+    point lies inside a bracket, so an active point (|P| = 1 exactly) next
+    to a violation bounds the bracket instead of breaking its unimodality.
+    Returns the points found, the largest |P| over the grid and the
+    polished peaks, and its x."""
     order = np.argsort(points)
     xs, pv = points[order], values[order]
     av = np.abs(pv)
@@ -695,7 +679,8 @@ def _scan_abs_max(nodes, E, points, values):
     los = np.concatenate([xs[lq - 1], xs[rq]])
     his = np.concatenate([xs[lq], xs[rq + 1]])
     signs = np.where(pv[np.concatenate([lq, rq])] >= 0.0, 1.0, -1.0)
-    xp, vp = _newton_peaks(nodes, los, his, signs)
+    xp, vp, evals = _peaks(nodes, los, his, signs)
+    _stats.add({"lp.polish_evals": evals})
     xs, vals = np.concatenate([xs, xp]), np.concatenate([av, vp])
     i = int(np.argmax(vals))
     return xp, float(vals[i]), float(xs[i])
@@ -740,7 +725,8 @@ def solve_extremal(E: CompactSet, x0: float, n: int, *,
     <= 1 + 1e-10 (`max_abs_p`, `value_lo`, `rel_gap`), else SolverError
     after _REFINE_ROUNDS rounds.  The returned polynomial satisfies P(x0) =
     value > 0.  `extension` also computes P^{-1}([-1, 1]) and its case tag.
-    A non-finite x0 raises DomainError.
+    A non-finite x0 raises DomainError, and so does an E of at most n
+    points off x0, on which M_n is unbounded.
 
     Every solve starts cold, from the equilibrium quantiles of E.
     """
@@ -756,6 +742,9 @@ def solve_extremal(E: CompactSet, x0: float, n: int, *,
             value=1.0, poly=poly, active_points=(), active_signs=(),
             n_extension=E, case_tag="none",
         )
+    points = {iv.lo for iv in E.intervals}
+    if all(iv.length == 0.0 for iv in E.intervals) and len(points) <= n:
+        raise DomainError(f"M_n is unbounded: E is a set of {len(points)} points and n = {n}")
     return _finish(_ExchangeLP(E, n, x0), extension)
 
 
@@ -805,14 +794,17 @@ def n_extension(result: ExtremalResult, E: CompactSet):
     (tiny) excess of the certified max_E |P| (`max_abs_p`) over 1, plus
     1e-12, so that E itself is never notched by roundoff at active points.
     P is evaluated once on Chebyshev samples of [-1, 1], cosh-spaced ones
-    out to R (|P(+-R)| > 2 level) and E's ends; each sign change of P -+
+    out to R (|P(+-R)| > 2 level) and E's ends.  A sampled peak of |P|
+    below the level and outside E may hide two crossings, so `_peaks`
+    polishes it between its two neighbours first.  Each sign change of P -+
     level between neighbouring samples brackets one crossing, which
     lockstep Illinois steps close to 4 ulps.  Each boundary is its
     bracket's end inside the preimage, so a component narrower than an ulp
     or two keeps a point.  The tag classifies the structure relative to
     [-1, 1]: a separated interval beyond one of the endpoints, an extension
     attached at an endpoint, or no extension at all.  Counters: `ext.calls`,
-    `ext.steps` (evaluations of P, each over all lanes) and `ext.polished`.
+    `ext.steps` (evaluations of P, each over all lanes, the polish's
+    included) and `ext.polished` (the peaks polished).
     """
     _stats.add({"ext.calls": 1})
     # equal signs at all nodes interpolate a constant
@@ -849,7 +841,9 @@ def n_extension(result: ExtremalResult, E: CompactSet):
     peak = peak[(xs[peak - 1] < ends[k, 0]) | (xs[peak + 1] > ends[k, 1])]
     _stats.add({"ext.polished": peak.size})
     if peak.size:
-        xp = golden_max_many(lambda u: np.abs(evaluate(u)), xs[peak - 1], xs[peak + 1], 1e-12)[0]
+        xp, _, evals = _peaks(result._nodes, xs[peak - 1], xs[peak + 1],
+                              np.where(ps[peak] >= 0.0, 1.0, -1.0))
+        _stats.add({"ext.steps": evals})
         xs, ps = np.concatenate([xs, xp]), np.concatenate([ps, evaluate(xp)])
         order = np.argsort(xs)
         xs, ps = xs[order], ps[order]

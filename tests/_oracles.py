@@ -138,6 +138,33 @@ def exact_interpolant(t, s, x):
     return out if np.ndim(x) else out[0]
 
 
+def fixed_point_interpolant(t, s, x, bits=256):
+    """(P(x), P'(x)) as Fractions for the polynomial that takes the value
+    s_i at t_i, at a float x off the nodes, within about len(t)^2 2^-bits
+    times the largest |l_i(x)| (1 + sum_k 1/|x - t_k|).
+
+    The integers are those of `exact_interpolant`, but each Lagrange value
+    l_i(x) = prod_{k != i} (x - t_k) / (t_i - t_k) and each 1/(x - t_k) is
+    one integer division rounded to a multiple of 2^-bits, which skips the
+    lcm of the denominators that takes seconds at degree 200.  P' = sum_i
+    s_i l_i(x) sum_{k != i} 1/(x - t_k).
+    """
+    pts = [Fraction(v) for v in [*map(float, t), float(x)]]
+    scale = max(q.denominator for q in pts)
+    T = [int(q * scale) for q in pts[:-1]]
+    d = [int(pts[-1] * scale) - tk for tk in T]
+    one = 1 << bits
+    inv = [scale * one // v for v in d]
+    all_inv, total, slope = sum(inv), 0, 0
+    for i, ti in enumerate(T):
+        num = math.prod(v for k, v in enumerate(d) if k != i)
+        den = math.prod(ti - tk for k, tk in enumerate(T) if k != i)
+        li = int(s[i]) * (num * one // den)
+        total += li
+        slope += li * (all_inv - inv[i])
+    return Fraction(total, one), Fraction(slope, one * one)
+
+
 def bary_values(t, s, logw, signw, xs):
     """Second-form barycentric values of the interpolant of (t_i, s_i) at
     xs, w_i = signw_i exp(logw_i) its weights, priced from scratch: one
@@ -226,3 +253,43 @@ def equilibrium_cdf(E, q, xs):
         mass[inside] += c0 * (math.pi - th) - np.sin(np.outer(th, j)) @ cj
         mass[xs >= hi] += c0 * math.pi
     return mass
+
+
+_INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/golden ratio
+
+
+def golden_max_many(f, los, his, xtol: float = 1e-12):
+    """Vectorized golden-section maximization, one bracket per lane.
+
+    `f` maps an array of abscissae to an array of values.  Each lane is
+    assumed unimodal; endpoints are checked as well.  Returns (xs, fs).
+    """
+    a = np.asarray(los, dtype=float).copy()
+    b = np.asarray(his, dtype=float).copy()
+    c = b - _INVPHI * (b - a)
+    d = a + _INVPHI * (b - a)
+    fc = f(c)
+    fd = f(d)
+    width0 = float(np.max(b - a)) if len(a) else 0.0
+    n_iter = max(0, int(math.ceil(math.log(max(width0 / max(xtol, 1e-300), 1.0)) /
+                                  math.log(1.0 / _INVPHI))))
+    for _ in range(n_iter):
+        left = fc >= fd
+        b = np.where(left, d, b)
+        a = np.where(left, a, c)
+        d_new = np.where(left, c, a + _INVPHI * (b - a))
+        c_new = np.where(left, b - _INVPHI * (b - a), d)
+        f_known = np.where(left, fc, fd)
+        probe = np.where(left, c_new, d_new)
+        f_probe = f(probe)
+        fc = np.where(left, f_probe, f_known)
+        fd = np.where(left, f_known, f_probe)
+        c, d = c_new, d_new
+    xm = np.where(fc >= fd, c, d)
+    fm = np.maximum(fc, fd)
+    for edge in (los, his):
+        fe = f(np.asarray(edge, dtype=float))
+        better = fe > fm
+        xm = np.where(better, edge, xm)
+        fm = np.where(better, fe, fm)
+    return xm, fm

@@ -185,6 +185,16 @@ class TestExtremalCommand:
         rc, _, err = run(capsys, "extremal", "--set", "oops", "--x0", "0", "--n", "4")
         assert rc == 2
 
+    def test_too_few_points_exit_2(self):
+        # M_n is unbounded on one point at n = 2: a domain error, not a
+        # numerical failure
+        proc = run_process("extremal", "--set", "[[0.5,0.5]]", "--x0", "0", "--n", "2")
+        assert proc.returncode == 2, proc.stderr
+        assert proc.stderr.startswith("error: ") and "unbounded" in proc.stderr
+        proc = run_process("extremal", "--set", "[[0.5,0.5],[0.7,0.7]]", "--x0", "0", "--n", "1")
+        assert proc.returncode == 0, proc.stderr
+        assert json.loads(proc.stdout)["value"] == pytest.approx(6.0, rel=1e-14)
+
     @pytest.mark.parametrize("set_, x0, word", [
         ("[[-1,-0.5],[0.5,Infinity]]", "0", "finite"),   # used to die in np.linalg
         ("[[-1,-0.5],[0.5,1]]", "nan", "x0"),            # in an empty argmax

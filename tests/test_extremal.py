@@ -11,7 +11,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chebgap import _stats, extremal
-from chebgap._search import golden_max_many
 from chebgap.chebyshev import ChebPoly, cheb_T, cheb_eval, remez_constant, remez_poly_value
 from chebgap.errors import DomainError, SolverError
 from chebgap.extremal import (
@@ -29,7 +28,14 @@ from chebgap.intervals import (
     random_multigap_set,
 )
 
-from _oracles import alternating_exchange, bary_values, equilibrium_cdf, exact_interpolant
+from _oracles import (
+    alternating_exchange,
+    bary_values,
+    equilibrium_cdf,
+    exact_interpolant,
+    fixed_point_interpolant,
+    golden_max_many,
+)
 
 VALUE_TOL = 1e-9
 
@@ -170,9 +176,21 @@ class TestStructure:
                 assert v < remez_poly_value(n, d, x0) + VALUE_TOL * max(1.0, v)
 
     def test_sparse_grid_error(self):
-        E = CompactSet((Interval(0.0, 0.0), Interval(0.5, 0.5)))
-        with pytest.raises(SolverError):
-            solve_extremal(E, -1.0, 5, extension=False)
+        # two points closer than the grid's merge distance leave one grid
+        # point for two coefficients
+        E = CompactSet((Interval(0.0, 0.0), Interval(1e-15, 1e-15)))
+        with pytest.raises(SolverError, match="grid supplies 1 points"):
+            solve_extremal(E, -1.0, 1, extension=False)
+
+    def test_too_few_points_is_a_domain_error(self):
+        # M_n is unbounded on a set of at most n points: bad input, refused
+        # before any LP is built
+        two = CompactSet((Interval(0.5, 0.5), Interval(0.7, 0.7)))
+        assert solve_extremal(two, 0.0, 1).value == pytest.approx(6.0, rel=1e-14)
+        assert solve_extremal(CompactSet((Interval(0.5, 0.5),)), 0.0, 0).value == 1.0
+        for E, n in ((two, 2), (two, 5), (CompactSet((Interval(0.5, 0.5),)), 2)):
+            with pytest.raises(DomainError, match="unbounded"):
+                solve_extremal(E, 0.0, n)
 
     def test_negative_degree_rejected(self):
         with pytest.raises(DomainError):
@@ -458,12 +476,13 @@ class TestVerifyFeasibility:
 
 def golden_peaks(nodes, los, his, signs):
     """Golden-section polish to an x-width of 1e-12, the reference."""
-    return golden_max_many(lambda u: np.abs(bary_values(*nodes, u)), los, his, 1e-12)
+    return *golden_max_many(lambda u: np.abs(bary_values(*nodes, u)), los, his, 1e-12), 0
 
 
 class TestNewtonPolish:
-    # the benchmark's pinned oracle sets, and the trap of a Newton overshoot
-    # next to an active node in round 3
+    # The peak polish `_peaks` against a golden-section reference, on the
+    # benchmark's pinned oracle sets and on E(0, 0.4), whose third round
+    # has a peak right next to an active node.
     CASES = {
         "E(-0.3,0.4)": (make_gap_set(GapParams(-0.3, 0.4)), -0.3),
         "E(-0.1,0.4)": (make_gap_set(GapParams(-0.1, 0.4)), -0.2),
@@ -476,15 +495,15 @@ class TestNewtonPolish:
 
     @pytest.fixture
     def shortfalls(self, monkeypatch):
-        """golden worst - Newton worst, per exchange scan."""
-        scan, newton = extremal._scan_abs_max, extremal._newton_peaks
+        """golden worst - polished worst, per exchange scan."""
+        scan, peaks = extremal._scan_abs_max, extremal._peaks
         out = []
 
         def spy(nodes, E, points, values):
             res = scan(nodes, E, points, values)
-            monkeypatch.setattr(extremal, "_newton_peaks", golden_peaks)
+            monkeypatch.setattr(extremal, "_peaks", golden_peaks)
             ref = scan(nodes, E, points, values)
-            monkeypatch.setattr(extremal, "_newton_peaks", newton)
+            monkeypatch.setattr(extremal, "_peaks", peaks)
             out.append(ref[1] - res[1])
             return res
 
@@ -503,20 +522,39 @@ class TestNewtonPolish:
         assert verify_feasibility(res, E).ok
         assert res.rel_gap <= 1e-10
 
+    def test_two_float_bracket_ends(self, monkeypatch):
+        # Regula falsi cannot shrink a bracket of two adjacent floats, so
+        # with the gain stop switched off only the ulp floor ends this lane.
+        # The interpolant is the even quadratic about x = 0.25, and its
+        # computed P' changes sign between 0.25 and the next float.
+        t = np.array([-0.75, -0.25, 0.75, 1.25])
+        s = np.array([1.0, -1.0, -1.0, 1.0])
+        nodes = (t, s, *extremal._bary_logweights(t))
+        a, b = 0.25, math.nextafter(0.25, 1.0)
+        assert list(np.sign(extremal._bary_derivs(*nodes, [a, b])[1])) == [-1.0, 1.0]
+        monkeypatch.setattr(extremal, "_PEAK_GAIN", -1.0)
+        derivs, calls = extremal._bary_derivs, []
+
+        def capped(*args):
+            calls.append(args[-1])
+            assert len(calls) <= 10, "the lane never ends"
+            return derivs(*args)
+
+        monkeypatch.setattr(extremal, "_bary_derivs", capped)
+        xs, fs, evals = extremal._peaks(nodes, np.array([a]), np.array([b]), np.array([-1.0]))
+        assert xs[0] in (a, b) and fs[0] == pytest.approx(5.0 / 3.0, rel=1e-15)
+        assert evals == len(calls) == 2
+
     def test_derivatives_match_chebyshev_fit(self):
         n = 12
         t = np.sort(np.concatenate([np.linspace(-1.0, -0.5, 6), np.linspace(0.3, 1.0, 7)]))
         s = np.where(np.arange(n + 1) % 3 == 0, 1.0, -1.0)
         coeffs = np.polynomial.chebyshev.chebfit(t, s, n)
         xs = np.concatenate([np.linspace(-1.0, -0.5, 41), np.linspace(0.3, 1.0, 41), t[[2, 9]]])
-        P, dP, d2P = extremal._bary_derivs(t, s, *extremal._bary_logweights(t), xs)
+        P, dP = extremal._bary_derivs(t, s, *extremal._bary_logweights(t), xs)
         C = np.polynomial.chebyshev
         assert np.allclose(P, C.chebval(xs, coeffs), rtol=0, atol=1e-10)
         assert np.allclose(dP, C.chebval(xs, C.chebder(coeffs)), rtol=1e-8, atol=1e-8)
-        node = np.isin(xs, t)
-        assert np.all(np.isnan(d2P[node]))
-        assert np.allclose(d2P[~node], C.chebval(xs[~node], C.chebder(coeffs, 2)),
-                           rtol=1e-7, atol=1e-7)
 
 
 class TestExtensionBoundaries:
@@ -565,6 +603,27 @@ class TestExtensionBoundaries:
         left, right = [c for c in res.n_extension.intervals if -0.21 < c.hi and c.lo < -0.19]
         assert right.lo == pytest.approx(-0.2, abs=1e-12) and -0.201 < left.hi < right.lo
         assert abs(res.evaluate(0.5 * (left.hi + right.lo))) > 1.004
+
+    def test_second_form_is_accurate_at_the_polished_peak(self, monkeypatch):
+        # At the peak of the test above, |P| is about 1, so the second form
+        # the polish evaluates is as accurate there as on E.
+        E, x0 = TestNewtonPolish.CASES["four-gap(0.4)"]
+        res = solve_extremal(E, x0, 200, extension=False)
+        peaks, calls = extremal._peaks, []
+
+        def spy(*args):
+            calls.append((args, peaks(*args)))
+            return calls[-1][1]
+
+        monkeypatch.setattr(extremal, "_peaks", spy)
+        extremal.n_extension(res, E)
+        [((_, los, his, _), (xp, _, _))] = calls
+        P, dP = extremal._bary_derivs(*res._nodes, xp)
+        exact = [fixed_point_interpolant(res.active_points, res.active_signs, x)
+                 for x in (xp[0], los[0], his[0])]
+        assert -0.201 < xp[0] < -0.2
+        assert abs(P[0] - exact[0][0]) <= 1e-13
+        assert abs(dP[0] - exact[0][1]) <= 1e-12 * max(abs(e[1]) for e in exact[1:])
 
 
 class TestCertificate:

@@ -70,11 +70,11 @@ def test_extension_counts():
 
 
 def test_polish_counts():
-    # three scans (two exchange rounds and the final check); one lane
-    # outlives the Newton steps and one Illinois step closes it
+    # three scans (two exchange rounds and the final check), each one
+    # evaluation at the bracket ends and then lockstep Illinois steps, 12
+    # in all
     with _stats.collect() as counts:
         solve_extremal(make_gap_set(GapParams(-0.3, 0.4)), -0.3, 50, extension=False)
     assert counts["lp.exchange_rounds"] == 2
-    assert counts["lp.polish_evals"] == 27
-    assert counts["search.illinois_many.evals"] == 1
-    assert "search.golden_max_many.evals" not in counts
+    assert counts["lp.polish_evals"] == 15
+    assert counts["search.illinois_many.evals"] == 12
