@@ -47,9 +47,12 @@ Chebyshev coefficients and evaluating near |P| = 1 loses eps * value
 absolutely, and the value reaches 1e13 already at degree 20 on the sets of
 interest.  The optimal value sum_i s_i l_i(x0) is a same-sign sum, computed
 through logs, so the reported value keeps full relative precision.
-A pivot moves one basis node, so the pricing values come from a Cauchy
-matrix 1/(x_j - t_i) built once per solve and updated by one column per
-pivot.
+The pricing values come from a Cauchy matrix 1/(x_j - t_i) kept in one
+buffer per LP: refilled in place when the basis rows change, by one column
+per pivot, and dropped, not copied, when the grid grows.  Each basis is
+priced once: the start's converged step hands its values of P to the grid
+simplex, and a round's exchange reuses the simplex's last values, pricing
+only the appended points.
 
 Exchange rounds then locate the true local maxima of |P| on E.  The
 simplex's last pricing holds P at every grid point, and each discrete peak
@@ -358,15 +361,27 @@ class _ExchangeLP:
         self.points = discretize(E, _grid_density(n, len(E.intervals)))
         self.basis = None
         # work done, for the counters: pivots per solve() call (the first is
-        # the grid solve), nodes moved by exchange() and the start's steps
+        # the grid solve), nodes moved by exchange(), the start's steps and
+        # the full-grid pricings
         self.pivots = []
         self.moved = 0
         self.steps = 0
+        self.pricings = 0
         self.converged = False
         self.log_bound = math.inf   # log sum_i |l_i(x0)| of the start's basis
+        self.release()
+
+    def release(self):
+        """Drop the pricing state: the kept Cauchy matrix and its rows, the
+        cached nodes and the cached values of P, each keyed on the basis."""
+        self._C = self._C_rows = self._basis_state = self._priced = None
 
     def append_points(self, new_points):
+        """Grow the grid.  The Cauchy matrix is dropped, not copied, so two
+        of them are never held at once; the cached values of P stay, and the
+        next pricing of their basis prices only the new rows."""
         self.points = np.concatenate([self.points, new_points])
+        self._C = self._C_rows = None
 
     def _initial_basis(self):
         """The start basis, before its Remez steps (`step`).
@@ -405,40 +420,75 @@ class _ExchangeLP:
             self.log_bound = _log_abs_sum(*_lagrange_scaled(t, logw, signw, self.x0))
 
     def _state(self):
-        t = self.points[[j >> 1 for j in self.basis]]
-        s = np.array([1.0 if j % 2 == 0 else -1.0 for j in self.basis])
-        logw, signw = _bary_logweights(t)
-        return t, s, logw, signw
+        """The basis nodes (t, s, logw, signw), computed once per basis."""
+        key = tuple(self.basis)
+        if self._basis_state is None or self._basis_state[0] != key:
+            t = self.points[[j >> 1 for j in key]]
+            s = np.array([1.0 if j % 2 == 0 else -1.0 for j in key])
+            self._basis_state = key, (t, s, *_bary_logweights(t))
+        return self._basis_state[1]
 
     def _cauchy(self):
         """Pricing matrix C[j, i] = 1/(x_j - t_i) over grid points and slots.
 
-        The grid points are distinct, so the only exact node hit in column i
-        is the row of basis node i itself; it is stored as 0 instead of inf
-        and its pricing value is set by index in `_price`.
+        One buffer is kept per LP and refilled in place when the basis rows
+        differ from those it holds (`_cauchy_column` refills one column per
+        pivot).  The grid points are distinct, so the only exact node hit in
+        column i is the row of basis node i itself; it is stored as 0
+        instead of inf and its pricing value is set by index in `_price`.
         """
         rows = [j >> 1 for j in self.basis]
-        with np.errstate(divide="ignore"):
-            C = 1.0 / (self.points[:, None] - self.points[rows][None, :])
-        C[rows, np.arange(self.r)] = 0.0
-        return C
+        if self._C is None:
+            self._C = np.empty((len(self.points), self.r))
+        if self._C_rows != rows:
+            C = self._C
+            np.subtract.outer(self.points, self.points[rows], out=C)
+            with np.errstate(divide="ignore"):
+                np.divide(1.0, C, out=C)
+            C[rows, np.arange(self.r)] = 0.0
+            self._C_rows = rows
+        return self._C
 
-    def _cauchy_column(self, C, i):
-        """Refill column i of C after basis slot i changed node."""
+    def _cauchy_column(self, i):
+        """Refill column i of the kept matrix after basis slot i changed node."""
+        if self._C is None:
+            return
         p = self.basis[i] >> 1
         with np.errstate(divide="ignore"):
-            C[:, i] = 1.0 / (self.points - self.points[p])
-        C[p, i] = 0.0
+            self._C[:, i] = 1.0 / (self.points - self.points[p])
+        self._C[p, i] = 0.0
+        self._C_rows[i] = p
 
     def _price(self, C, t, s, logw, signw):
-        """Interpolant values at every grid point in the second barycentric
-        form, from the cached pricing matrix."""
+        """Interpolant values in the second barycentric form at the grid's
+        last len(C) points, from their rows C of the pricing matrix: the
+        whole grid from `_cauchy`, or the points appended since a pricing."""
+        lo = len(self.points) - len(C)
         wt = signw * np.exp(logw - logw.max())
         with np.errstate(divide="ignore", invalid="ignore"):
             vals = (C @ (wt * s)) / (C @ wt)
-        vals[[j >> 1 for j in self.basis]] = s
+        rows = np.array([j >> 1 for j in self.basis]) - lo
+        vals[rows[rows >= 0]] = s[rows >= 0]
         bad = np.flatnonzero(~np.isfinite(vals))
-        vals[bad] = s[np.argmin(np.abs(self.points[bad, None] - t), axis=1)]
+        vals[bad] = s[np.argmin(np.abs(self.points[lo + bad, None] - t), axis=1)]
+        return vals
+
+    def _values(self):
+        """P at every grid point for the current basis, each basis priced
+        once: the values of the last pricing are kept, keyed on the basis
+        and the grid size, and a grid grown since adds only its new rows."""
+        key = tuple(self.basis)
+        nodes = self._state()
+        if self._priced is not None and self._priced[0] == key:
+            vals = self._priced[1]
+            if len(vals) < len(self.points):
+                with np.errstate(divide="ignore"):
+                    C = 1.0 / (self.points[len(vals):, None] - nodes[0])
+                vals = np.concatenate([vals, self._price(C, *nodes)])
+        else:
+            vals = self._price(self._cauchy(), *nodes)
+            self.pricings += 1
+        self._priced = key, vals
         return vals
 
     def exchange(self):
@@ -462,7 +512,7 @@ class _ExchangeLP:
         lam_hat, _ = _lagrange_scaled(t, logw, signw, self.x0)
         if np.any(s * lam_hat < 0.0):
             return 0
-        pv = self._price(self._cauchy(), t, s, logw, signw)
+        pv = self._values()
         # grid and slots outward from x0: the right side ascending, then the
         # left side descending
         order, n_right = _outward(self.points, self.x0)
@@ -495,6 +545,8 @@ class _ExchangeLP:
         basis[move] = 2 * order[high[gbest[picked[~stay]]]] + (basis[move] & 1)
         self.basis = basis.tolist()
         self.moved += move.size
+        if move.size:       # the values kept are the old basis's
+            self._priced = None
         return int(move.size)
 
     def solve(self):
@@ -507,7 +559,6 @@ class _ExchangeLP:
             self._initial_basis()
         while not self.converged:
             self.step()
-        C = self._cauchy()
         max_iter = 2000 + 60 * self.r
         self.pivots.append(0)
         for _ in range(max_iter):
@@ -520,7 +571,7 @@ class _ExchangeLP:
             if lam_hat[i] < -1e-6 * lam_hat.max():
                 raise SolverError(f"infeasible basis: slot {i} at x = {t[i]!r} has lam = "
                                   f"{lam_hat[i] / lam_hat.max():.3g} * max lam")
-            pv = self._price(C, t, s, logw, signw)
+            pv = self._values()
             d_plus = 1.0 - pv
             d_minus = 1.0 + pv
             # Basic columns have reduced cost exactly 0; mask out roundoff.
@@ -555,7 +606,7 @@ class _ExchangeLP:
                                   f"grid points: entering x = {float(x_e)!r}, theta = {theta!r}")
             leave = max(ties, key=lambda i: u_hat[i])
             self.basis[leave] = enter
-            self._cauchy_column(C, leave)
+            self._cauchy_column(leave)
             self.pivots[-1] += 1
         raise SolverError(
             f"simplex exceeded {max_iter} pivots at n = {self.n} on {m} grid points; "
@@ -571,6 +622,7 @@ class _ExchangeLP:
             "lp.grid_pivots": sum(self.pivots[:1]),
             "lp.exchange_rounds": len(rounds), "lp.round_pivots_max": max(rounds, default=0),
             "lp.nodes_moved": self.moved, "lp.start_steps": self.steps,
+            "lp.pricings": self.pricings,
         })
 
 
@@ -756,6 +808,7 @@ def _finish(lp, extension):
         t, s, logw, signw, raw, L0, worst = _optimize(lp, E)
     finally:
         lp.count()
+        lp.release()
 
     lam = np.maximum(raw, 0.0)
     total = float(lam.sum())

@@ -199,8 +199,12 @@ class TestStructure:
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestPricingCache:
-    """The simplex prices from a Cauchy matrix kept across pivots; pricing
-    from scratch at every pivot must give the same bytes."""
+    """Each LP keeps one Cauchy matrix, refilled in place when the basis
+    rows change and by one column per pivot, and prices each basis once:
+    the next reader of a basis reuses its last values of P, and a grid
+    grown since prices only its new rows.  Pricing from scratch must give
+    the same bytes, and every value read, reused or not, must lie within
+    an ulp of a fresh pricing of its basis."""
 
     CASES = {
         "interval": (single_interval(0.4), -1.0),
@@ -212,7 +216,8 @@ class TestPricingCache:
     def _price_from_scratch(monkeypatch):
         monkeypatch.setattr(
             extremal._ExchangeLP, "_price",
-            lambda self, C, t, s, logw, signw: bary_values(t, s, logw, signw, self.points),
+            lambda self, C, t, s, logw, signw: bary_values(
+                t, s, logw, signw, self.points[len(self.points) - len(C):]),
         )
 
     @staticmethod
@@ -236,6 +241,43 @@ class TestPricingCache:
         assert appended, "no exchange round re-solved after append_points"
         self._price_from_scratch(monkeypatch)
         assert solve_extremal(E, x0, n, extension=False).to_json() == cached
+
+    @pytest.mark.parametrize("n", [12, 50, 100])
+    @pytest.mark.parametrize("case", CASES)
+    def test_reused_values_match_a_fresh_pricing(self, case, n, monkeypatch):
+        # every read of P's values by exchange() and solve() against a full
+        # pricing of the same basis on the same grid, in ulps of max(1, |P|)
+        E, x0 = self.CASES[case]
+        values = extremal._ExchangeLP._values
+        ulps = []
+
+        def spy(self):
+            vals = values(self)
+            fresh = self._price(self._cauchy(), *self._state())
+            ulps.append(np.max(np.abs(vals - fresh) / np.spacing(np.maximum(1.0, np.abs(fresh)))))
+            return vals
+
+        monkeypatch.setattr(extremal._ExchangeLP, "_values", spy)
+        with _stats.collect() as counts:
+            solve_extremal(E, x0, n, extension=False)
+        assert len(ulps) > counts["lp.pricings"], "no read reused a pricing"
+        assert max(ulps) <= 1.0
+
+    def test_hand_set_basis_is_priced_afresh(self):
+        # the values are keyed on the basis itself: a basis assigned by hand
+        # between two exchanges is priced, not read from the last pricing
+        E, x0, n = TWO_GAP, -0.4, 12
+        lp = extremal._ExchangeLP(E, n, x0)
+        lp._initial_basis()
+        start = list(lp.basis)
+        while not lp.converged:
+            lp.step()
+        assert lp.steps < extremal._REFINE_ROUNDS
+        assert lp.exchange() == 0       # the converged basis: its pricing is kept
+        lp.basis = list(start)
+        moved = lp.exchange()
+        assert moved > 0
+        TestExchangeStep._check(lp.points, x0, start, lp.basis, moved)
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 400])

@@ -77,4 +77,7 @@ def test_polish_counts():
         solve_extremal(make_gap_set(GapParams(-0.3, 0.4)), -0.3, 50, extension=False)
     assert counts["lp.exchange_rounds"] == 2
     assert counts["lp.polish_evals"] == 15
+    # five start steps and one re-solve per round: the grid simplex reuses
+    # the converged step's pricing and each round's exchange the simplex's
+    assert counts["lp.pricings"] == 7
     assert counts["search.illinois_many.evals"] == 12
