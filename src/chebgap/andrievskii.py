@@ -28,7 +28,7 @@ import bisect
 import heapq
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -64,17 +64,7 @@ class AndrievskiiResult:
     near_ties: tuple[float, ...]    # other maxima within 10*_VALUE_TOL of the winner
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "value": self.value,
-                "best": self.best,
-                "best_alpha": self.best_alpha,
-                "dvalue_dalpha": list(self.dvalue_dalpha),
-                "remez_value": self.remez_value,
-                "akhiezer_profile": [list(p) for p in self.akhiezer_profile],
-                "near_ties": list(self.near_ties),
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 @dataclass(frozen=True)
@@ -122,18 +112,7 @@ class BruteForceReport:
         return not self.violations
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "delta": self.delta,
-                "x0": self.x0,
-                "n": self.n,
-                "trials": self.trials,
-                "seed": self.seed,
-                "reference_value": self.reference_value,
-                "max_ratio": self.max_ratio,
-                "violations": list(self.violations),
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 def _check_point(x0, delta):

@@ -71,13 +71,21 @@ e of E by the envelope theorem (`dvalue_dendpoint`).  Off E it is evaluated
 in the first barycentric form l(x) sum_i s_i w_i / (x - t_i), l(x) kept in
 logs; the second form loses all digits in the gaps at degree 100.  The
 n-extension P^{-1}([-1,1]) is bounded by the crossings of P = +-level,
-level just above the certified max_E |P|.  One evaluation on a dense grid
-holding E's ends brackets them: between neighbouring samples P is monotone
-except across a peak of |P|, and only a peak sampled below the level and
-not inside E (where |P| < level) can hide two crossings, so only such
-peaks are polished, by `_peaks` as on E: |P| is about 1 there, so next to
-it the second form's error eps * Lebesgue(x) is as small as the first
-form's.  Lockstep Illinois steps then close every bracket to a few ulps.
+level just above the certified max_E |P|.  The signs s_i change n - 1
+times over the active points, so at most one root of P lies outside their
+hull, on the side where P's sign at infinity (that of sum_i s_i w_i)
+differs from the outer s_i; a radius R where P(-R) and P(R) carry the
+signs at -inf and +inf holds every root, and with them every component.
+One evaluation on a dense grid out to R holding E's ends brackets the
+crossings: between neighbouring samples P is monotone except across a
+peak of |P|, and only a peak sampled below the level and not inside E
+(where |P| < level) can hide two crossings, so only such peaks are
+polished, by `_peaks` as on E: |P| is about 1 there, so next to it the
+second form's error eps * Lebesgue(x) is as small as the first form's.
+Lockstep Illinois steps then close every bracket to a few ulps.  As
+|P(+-R)| is above the level, the sorted crossings alternate entering and
+leaving the preimage, so consecutive pairs are its components, down to a
+bracket one ulp wide at a root where no float has |P| <= level.
 The JSON T_k coefficients are a cosine transform of values at Chebyshev
 points.
 """
@@ -193,17 +201,19 @@ class FeasibilityReport:
 
 
 def _equilibrium(E):
-    """The equilibrium measure of E: (q, cdf), q's coefficients highest
-    first and cdf(xs) = mu(E n (-inf, x]).
+    """The equilibrium measure of E: (q, cdf), q a `Chebyshev` series on the
+    hull of E's bands and cdf(xs) = mu(E n (-inf, x]).
 
     Its density is |q(x)| / (pi sqrt|R(x)|), R = prod (x - e) over the band
-    ends e, q monic of degree (bands - 1) with integral q / sqrt|R| = 0 over
-    every gap.  On a band or gap, x = m + h cos(theta) turns dx / sqrt|R|
-    into dtheta / sqrt(prod of |x - e| over the other ends), even, periodic
-    and smooth in theta unless another end is close; its cosine series from
-    64 midpoint samples gives the gap integrals (its mean) and, term by
-    term, a band's mass up to x, whose sine series cdf sums by Clenshaw's
-    recurrence over the points inside all bands at once.  Touching
+    ends e, q of degree (bands - 1) with integral q / sqrt|R| = 0 over every
+    gap, scaled so that the band masses sum to 1.  On a band or gap,
+    x = m + h cos(theta) turns dx / sqrt|R| into dtheta / sqrt(prod of
+    |x - e| over the other ends), even, periodic and smooth in theta unless
+    another end is close; its cosine series from 64 midpoint samples gives
+    the gap integrals (its mean) and, term by term, a band's mass up to x,
+    whose sine series cdf sums by Clenshaw's recurrence over the points
+    inside all bands at once.  In the Chebyshev basis of the hull the gap
+    conditions stay well conditioned at any number of bands.  Touching
     intervals merge; zero-length ones carry no mass."""
     bands = []
     for iv in E.intervals:
@@ -224,15 +234,22 @@ def _equilibrium(E):
             R *= np.abs(x - e)
         return x, 1.0 / np.sqrt(R)
 
-    q = np.ones(1)
+    # q's coefficients in the Chebyshev basis of the hull, u = off + scl x
+    cheb = np.polynomial.chebyshev
+    hull = ends[[0, -1]] if k else [-1.0, 1.0]
+    off, scl = np.polynomial.polyutils.mapparms(hull, [-1.0, 1.0])
+    coef = np.ones(1)
     if k > 1:
-        M = np.array([np.vander(x, k).T @ w for x, w in map(chart, range(1, 2 * k - 1, 2))])
-        q = np.concatenate([q, np.linalg.solve(M[:, 1:], -M[:, 0])])
+        M = np.array([cheb.chebvander(off + scl * x, k - 1).T @ w
+                      for x, w in map(chart, range(1, 2 * k - 1, 2))])
+        coef = np.append(np.linalg.solve(M[:, :-1], -M[:, -1]), 1.0)
     c0, cj = np.empty(k), np.empty((j.size, k))
     for i in range(k):
         x, w = chart(2 * i)
-        density = np.abs(np.polyval(q, x)) * w / math.pi
+        density = np.abs(cheb.chebval(off + scl * x, coef)) * w / math.pi
         c0[i], cj[:, i] = density.mean(), cosines @ density / j
+    total = math.pi * c0.sum() if k else 1.0    # a set of points has no mass
+    c0, cj = c0 / total, cj / total
     below = np.concatenate([[0.0], np.cumsum(c0 * math.pi)])   # mass of the bands before
 
     def cdf(xs):
@@ -252,7 +269,7 @@ def _equilibrium(E):
         mass[inside] += c0[band] * (math.pi - th) - b1 * np.sin(th)
         return mass.reshape(xs.shape)
 
-    return q, cdf
+    return np.polynomial.Chebyshev(coef / total, domain=hull), cdf
 
 
 # ----------------------------------------------------------------------
@@ -296,6 +313,13 @@ def _bary_derivs(t, s, logw, signw, xs):
     return out
 
 
+def _leading(s, logw, signw):
+    """The leading coefficient sum_i s_i w_i of the interpolant of (t_i, s_i),
+    divided by sum_i |w_i|."""
+    wt = np.exp(logw - logw.max())
+    return float(np.sum(s * signw * wt)) / float(wt.sum())
+
+
 def _lagrange_scaled(t, logw, signw, x):
     """(l_i(x) * exp(-L(x)), L(x)) with L(x) = sum_k log|x - t_k|.
 
@@ -322,7 +346,8 @@ def _log_abs_sum(lhat, L):
 def _lagrange_values(t, s, logw, signw, xs):
     """First-form barycentric values exp(L) * sum_i s_i l_i exp(-L) of the
     interpolant of (t_i, s_i), the log of the sum added to L so that neither
-    overflows alone.  An exact node hit returns its sign."""
+    overflows alone; a value beyond the float range is +-inf.  An exact
+    node hit returns its sign."""
     x = np.asarray(xs, dtype=float)
     flat = x.ravel()
     vals = np.empty(flat.size)
@@ -333,7 +358,7 @@ def _lagrange_values(t, s, logw, signw, xs):
         free = ~hit.any(axis=1)
         lhat, L = _lagrange_scaled(t, logw, signw, block[free, None])
         S = lhat @ s
-        with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore", over="ignore"):
             v[free] = np.sign(S) * np.exp(np.log(np.abs(S)) + L)
         vals[lo:lo + 1024] = v
     return float(vals[0]) if x.ndim == 0 else vals.reshape(x.shape)
@@ -817,10 +842,8 @@ def _finish(lp, extension):
         lam = np.exp(np.log(lam) + L0)
 
     coeffs = cheb_interp(lambda xs: _lagrange_values(t, s, logw, signw, xs), n)
-    # sum_i s_i w_i is the leading coefficient of the interpolant
-    wt = np.exp(logw - logw.max())
-    lead = abs(float(np.sum(s * signw * wt))) / float(wt.sum())
-    poly = ChebPoly(n, tuple(coeffs), degree_deficient=lead <= DEGREE_DEFICIENCY_REL)
+    poly = ChebPoly(n, tuple(coeffs),
+                    degree_deficient=abs(_leading(s, logw, signw)) <= DEGREE_DEFICIENCY_REL)
 
     order = np.argsort(t)
     result = ExtremalResult(
@@ -846,18 +869,26 @@ def n_extension(result: ExtremalResult, E: CompactSet):
     the crossings of P with +-level, level = 1 + slack, slack being the
     (tiny) excess of the certified max_E |P| (`max_abs_p`) over 1, plus
     1e-12, so that E itself is never notched by roundoff at active points.
-    P is evaluated once on Chebyshev samples of [-1, 1], cosh-spaced ones
-    out to R (|P(+-R)| > 2 level) and E's ends.  A sampled peak of |P|
-    below the level and outside E may hide two crossings, so `_peaks`
+    The radius R grows by fours from 4 until |P(+-R)| > 2 level and P(-R)
+    and P(R) have P's signs at -inf and +inf, (-1)^n sign(sum_i s_i w_i)
+    and sign(sum_i s_i w_i); the sign test is skipped when P is
+    degree-deficient.  The active signs leave at most one root of P outside
+    the active points' hull, so then every root, and with it every
+    component, lies inside +-R.  P is evaluated once on Chebyshev samples
+    of [-1, 1], cosh-spaced ones out to R and E's ends.  A sampled peak of
+    |P| below the level and outside E may hide two crossings, so `_peaks`
     polishes it between its two neighbours first.  Each sign change of P -+
     level between neighbouring samples brackets one crossing, which
-    lockstep Illinois steps close to 4 ulps.  Each boundary is its
-    bracket's end inside the preimage, so a component narrower than an ulp
-    or two keeps a point.  The tag classifies the structure relative to
-    [-1, 1]: a separated interval beyond one of the endpoints, an extension
-    attached at an endpoint, or no extension at all.  Counters: `ext.calls`,
-    `ext.steps` (evaluations of P, each over all lanes, the polish's
-    included) and `ext.polished` (the peaks polished).
+    lockstep Illinois steps close to 4 ulps; each boundary is its bracket's
+    end inside the preimage.  |P| exceeds the level at +-R, so the sorted
+    boundaries alternate entering and leaving the preimage, and each
+    consecutive pair is one component: where no float lies inside, a
+    bracket a few ulps wide at a root.  An odd count raises SolverError.
+    The tag classifies the structure relative to [-1, 1]: a separated
+    interval beyond one of the endpoints, an extension attached at an
+    endpoint, or no extension at all.  Counters: `ext.calls`, `ext.steps`
+    (evaluations of P, each over all lanes, the polish's included) and
+    `ext.polished` (the peaks polished).
     """
     _stats.add({"ext.calls": 1})
     # equal signs at all nodes interpolate a constant
@@ -870,8 +901,12 @@ def n_extension(result: ExtremalResult, E: CompactSet):
         _stats.add({"ext.steps": 1})
         return result.evaluate(u)
 
+    # P's signs at -inf and +inf; 0, so never tested, when P is degree-deficient
+    far = np.sign(_leading(*result._nodes[1:])) * np.array([(-1.0) ** deg, 1.0])
+    if result.poly.degree_deficient:
+        far = 0.0
     R = 4.0
-    while np.any(np.abs(evaluate(np.array([-R, R]))) <= 2.0 * level):
+    while np.any(np.abs(pR := evaluate(np.array([-R, R]))) <= 2.0 * level) or np.any(pR * far < 0):
         R *= 4.0
         if R > 1e9:
             raise SolverError(
@@ -908,21 +943,13 @@ def n_extension(result: ExtremalResult, E: CompactSet):
         lambda u, lane: up[lane] * (evaluate(u) - target[lane]), xs[j], xs[j + 1],
         up * g[row, j], up * g[row, j + 1],
         lambda a, b, _: ~(b - a > 4.0 * np.spacing(np.maximum(abs(a), abs(b)))))  # nan ends too
-    # where |P| rises through the level to the right, a is the inside end
+    # where |P| rises through the level to the right, a is the inside end;
+    # |P(+-R)| > level, so the sorted crossings alternate entering and
+    # leaving the preimage, and each pair bounds one component
     boundaries = np.sort(np.where(up * target > 0.0, a, b))
-
-    comps = []
-    cuts = np.concatenate([[-R], boundaries, [R]])
-    inside = np.abs(evaluate(0.5 * (cuts[:-1] + cuts[1:]))) <= level
-    for lo, hi, keep in zip(cuts[:-1].tolist(), cuts[1:].tolist(), inside):
-        if not keep:
-            continue
-        if comps and lo - comps[-1][1] < 1e-12:
-            comps[-1] = (comps[-1][0], hi)
-        else:
-            comps.append((lo, hi))
-    if not comps:
-        raise SolverError("n-extension came out empty; root isolation failed")
+    if boundaries.size % 2:
+        raise SolverError(f"n-extension found an odd count of level crossings: {boundaries.size}")
+    comps = boundaries.reshape(-1, 2).tolist()
 
     cover_tol = max(1e-6, 10.0 * _FEAS_TOL)
     for iv in E.intervals:

@@ -47,7 +47,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -83,15 +83,7 @@ class GreenEval:
     err_estimate: float
 
     def to_json(self) -> str:
-        return json.dumps(
-            {
-                "g": self.g,
-                "dg_dalpha": self.dg_dalpha,
-                "c": self.c,
-                "c_dot": self.c_dot,
-                "err_estimate": self.err_estimate,
-            }
-        )
+        return json.dumps(asdict(self))
 
 
 # ----------------------------------------------------------------------

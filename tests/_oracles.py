@@ -227,32 +227,63 @@ def alternating_exchange(points, nodes, s, pv, x0):
     return moves
 
 
-def equilibrium_cdf(E, q, xs):
-    """mu(E n (-inf, x]) for the equilibrium density |q| / (pi sqrt|R|) on
-    the bands of E (touching intervals merged, points dropped): each band's
-    cosine series from 64 midpoint samples in x = m + h cos(theta), its sine
-    sum over j = 1..63 taken as one (points x 63) matrix product."""
+def _bands(E):
+    """The band ends of E, touching intervals merged and points dropped."""
     bands = []
     for iv in E.intervals:
         if bands and iv.lo <= bands[-1][1]:
             bands[-1][1] = max(bands[-1][1], iv.hi)
         elif iv.length > 0.0:
             bands.append([iv.lo, iv.hi])
-    ends = np.ravel(bands)
-    theta = math.pi * (np.arange(64) + 0.5) / 64
+    return np.ravel(bands)
+
+
+_THETA = math.pi * (np.arange(64) + 0.5) / 64
+
+
+def _chart(ends, lo, hi):
+    """x = m + h cos(theta) on [lo, hi] at 64 midpoint thetas, and dx/sqrt|R|
+    per dtheta, R the product of x - e over the band ends."""
+    x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(_THETA)
+    R = np.prod([np.abs(x - e) for e in ends if e not in (lo, hi)] or [np.ones(64)], axis=0)
+    return x, 1.0 / np.sqrt(R)
+
+
+def equilibrium_cdf(E, q, xs):
+    """mu(E n (-inf, x]) for the equilibrium density |q| / (pi sqrt|R|) on
+    the bands of E (touching intervals merged, points dropped), q callable:
+    each band's cosine series from 64 midpoint samples in x = m + h
+    cos(theta), its sine sum over j = 1..63 taken as one (points x 63)
+    matrix product."""
+    ends = _bands(E)
     j = np.arange(1, 64)
     xs = np.asarray(xs, dtype=float)
     mass = np.zeros(xs.shape)
-    for lo, hi in bands:
-        x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(theta)
-        R = np.prod([np.abs(x - e) for e in ends if e not in (lo, hi)] or [np.ones(64)], axis=0)
-        density = np.abs(np.polyval(q, x)) * (1.0 / np.sqrt(R)) / math.pi
-        c0, cj = density.mean(), np.cos(np.outer(j, theta)) / 32 @ density / j
+    for lo, hi in ends.reshape(-1, 2):
+        x, w = _chart(ends, lo, hi)
+        density = np.abs(q(x)) * w / math.pi
+        c0, cj = density.mean(), np.cos(np.outer(j, _THETA)) / 32 @ density / j
         inside = (lo < xs) & (xs < hi)
         th = 2.0 * np.arctan2(np.sqrt(hi - xs[inside]), np.sqrt(xs[inside] - lo))
         mass[inside] += c0 * (math.pi - th) - np.sin(np.outer(th, j)) @ cj
         mass[xs >= hi] += c0 * math.pi
     return mass
+
+
+def monomial_equilibrium(E):
+    """(q, cdf) of the equilibrium measure with q monic in the monomial
+    basis, solved from np.vander on the gap charts: the solve whose
+    conditioning fails from about 40 bands on.  q is an np.poly1d and cdf
+    the `equilibrium_cdf` of it."""
+    ends = _bands(E)
+    k = ends.size // 2
+    q = np.ones(1)
+    if k > 1:
+        M = np.array([np.vander(x, k).T @ w
+                      for x, w in (_chart(ends, lo, hi) for lo, hi in ends[1:-1].reshape(-1, 2))])
+        q = np.concatenate([q, np.linalg.solve(M[:, 1:], -M[:, 0])])
+    q = np.poly1d(q)
+    return q, lambda xs: equilibrium_cdf(E, q, xs)
 
 
 _INVPHI = (math.sqrt(5.0) - 1.0) / 2.0  # 1/golden ratio
@@ -293,3 +324,81 @@ def golden_max_many(f, los, his, xtol: float = 1e-12):
         xm = np.where(better, edge, xm)
         fm = np.where(better, fe, fm)
     return xm, fm
+
+
+def _bisect(f, a, b):
+    """Plain bisection, lane by lane, for where f turns positive on [a, b],
+    taking f(a) <= 0 < f(b) as given, so that rounding noise at an end
+    cannot turn a lane around; returns the final (a, b), neighbouring
+    floats."""
+    a, b = np.array(a, dtype=float), np.array(b, dtype=float)
+    while True:
+        m = 0.5 * (a + b)
+        live = (a < m) & (m < b)
+        if not live.any():
+            return a, b
+        up = f(m) > 0.0
+        a = np.where(live & ~up, m, a)
+        b = np.where(live & up, m, b)
+
+
+def _outward(f, x, step):
+    """The first x + step * 2^k, k = 0, 1, ..., where f holds."""
+    while not f(x + step):
+        step *= 2.0
+    return x + step
+
+
+def extension_by_roots(result, level):
+    """The components [lo, hi] of {|P| <= level} for a solved result's P,
+    built root by root, and their case tag.
+
+    The active points' signs change n - 1 times, and each change brackets
+    a root of P; P's last root lies beyond the hull on the side where the
+    sign at infinity, that of the leading coefficient sum_i s_i /
+    prod_{k != i} (t_i - t_k), differs from the outer active sign.
+    Between neighbouring roots r_j, P'/P = sum_j 1/(x - r_j) has one zero,
+    the critical point c; where |P(c)| exceeds the level, |P| crosses it
+    once on each side of c, which ends one component and opens the next.
+    Outside the outer roots |P| grows to infinity.  Every search is plain
+    bisection on `result.evaluate`."""
+    P = result.evaluate
+    t, s = np.array(result.active_points), np.array(result.active_signs)
+    lead = math.fsum(si / math.prod(ti - tk for tk in t if tk != ti) for ti, si in zip(t, s))
+    plus_inf = 1.0 if lead > 0.0 else -1.0
+    minus_inf = plus_inf * (-1.0) ** (len(t) - 1)
+    # root brackets [a, b], on which up * P rises through 0
+    change = np.flatnonzero(s[:-1] != s[1:])
+    a, b, up = t[change], t[change + 1], s[change + 1]
+    if s[-1] != plus_inf:
+        far = _outward(lambda x: np.sign(P(x)) == plus_inf, t[-1], 1.0)
+        a, b, up = np.append(a, t[-1]), np.append(b, far), np.append(up, plus_inf)
+    if s[0] != minus_inf:
+        far = _outward(lambda x: np.sign(P(x)) == minus_inf, t[0], -1.0)
+        a, b, up = np.insert(a, 0, far), np.insert(b, 0, t[0]), np.insert(up, 0, s[0])
+    r = _bisect(lambda x: up * P(x), a, b)[0]
+    crit = _bisect(lambda x: -(1.0 / (x[:, None] - r)).sum(axis=1), r[:-1], r[1:])[0]
+    over = np.abs(P(crit)) > level
+    excess = lambda x: np.abs(P(x)) - level
+    left_end = _outward(lambda x: excess(x) > 0.0, r[0], -1.0)
+    right_end = _outward(lambda x: excess(x) > 0.0, r[-1], 1.0)
+    # crossing brackets: |P| rises from a root to a critical point or far
+    # out on the right, and falls from a critical point or far out on the
+    # left to a root; each crossing is its bracket's end on the root's side
+    a = np.concatenate([r[:-1][over], [r[-1]], crit[over], [left_end]])
+    b = np.concatenate([crit[over], [right_end], r[1:][over], [r[0]]])
+    rising = np.arange(a.size) <= np.count_nonzero(over)
+    lo, hi = _bisect(lambda x: np.where(rising, 1.0, -1.0) * excess(x), a, b)
+    comps = list(zip(np.roll(hi[~rising], 1).tolist(), lo[rising].tolist()))
+    edge = 1e-7
+    if any(lo > 1.0 + edge for lo, _ in comps):
+        tag = "right_interval"
+    elif any(hi < -1.0 - edge for _, hi in comps):
+        tag = "left_interval"
+    elif comps[-1][1] > 1.0 + edge:
+        tag = "extend_right"
+    elif comps[0][0] < -1.0 - edge:
+        tag = "extend_left"
+    else:
+        tag = "none"
+    return comps, tag

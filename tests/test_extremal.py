@@ -14,6 +14,7 @@ from chebgap import _stats, extremal
 from chebgap.chebyshev import ChebPoly, cheb_T, cheb_eval, remez_constant, remez_poly_value
 from chebgap.errors import DomainError, SolverError
 from chebgap.extremal import (
+    CASE_TAGS,
     ExtremalResult,
     solve_extremal,
     verify_feasibility,
@@ -33,8 +34,10 @@ from _oracles import (
     bary_values,
     equilibrium_cdf,
     exact_interpolant,
+    extension_by_roots,
     fixed_point_interpolant,
     golden_max_many,
+    monomial_equilibrium,
 )
 
 VALUE_TOL = 1e-9
@@ -305,24 +308,30 @@ class TestNExtension:
         assert not res.n_extension.contains(x0, tol=1e-9)
 
     @pytest.mark.parametrize("alpha, x0, n, tag", [
-        (-0.3, -0.3, 30, "left_interval"), (-0.3, -0.3, 50, "none"),
+        (-0.3, -0.3, 30, "left_interval"), (-0.3, -0.3, 50, "right_interval"),
         (-0.1, -0.2, 50, "right_interval"),
     ])
     def test_components_against_exact(self, alpha, x0, n, tag):
         E = make_gap_set(GapParams(alpha, 0.4))
         res = solve_extremal(E, x0, n)
         assert res.case_tag == tag
-        exact = lambda x: abs(exact_interpolant(res.active_points, res.active_signs, x))
+        signed = lambda x: exact_interpolant(res.active_points, res.active_signs, x)
+        exact = lambda x: abs(signed(x))
         comps = res.n_extension.intervals
         assert len(comps) == len(E.intervals) + (tag != "none")
         for c in comps:
-            # A component away from E is a few ulps wide around a root where
-            # |P'| ~ 1e14, so no float end reaches |P| = 1 within 1e-8
-            # there; its interior and its separation are checked instead.
             if any(E.contains(b, tol=1e-9) for b in (c.lo, c.hi)):
                 for b in (c.lo, c.hi):
                     assert float(exact(b)) == pytest.approx(1.0, abs=1e-8)
-            assert exact(0.5 * (c.lo + c.hi)) <= 1 + 1e-9
+                assert exact(0.5 * (c.lo + c.hi)) <= 1 + 1e-9
+            else:
+                # A component away from E is a few ulps wide around a root
+                # where |P'| reaches 1e14 to 1e52, so no float end reaches
+                # |P| = 1 within 1e-8 there, and the first form's rounding
+                # can put it tens of ulps off the root (E(-0.3, 0.4) at
+                # n = 50: 47-50 ulps); the exact P changes sign within 64.
+                lo, hi = signed([c.lo - 64 * math.ulp(c.lo), c.hi + 64 * math.ulp(c.hi)])
+                assert lo * hi < 0
         for left, right in zip(comps, comps[1:]):
             assert exact(0.5 * (left.hi + right.lo)) > 1
 
@@ -604,7 +613,7 @@ class TestExtensionBoundaries:
     # case tag each extension has
     CASES = [
         *((name, 12, tag) for name, tag in zip(list(TestNewtonPolish.CASES)[:6], (
-            "left_interval", "left_interval", "none", "none", "left_interval",
+            "left_interval", "left_interval", "none", "left_interval", "left_interval",
             "extend_right"))),
         ("E(-0.1,0.4)", 50, "right_interval"), ("four-gap(0.4)", 50, "left_interval"),
     ]
@@ -974,10 +983,12 @@ def chebyshev_preimage(k, u, v):
 
 
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
-def test_empty_ratio_test_states_the_solver():
-    # on the 100-band preimage (D8) the entering direction has no positive
-    # entry, so the ratio test is empty; the error states the solver as the
+def test_empty_ratio_test_states_the_solver(monkeypatch):
+    # on the 100-band preimage, started from the monomial solve for q that
+    # broke down there (D8), the entering direction has no positive entry,
+    # so the ratio test is empty; the error states the solver as the
     # NaN-ratio error does, where "max() arg is an empty sequence" once was
+    monkeypatch.setattr(extremal, "_equilibrium", monomial_equilibrium)
     E = chebyshev_preimage(100, -0.8, 0.7)
     x0 = 0.5 * sum(E.gaps()[50])
     with pytest.raises(SolverError, match=r"simplex direction unbounded at n = 100 on \d+ grid "
@@ -985,10 +996,9 @@ def test_empty_ratio_test_states_the_solver():
         solve_extremal(E, x0, 100, extension=False)
 
 
-@pytest.mark.filterwarnings("ignore::RuntimeWarning")
-@pytest.mark.xfail(strict=True, reason="D8: the equilibrium start breaks down at 48 bands")
 def test_48_band_preimage_matches_the_closed_form():
-    # M_48(x0) = |P(x0)|, P = (2 T_48 - u - v)/(v - u), in every gap
+    # D8: M_48(x0) = |P(x0)|, P = (2 T_48 - u - v)/(v - u), in every gap;
+    # the monomial solve for q broke the equilibrium start here
     k, u, v = 48, -0.2, 0.6
     E = chebyshev_preimage(k, u, v)
     assert len(E.intervals) == k
@@ -997,13 +1007,45 @@ def test_48_band_preimage_matches_the_closed_form():
     assert solve_extremal(E, x0, k, extension=False).value == pytest.approx(closed, rel=1e-9)
 
 
-@pytest.mark.xfail(strict=True, reason="D10: the n-extension drops the roots of P beyond R")
 def test_extension_keeps_the_root_beyond_R():
-    # P changes sign 6 times on [-10, 10], the last time at x = 4.18373,
-    # beyond the sampling radius R = 4 that |P(+-4)| > 2 level stops at
+    # D10, cause 1: P changes sign 6 times on [-10, 10], the last time at
+    # x = 4.18373, beyond the radius R = 4 where |P(+-4)| > 2 level first
+    # holds; P(4) < 0 but P > 0 at +inf, so R grows on
     res = solve_extremal(make_gap_set(GapParams(-0.3, 0.4)), -0.3, 6)
     assert any(c.lo - 1e-3 <= 4.18373 <= c.hi + 1e-3 for c in res.n_extension.intervals)
     assert res.case_tag == "right_interval"
+
+
+def test_extension_keeps_a_component_one_ulp_wide():
+    # D10, cause 2: near x = 2.635, |P'| is about 2e16, so no float has
+    # |P| <= level and a midpoint test dropped the component; the crossings
+    # pair up into a bracket one ulp wide.  The first form's rounding
+    # (about 10 in P there) puts the exact root one ulp beyond it.
+    res = solve_extremal(make_gap_set(GapParams(-0.3, 0.4)), -0.3, 24)
+    assert res.case_tag == "right_interval"
+    far = res.n_extension.intervals[-1]
+    assert (far.lo, far.hi) == (2.635325946260996, 2.6353259462609966)
+    assert far.hi == math.nextafter(far.lo, 3.0)
+    ulp = math.ulp(far.lo)
+    lo, hi = exact_interpolant(res.active_points, res.active_signs,
+                               [far.lo - 4 * ulp, far.hi + 4 * ulp])
+    assert lo * hi < 0
+
+
+@pytest.mark.parametrize("n", [6, 12, 24])
+@pytest.mark.parametrize("seed", range(40))
+def test_extension_matches_the_roots_of_P(seed, n):
+    # the extension against one rebuilt root by root, on the D10 family
+    gaps = 1 + seed % 4
+    E = random_multigap_set(0.4 if seed % 2 else 0.25, gaps, seed)
+    lo, hi = E.gaps()[seed % gaps]
+    res = solve_extremal(E, 0.5 * (lo + hi), n)
+    level = 1.0 + max(0.0, res.max_abs_p - 1.0) + 1e-12
+    comps, tag = extension_by_roots(res, level)
+    assert res.case_tag == tag and tag in CASE_TAGS
+    got = [(c.lo, c.hi) for c in res.n_extension.intervals]
+    assert len(got) == len(comps)
+    assert np.abs(np.subtract(got, comps)).max() <= 1e-9
 
 
 def _log_bound(lp):
@@ -1098,14 +1140,14 @@ class TestEquilibriumStart:
         q, cdf = extremal._equilibrium(CompactSet((Interval(-1.0, -a), Interval(a, 1.0))))
         assert np.abs(cdf(x) - exact).max() <= 1e-14
         assert np.abs(cdf(-x[::-1]) - (1.0 - exact[::-1])).max() <= 1e-14
-        assert abs(q[1]) <= 1e-15
+        assert abs(q.roots()[0]) <= 1e-15
 
     @pytest.mark.parametrize("alpha, delta", [
         (-0.3, 0.4), (-0.1, 0.4), (-0.5 + 1e-9, 0.4), (0.0, 0.5), (-0.7, 0.25)])
     def test_gap_zero_is_the_green_critical_point(self, alpha, delta):
         q, _ = extremal._equilibrium(make_gap_set(GapParams(alpha, delta)))
-        assert q[0] == 1.0 and len(q) == 2
-        assert -q[1] == pytest.approx(critical_point_c(alpha, delta), abs=1e-15)
+        assert q.degree() == 1
+        assert q.roots()[0] == pytest.approx(critical_point_c(alpha, delta), abs=1e-15)
 
     @pytest.mark.parametrize("case", list(PINNED) + ["seed205"])
     def test_total_mass_is_one(self, case):
@@ -1113,7 +1155,7 @@ class TestEquilibriumStart:
         q, cdf = extremal._equilibrium(E)
         assert cdf(E.hull.lo) == 0.0
         assert cdf(E.hull.hi) == pytest.approx(1.0, abs=1e-14)
-        zeros = np.sort(np.roots(q).real)
+        zeros = np.sort(q.roots().real)
         assert all(lo < z < hi for z, (lo, hi) in zip(zeros, E.gaps(), strict=True))
 
     def test_touching_and_point_intervals_carry_no_extra_mass(self):
