@@ -18,14 +18,7 @@ from .andrievskii import (
     residual_tail_slope,
     totik_widom_residuals,
 )
-from .chebyshev import (
-    ChebPoly,
-    akhiezer_even_value,
-    cheb_T,
-    cheb_eval,
-    remez_constant,
-    remez_poly_value,
-)
+from .chebyshev import akhiezer_even_value, cheb_T, remez_constant, remez_poly_value
 from .envelope import (
     DiagramResult,
     DiagramRow,
@@ -70,8 +63,7 @@ __all__ = [
     "AndrievskiiResult", "BruteForceReport",
     "ResidualSeries", "L_n_delta", "brute_force_theorem1",
     "residual_tail_slope", "totik_widom_residuals",
-    "ChebPoly", "akhiezer_even_value", "cheb_T", "cheb_eval",
-    "remez_constant", "remez_poly_value",
+    "akhiezer_even_value", "cheb_T", "remez_constant", "remez_poly_value",
     "DiagramResult", "DiagramRow", "EnvelopePoint",
     "akhiezer_curve", "delta_star", "diagram", "diagram_to_csv",
     "diagram_to_json", "switching_point", "upper_envelope", "x0_of_alpha",

@@ -203,8 +203,8 @@ def cmd_extremal(args) -> int:
     if args.format == "csv":
         lines = [
             "value,case_tag,degree,degree_deficient",
-            f"{_fmt(res.value)},{res.case_tag},{res.poly.degree},"
-            f"{str(res.poly.degree_deficient).lower()}",
+            f"{_fmt(res.value)},{res.case_tag},{res.degree},"
+            f"{str(res.degree_deficient).lower()}",
         ]
         _emit(args, "\n".join(lines) + "\n")
     else:

@@ -86,8 +86,6 @@ Lockstep Illinois steps then close every bracket to a few ulps.  As
 |P(+-R)| is above the level, the sorted crossings alternate entering and
 leaving the preimage, so consecutive pairs are its components, down to a
 bracket one ulp wide at a root where no float has |P| <= level.
-The JSON T_k coefficients are a cosine transform of values at Chebyshev
-points.
 """
 
 from __future__ import annotations
@@ -101,7 +99,6 @@ import numpy as np
 
 from . import _stats
 from ._search import illinois_many
-from .chebyshev import ChebPoly, cheb_interp
 from .errors import DomainError, SolverError
 from .intervals import CompactSet, Interval, discretize
 
@@ -121,7 +118,8 @@ _ROW_BLOCK = 256          # rows per block of the derivative temporaries
 @dataclass(frozen=True)
 class ExtremalResult:
     value: float
-    poly: ChebPoly
+    degree: int                     # the n solved for
+    degree_deficient: bool          # P has lower effective degree (`_leading`)
     active_points: tuple[float, ...]
     active_signs: tuple[int, ...]
     n_extension: CompactSet | None
@@ -136,10 +134,10 @@ class ExtremalResult:
 
     def evaluate(self, x):
         """P(x) from the active points in the first barycentric form, which
-        stays accurate off E (gaps included), unlike the coefficients and
-        the second form; P = 1 when x0 lies in E (no active points)."""
+        stays accurate off E (gaps included), unlike the second form; P = 1
+        when x0 lies in E (no active points)."""
         if not self.active_points:
-            return self.poly(x)
+            return 1.0 if np.ndim(x) == 0 else np.ones(np.shape(x))
         return _lagrange_values(*self._nodes, x)
 
     def dvalue_dendpoint(self, e: float) -> float:
@@ -167,9 +165,8 @@ class ExtremalResult:
         return json.dumps(
             {
                 "value": self.value,
-                "coeffs": list(self.poly.coeffs),
-                "degree": self.poly.degree,
-                "degree_deficient": self.poly.degree_deficient,
+                "degree": self.degree,
+                "degree_deficient": self.degree_deficient,
                 "active_points": list(self.active_points),
                 "active_signs": list(self.active_signs),
                 "n_extension": None
@@ -321,20 +318,23 @@ def _leading(s, logw, signw):
 
 
 def _lagrange_scaled(t, logw, signw, x):
-    """(l_i(x) * exp(-L(x)), L(x)) with L(x) = sum_k log|x - t_k|.
+    """(l_i(x) * exp(-L(x)), L(x)) with L(x) = sum_k log|x - t_k| + max_k log|w_k|.
 
     The common factor exp(L(x)) is dropped so the entries stay O(1) even
-    when the Lagrange basis itself reaches the (huge) extremal value scale;
-    ratios and signs are preserved exactly.  x of shape (m, 1) gives m rows.
+    when the Lagrange basis itself reaches the (huge) extremal value scale,
+    and the weights are scaled by their largest, which on a short set at
+    high degree is beyond the float range; ratios and signs are preserved
+    exactly.  x of shape (m, 1) gives m rows.
     """
     d = x - t
     ad = np.abs(d)
     if np.any(ad == 0.0):
         raise SolverError(f"evaluation point {x} coincides with a basis node")
     log_ad = np.log(ad)
-    L = log_ad.sum(axis=-1)
+    top = logw.max()
+    L = log_ad.sum(axis=-1) + top
     sign_prod = np.where((d < 0.0).sum(axis=-1) % 2 == 0, 1.0, -1.0)
-    lhat = signw * sign_prod[..., None] * np.sign(d) * np.exp(logw - log_ad)
+    lhat = signw * sign_prod[..., None] * np.sign(d) * np.exp(logw - top - log_ad)
     return lhat, L
 
 
@@ -794,7 +794,8 @@ def _optimize(lp, E):
 
 def solve_extremal(E: CompactSet, x0: float, n: int, *,
                    extension: bool = True) -> ExtremalResult:
-    """M_n(x0, E) with the extremal polynomial, active points and extension.
+    """M_n(x0, E) with the extremal polynomial's active points and signs,
+    its dual weights and its extension.
 
     x0 inside E short-circuits to value 1 (the constant polynomial);
     otherwise the dual LP is solved on a Chebyshev grid and sharpened by
@@ -802,8 +803,9 @@ def solve_extremal(E: CompactSet, x0: float, n: int, *,
     <= 1 + 1e-10 (`max_abs_p`, `value_lo`, `rel_gap`), else SolverError
     after _REFINE_ROUNDS rounds.  The returned polynomial satisfies P(x0) =
     value > 0.  `extension` also computes P^{-1}([-1, 1]) and its case tag.
-    A non-finite x0 raises DomainError, and so does an E of at most n
-    points off x0, on which M_n is unbounded.
+    A non-finite x0 raises DomainError, and so do an E of at most n
+    points off x0, on which M_n is unbounded, and a value beyond the float
+    range.
 
     Every solve starts cold, from the equilibrium quantiles of E.
     """
@@ -814,9 +816,8 @@ def solve_extremal(E: CompactSet, x0: float, n: int, *,
     if not math.isfinite(x0):
         raise DomainError(f"x0 must be finite, got {x0}")
     if E.contains(x0):
-        poly = ChebPoly(n, (1.0,) + (0.0,) * n, degree_deficient=n > 0)
         return ExtremalResult(
-            value=1.0, poly=poly, active_points=(), active_signs=(),
+            value=1.0, degree=n, degree_deficient=n > 0, active_points=(), active_signs=(),
             n_extension=E, case_tag="none",
         )
     points = {iv.lo for iv in E.intervals}
@@ -837,18 +838,19 @@ def _finish(lp, extension):
 
     lam = np.maximum(raw, 0.0)
     total = float(lam.sum())
-    value = float(math.exp(math.log(total) + L0)) if total > 0.0 else 0.0
+    log_value = math.log(total) + L0 if total > 0.0 else -math.inf
+    try:
+        value = math.exp(log_value)
+    except OverflowError:
+        raise DomainError(f"M_n = exp({log_value:.3f}) is beyond the float range") from None
     with np.errstate(divide="ignore"):
         lam = np.exp(np.log(lam) + L0)
-
-    coeffs = cheb_interp(lambda xs: _lagrange_values(t, s, logw, signw, xs), n)
-    poly = ChebPoly(n, tuple(coeffs),
-                    degree_deficient=abs(_leading(s, logw, signw)) <= DEGREE_DEFICIENCY_REL)
 
     order = np.argsort(t)
     result = ExtremalResult(
         value=value,
-        poly=poly,
+        degree=n,
+        degree_deficient=abs(_leading(s, logw, signw)) <= DEGREE_DEFICIENCY_REL,
         active_points=tuple(float(v) for v in t[order]),
         active_signs=tuple(int(v) for v in s[order]),
         n_extension=None,
@@ -903,7 +905,7 @@ def n_extension(result: ExtremalResult, E: CompactSet):
 
     # P's signs at -inf and +inf; 0, so never tested, when P is degree-deficient
     far = np.sign(_leading(*result._nodes[1:])) * np.array([(-1.0) ** deg, 1.0])
-    if result.poly.degree_deficient:
+    if result.degree_deficient:
         far = 0.0
     R = 4.0
     while np.any(np.abs(pR := evaluate(np.array([-R, R]))) <= 2.0 * level) or np.any(pR * far < 0):
@@ -973,21 +975,18 @@ def n_extension(result: ExtremalResult, E: CompactSet):
     return CompactSet(tuple(Interval(lo, hi) for lo, hi in comps)), tag
 
 
-def verify_feasibility(result, E: CompactSet, probes: int = 100_000,
+def verify_feasibility(result: ExtremalResult, E: CompactSet, probes: int = 100_000,
                        feas_tol: float = _FEAS_TOL) -> FeasibilityReport:
-    """Dense sampling check of |P| <= 1 + feas_tol over E (report only).
-
-    Solved results are evaluated through their stable active-point form;
-    bare polynomials fall back to coefficient evaluation.
+    """Dense sampling check of |P| <= 1 + feas_tol over E (report only), with
+    P evaluated from the result's active points (`ExtremalResult.evaluate`).
     """
-    evaluate = result.evaluate if isinstance(result, ExtremalResult) else result
     total = max(E.measure, 1e-300)
     worst_v = -math.inf
     worst_x = E.intervals[0].lo
     for iv in E.intervals:
         cnt = max(2, int(round(probes * iv.length / total))) if iv.length else 1
         xs = np.linspace(iv.lo, iv.hi, cnt)
-        vals = np.abs(np.atleast_1d(evaluate(xs)))
+        vals = np.abs(np.atleast_1d(result.evaluate(xs)))
         i = int(np.argmax(vals))
         if vals[i] > worst_v:
             worst_v = float(vals[i])

@@ -6,15 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebgap.chebyshev import (
-    ChebPoly,
-    akhiezer_even_value,
-    cheb_T,
-    cheb_eval,
-    cheb_interp,
-    remez_constant,
-    remez_poly_value,
-)
+from chebgap.chebyshev import akhiezer_even_value, cheb_T, remez_constant, remez_poly_value
 from chebgap.errors import DomainError
 
 
@@ -119,45 +111,3 @@ class TestAkhiezerEven:
             assert akhiezer_even_value(m, 0.4, 1.0) == pytest.approx(
                 (-1.0) ** m, abs=1e-12
             )
-
-
-class TestChebPoly:
-    def test_identity_poly(self):
-        p = ChebPoly(1, (0.0, 1.0))
-        assert p(0.3) == pytest.approx(0.3, abs=1e-15)
-
-    def test_constant(self):
-        p = ChebPoly(0, (1.0,))
-        assert p(123.0) == 1.0
-
-    def test_t2_outside(self):
-        p = ChebPoly(2, (0.0, 0.0, 1.0))
-        assert p(2.0) == pytest.approx(7.0, rel=1e-14)
-
-    def test_clenshaw_vs_direct_sum(self):
-        rng = np.random.default_rng(5)
-        coeffs = rng.standard_normal(9)
-        xs = rng.uniform(-1, 1, 20)
-        direct = sum(c * np.array([cheb_T(k, x) for x in xs]) for k, c in enumerate(coeffs))
-        assert np.allclose(cheb_eval(coeffs, xs), direct, rtol=1e-12, atol=1e-12)
-
-    def test_zero_lead_needs_flag(self):
-        with pytest.raises(DomainError):
-            ChebPoly(2, (1.0, 1.0, 0.0))
-        ChebPoly(2, (1.0, 1.0, 0.0), degree_deficient=True)
-
-    def test_length_mismatch(self):
-        with pytest.raises(DomainError):
-            ChebPoly(2, (1.0, 1.0))
-
-    def test_json_roundtrip(self):
-        p = ChebPoly(3, (0.5, -1.0, 0.25, 2.0))
-        assert ChebPoly.from_json(p.to_json()) == p
-
-    def test_interp_recovers_coeffs(self):
-        coeffs = np.random.default_rng(7).standard_normal(9)
-        f = lambda x: cheb_eval(coeffs, x)
-        assert np.allclose(cheb_interp(f, 8), coeffs, rtol=0, atol=1e-14)
-        padded = cheb_interp(f, 12)
-        assert np.allclose(padded[:9], coeffs, rtol=0, atol=1e-14)
-        assert np.allclose(padded[9:], 0.0, rtol=0, atol=1e-14)

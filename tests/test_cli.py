@@ -206,6 +206,31 @@ class TestExtremalCommand:
         assert proc.stderr.startswith("error: ") and word in proc.stderr
         assert "Traceback" not in proc.stderr
 
+    def test_value_beyond_the_float_range_exits_2(self):
+        # T_200(39) = exp(870.616) overflowed in the value's math.exp
+        proc = run_process("extremal", "--set", "[[0.9,1.0]]", "--x0", "-1", "--n", "200")
+        assert proc.returncode == 2, proc.stderr
+        assert "exp(870.616)" in proc.stderr and "float range" in proc.stderr
+        assert "Traceback" not in proc.stderr
+
+    def test_json_keys(self, capsys):
+        rc, out, _ = run(capsys, "extremal", "--set", "[[-1,-0.5],[0.5,1]]",
+                         "--x0", "0", "--n", "6")
+        assert rc == 0
+        payload = json.loads(out)
+        assert set(payload) == {"value", "degree", "degree_deficient", "active_points",
+                                "active_signs", "n_extension", "case_tag", "value_lo",
+                                "value_hi", "rel_gap"}
+        assert (payload["degree"], payload["degree_deficient"]) == (6, False)
+
+    def test_csv_header(self, capsys):
+        rc, out, _ = run(capsys, "extremal", "--set", "[[-1,-0.5],[0.5,1]]",
+                         "--x0", "0", "--n", "5", "--format", "csv")
+        assert rc == 0
+        header, row = out.splitlines()
+        assert header == "value,case_tag,degree,degree_deficient"
+        assert row.split(",")[1:] == ["none", "5", "true"]
+
 
 class TestAndrievskiiCommand:
     def test_left_endpoint_remez(self, capsys):
@@ -215,6 +240,13 @@ class TestAndrievskiiCommand:
         payload = json.loads(out)
         assert payload["best"] == "remez"
         assert payload["value"] == pytest.approx(cheb_T(10, 7.0 / 3.0), rel=1e-10)
+
+    def test_value_beyond_the_float_range_exits_2(self):
+        # the Remez value T_200(38.98) overflowed in cheb_T's math.cosh
+        proc = run_process("andrievskii", "--x0", "-0.999", "--delta", "0.95", "--n", "200")
+        assert proc.returncode == 2, proc.stderr
+        assert "float range" in proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_json_carries_the_alpha_certificate(self, capsys):
         rc, out, _ = run(capsys, "andrievskii", "--x0", "-0.25", "--delta", "0.4",

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import math
 import os
@@ -11,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from chebgap import _stats, extremal
-from chebgap.chebyshev import ChebPoly, cheb_T, cheb_eval, remez_constant, remez_poly_value
+from chebgap.chebyshev import cheb_T, remez_constant, remez_poly_value
 from chebgap.errors import DomainError, SolverError
 from chebgap.extremal import (
     CASE_TAGS,
@@ -66,6 +67,13 @@ class TestClosedForms:
         res = solve_extremal(CompactSet((Interval(-1.0, 1.0),)), 0.3, 5)
         assert res.value == 1.0
         assert res.case_tag == "none"
+        assert (res.degree, res.degree_deficient) == (5, True)
+
+    def test_inside_E_evaluates_to_one(self):
+        res = solve_extremal(CompactSet((Interval(-1.0, 1.0),)), 0.3, 5)
+        assert type(res.evaluate(7.0)) is float and res.evaluate(7.0) == 1.0
+        out = res.evaluate(np.linspace(-3.0, 3.0, 12).reshape(3, 4))
+        assert out.shape == (3, 4) and np.all(out == 1.0)
 
     def test_remez_instance(self):
         d = 0.4
@@ -96,7 +104,7 @@ class TestClosedForms:
                          (single_interval(0.4), -1.0, 50)]:
             res = solve_extremal(E, x0, n, extension=False)
             assert res.value > 0.0
-            assert cheb_eval(res.poly.coeffs, x0) == pytest.approx(res.value, rel=1e-9)
+            assert res.evaluate(x0) == pytest.approx(res.value, rel=1e-9)
 
 
 class TestStructure:
@@ -116,8 +124,9 @@ class TestStructure:
         E = make_gap_set(GapParams(-0.3, 0.4))
         res = solve_extremal(E, -0.3, 8, extension=False)
         xs = np.linspace(-1, 1, 50)
-        assert np.allclose(res.evaluate(xs), cheb_eval(res.poly.coeffs, xs),
-                           rtol=1e-9, atol=1e-9)
+        exact = np.array([float(v) for v in
+                          exact_interpolant(res.active_points, res.active_signs, xs)])
+        assert np.allclose(res.evaluate(xs), exact, rtol=1e-9, atol=1e-9)
 
     def test_evaluate_in_the_gap_matches_exact(self):
         E = make_gap_set(GapParams(-0.3, 0.4))
@@ -403,7 +412,7 @@ class TestDegreeDeficiency:
         (make_gap_set(GapParams(0.0, 0.5)), 0.0, 5),  # the answer is even
     ], ids=["four-gap(0.4)", "E(0,0.5)"])
     def test_lower_degree_answers_flagged(self, E, x0, n):
-        assert solve_extremal(E, x0, n, extension=False).poly.degree_deficient
+        assert solve_extremal(E, x0, n, extension=False).degree_deficient
 
     @pytest.mark.parametrize("E, x0, n", [
         (single_interval(0.4), -1.0, 50),
@@ -415,7 +424,7 @@ class TestDegreeDeficiency:
             "E(-0.5,0.3)-100"])
     def test_full_degree_answers_not_flagged(self, E, x0, n):
         # huge values on [-1, 1] made the T_n coefficient look negligible
-        assert not solve_extremal(E, x0, n, extension=False).poly.degree_deficient
+        assert not solve_extremal(E, x0, n, extension=False).degree_deficient
 
 
 def move_endpoint(E, e, h):
@@ -511,15 +520,16 @@ class TestVerifyFeasibility:
 
     def test_constant_one(self):
         E = make_gap_set(GapParams(0.0, 0.5))
-        rep = verify_feasibility(ChebPoly(0, (1.0,)), E, probes=1000)
+        res = solve_extremal(E, 0.7, 6)     # x0 in E: P = 1
+        rep = verify_feasibility(res, E, probes=1000)
         assert rep.max_violation == pytest.approx(0.0, abs=1e-15)
 
     def test_corrupted_poly_detected(self):
         E = make_gap_set(GapParams(-0.3, 0.4))
         res = solve_extremal(E, -0.3, 6, extension=False)
-        coeffs = list(res.poly.coeffs)
-        coeffs[2] += 0.1
-        bad = ChebPoly(6, tuple(coeffs))
+        signs = list(res.active_signs)
+        signs[2] = -signs[2]
+        bad = dataclasses.replace(res, active_signs=tuple(signs))
         rep = verify_feasibility(bad, E, probes=10_000)
         assert not rep.ok
         assert rep.max_violation > 1e-9
@@ -1019,17 +1029,30 @@ def test_extension_keeps_the_root_beyond_R():
 def test_extension_keeps_a_component_one_ulp_wide():
     # D10, cause 2: near x = 2.635, |P'| is about 2e16, so no float has
     # |P| <= level and a midpoint test dropped the component; the crossings
-    # pair up into a bracket one ulp wide.  The first form's rounding
-    # (about 10 in P there) puts the exact root one ulp beyond it.
+    # pair up into a bracket a few ulps wide.  The first form's rounding
+    # (about 10 in P there) can put the exact root an ulp or so beyond it.
     res = solve_extremal(make_gap_set(GapParams(-0.3, 0.4)), -0.3, 24)
     assert res.case_tag == "right_interval"
     far = res.n_extension.intervals[-1]
-    assert (far.lo, far.hi) == (2.635325946260996, 2.6353259462609966)
-    assert far.hi == math.nextafter(far.lo, 3.0)
+    assert (far.lo, far.hi) == (2.6353259462609953, 2.6353259462609966)
     ulp = math.ulp(far.lo)
+    assert far.hi == far.lo + 3 * ulp
     lo, hi = exact_interpolant(res.active_points, res.active_signs,
                                [far.lo - 4 * ulp, far.hi + 4 * ulp])
     assert lo * hi < 0
+
+
+def test_short_set_at_high_degree_stays_finite():
+    # D11: on [0.9, 1] at n = 200 the Lagrange weights reach e^731, and
+    # unscaled they overflowed: the value read inf and the extension's
+    # brackets nan.  x0 = 0.85 maps to -2 on [-1, 1], so M_n = T_200(2).
+    E = CompactSet((Interval(0.9, 1.0),))
+    res = solve_extremal(E, 0.85, 200)
+    assert res.value == pytest.approx(cheb_T(200, 2.0), rel=1e-12)
+    assert res.case_tag == "none"
+    assert len(res.n_extension.intervals) == 1
+    ext = res.n_extension.intervals[0]
+    assert ext.lo == pytest.approx(0.9, abs=1e-9) and ext.hi == pytest.approx(1.0, abs=1e-9)
 
 
 @pytest.mark.parametrize("n", [6, 12, 24])

@@ -62,10 +62,10 @@ def test_extension_counts():
     assert not any(key.startswith("ext.") for key in counts)
     with _stats.collect() as counts:
         solve_extremal(E, -0.3, 12)
-    # one evaluation at +-R, one on the grid and 8 lockstep Illinois steps
+    # one evaluation at +-R, one on the grid and 9 lockstep Illinois steps
     # on the 6 component ends; no sampled peak needs a polish
     ext = {key: v for key, v in counts.items() if key.startswith("ext.")}
-    assert ext == {"ext.calls": 1, "ext.steps": 10, "ext.polished": 0}
+    assert ext == {"ext.calls": 1, "ext.steps": 11, "ext.polished": 0}
 
 
 def test_polish_counts():
