@@ -130,7 +130,9 @@ def _best_first(x0, n, sets, cap=math.inf):
     on log M_n (+inf before its LP start): an unstarted one gets its
     quantile basis and a started one a Remez step, each re-keyed by its
     basis's bound log sum_i |l_i(x0)|; a converged one is finished
-    (`extremal._finish`).  The loop stops once the top key +
+    (`extremal._finish`).  An LP parked on the queue keeps its values of P
+    but drops its Cauchy buffer, so only the one being refined holds one.
+    The loop stops once the top key +
     log1p(_PRUNE_MARGIN) is at most the log of that minimum, so no set left
     can reach it.  Returns {i: result} of the finished sets and {i: LP} of
     the started ones left.
@@ -150,6 +152,7 @@ def _best_first(x0, n, sets, cap=math.inf):
             continue
         else:
             lp.step()
+        lp.drop_cauchy()
         heapq.heappush(heap, (-lp.log_bound, i))
     return done, started
 

@@ -48,22 +48,26 @@ absolutely, and the value reaches 1e13 already at degree 20 on the sets of
 interest.  The optimal value sum_i s_i l_i(x0) is a same-sign sum, computed
 through logs, so the reported value keeps full relative precision.
 The pricing values come from a Cauchy matrix 1/(x_j - t_i) kept in one
-buffer per LP: refilled in place when the basis rows change, by one column
-per pivot, and dropped, not copied, when the grid grows.  Each basis is
-priced once: the start's converged step hands its values of P to the grid
-simplex, and a round's exchange reuses the simplex's last values, pricing
-only the appended points.
+buffer per LP, one contiguous row per basis slot: only the rows whose slot
+now holds another node are refilled, in place (a pivot's one row, a start
+step's moved nodes), and the buffer is dropped, not copied, when the grid
+grows.  Each basis is priced once: the start's converged step hands its
+values of P to the grid simplex, and a round's exchange reuses the
+simplex's last values, pricing only the appended points.
 
 Exchange rounds then locate the true local maxima of |P| on E.  The
 simplex's last pricing holds P at every grid point, and each discrete peak
 of |P| on an interval's sorted grid is polished between its two grid
 neighbours by lockstep Illinois steps on P' in the second form (`_peaks`;
 Berrut & Trefethen, SIAM Rev. 2004, section 9); the grid is the only
-sampling of E.  The rounds append the polished peaks as grid columns and
-take the start's exchange step on the grown grid, which keeps the node
-count on each side of x0 and the signs, so the moved basis stays
-feasible, and the simplex re-optimizes from it until the grid values and
-the polished peaks certify |P| <= 1 + 1e-10.
+sampling of E.  Most of those peaks are basis nodes, each ending two
+brackets, where P = s_i and P' has a closed form in the weights
+(`_node_slopes`): it is computed once for all n + 1 nodes, and only the
+bracket ends off the nodes are evaluated.  The rounds append the polished
+peaks as grid columns and take the start's exchange step on the grown
+grid, which keeps the node count on each side of x0 and the signs, so the
+moved basis stays feasible, and the simplex re-optimizes from it until
+the grid values and the polished peaks certify |P| <= 1 + 1e-10.
 
 The answer is its active points and signs (t, s), with the dual weights
 lam_i = s_i l_i(x0), which sum to the value and give dM/de for an endpoint
@@ -154,7 +158,7 @@ class ExtremalResult:
         i = int(np.argmin(gap))
         if gap[i] > _ENDPOINT_ULPS * math.ulp(max(1.0, abs(e))):
             return 0.0
-        return -self.dual_weights[i] * s[i] * _bary_derivs(t, s, logw, signw, t[i:i + 1])[1, 0]
+        return -self.dual_weights[i] * s[i] * _node_slopes(t, s, logw, signw, [i])[0]
 
     @cached_property
     def _nodes(self):
@@ -284,12 +288,21 @@ def _bary_logweights(t):
     return logw, signw
 
 
+def _node_slopes(t, s, logw, signw, i=slice(None)):
+    """P'(t_i) = sum_{k != i} (w_k / w_i) (s_k - s_i) / (t_i - t_k) of the
+    interpolant of (t_i, s_i) at the nodes i, by default all of them
+    (Berrut & Trefethen 2004, section 9)."""
+    with np.errstate(divide="ignore", invalid="ignore"):
+        node = (signw * signw[i, None] * np.exp(logw - logw[i, None])
+                * (s - s[i, None]) / (t[i, None] - t))
+    return np.where(np.isnan(node), 0.0, node).sum(axis=1)
+
+
 def _bary_derivs(t, s, logw, signw, xs):
     """(P, P') at xs of the interpolant of (t_i, s_i) in the second form
     (Berrut & Trefethen 2004, section 9), d_i = x - t_i, D = sum_i w_i / d_i:
     P' = sum_i w_i (P - s_i) / d_i^2 / D.  A node hit x = t_i gives s_i and
-    P'(t_i) = sum_{k != i} (w_k / w_i) (s_k - s_i) / (t_i - t_k).  Rows go
-    in blocks."""
+    `_node_slopes`.  Rows go in blocks."""
     xs = np.asarray(xs, dtype=float)
     wt = signw * np.exp(logw - logw.max())
     out = np.empty((2, xs.size))
@@ -302,10 +315,8 @@ def _bary_derivs(t, s, logw, signw, xs):
             dp = np.einsum("ij,ij->i", C, (p[:, None] - s) / d) / den
             if not np.isfinite(den).all():     # some row hits a node
                 k, i = np.nonzero(d == 0.0)
-                node = (signw * signw[i, None] * np.exp(logw - logw[i, None])
-                        * (s - s[i, None]) / (t[i, None] - t))
                 p[k] = s[i]
-                dp[k] = np.where(np.isnan(node), 0.0, node).sum(axis=1)
+                dp[k] = _node_slopes(t, s, logw, signw, i)
             out[:, lo:lo + _ROW_BLOCK] = p, dp
     return out
 
@@ -386,12 +397,13 @@ class _ExchangeLP:
         self.points = discretize(E, _grid_density(n, len(E.intervals)))
         self.basis = None
         # work done, for the counters: pivots per solve() call (the first is
-        # the grid solve), nodes moved by exchange(), the start's steps and
-        # the full-grid pricings
+        # the grid solve), nodes moved by exchange(), the start's steps, the
+        # full-grid pricings and the Cauchy rows written
         self.pivots = []
         self.moved = 0
         self.steps = 0
         self.pricings = 0
+        self.cauchy_rows = 0
         self.converged = False
         self.log_bound = math.inf   # log sum_i |l_i(x0)| of the start's basis
         self.release()
@@ -399,14 +411,20 @@ class _ExchangeLP:
     def release(self):
         """Drop the pricing state: the kept Cauchy matrix and its rows, the
         cached nodes and the cached values of P, each keyed on the basis."""
-        self._C = self._C_rows = self._basis_state = self._priced = None
+        self.drop_cauchy()
+        self._basis_state = self._priced = None
+
+    def drop_cauchy(self):
+        """Drop the kept Cauchy matrix, and so its memory, keeping the cached
+        nodes and values of P: the next pricing fills a new one."""
+        self._C = self._C_rows = None
 
     def append_points(self, new_points):
         """Grow the grid.  The Cauchy matrix is dropped, not copied, so two
         of them are never held at once; the cached values of P stay, and the
         next pricing of their basis prices only the new rows."""
         self.points = np.concatenate([self.points, new_points])
-        self._C = self._C_rows = None
+        self.drop_cauchy()
 
     def _initial_basis(self):
         """The start basis, before its Remez steps (`step`).
@@ -454,44 +472,46 @@ class _ExchangeLP:
         return self._basis_state[1]
 
     def _cauchy(self):
-        """Pricing matrix C[j, i] = 1/(x_j - t_i) over grid points and slots.
+        """Pricing matrix C[i, j] = 1/(x_j - t_i) over basis slots and grid
+        points, one contiguous row per slot.
 
-        One buffer is kept per LP and refilled in place when the basis rows
-        differ from those it holds (`_cauchy_column` refills one column per
-        pivot).  The grid points are distinct, so the only exact node hit in
-        column i is the row of basis node i itself; it is stored as 0
-        instead of inf and its pricing value is set by index in `_price`.
+        One buffer is kept per LP, and only the rows whose slot holds
+        another node than the buffer's are refilled, in place
+        (`_cauchy_column`, which also refills a pivot's row).  The grid
+        points are distinct, so the only exact node hit in row i is the
+        column of basis node i itself; it is stored as 0 instead of inf and
+        its pricing value is set by index in `_price`.
         """
-        rows = [j >> 1 for j in self.basis]
         if self._C is None:
-            self._C = np.empty((len(self.points), self.r))
-        if self._C_rows != rows:
-            C = self._C
-            np.subtract.outer(self.points, self.points[rows], out=C)
-            with np.errstate(divide="ignore"):
-                np.divide(1.0, C, out=C)
-            C[rows, np.arange(self.r)] = 0.0
-            self._C_rows = rows
+            self._C = np.empty((self.r, len(self.points)))
+            self._C_rows = [-1] * self.r
+        for i, j in enumerate(self.basis):
+            if self._C_rows[i] != j >> 1:
+                self._cauchy_column(i)
         return self._C
 
     def _cauchy_column(self, i):
-        """Refill column i of the kept matrix after basis slot i changed node."""
+        """Refill row i of the kept matrix, in place, after basis slot i
+        changed node (a pivot's entering column); no buffer, no work."""
         if self._C is None:
             return
         p = self.basis[i] >> 1
-        with np.errstate(divide="ignore"):
-            self._C[:, i] = 1.0 / (self.points - self.points[p])
-        self._C[p, i] = 0.0
+        row = self._C[i]
+        np.subtract(self.points, self.points[p], out=row)
+        row[p] = math.inf           # 1/inf: the node's own entry is 0
+        np.divide(1.0, row, out=row)
         self._C_rows[i] = p
+        self.cauchy_rows += 1
 
     def _price(self, C, t, s, logw, signw):
         """Interpolant values in the second barycentric form at the grid's
-        last len(C) points, from their rows C of the pricing matrix: the
-        whole grid from `_cauchy`, or the points appended since a pricing."""
-        lo = len(self.points) - len(C)
+        last C.shape[1] points, from their columns of the slot-major
+        pricing matrix C: the whole grid from `_cauchy`, or the points
+        appended since a pricing."""
+        lo = len(self.points) - C.shape[1]
         wt = signw * np.exp(logw - logw.max())
         with np.errstate(divide="ignore", invalid="ignore"):
-            vals = (C @ (wt * s)) / (C @ wt)
+            vals = ((wt * s) @ C) / (wt @ C)
         rows = np.array([j >> 1 for j in self.basis]) - lo
         vals[rows[rows >= 0]] = s[rows >= 0]
         bad = np.flatnonzero(~np.isfinite(vals))
@@ -508,7 +528,7 @@ class _ExchangeLP:
             vals = self._priced[1]
             if len(vals) < len(self.points):
                 with np.errstate(divide="ignore"):
-                    C = 1.0 / (self.points[len(vals):, None] - nodes[0])
+                    C = 1.0 / (self.points[len(vals):] - nodes[0][:, None])
                 vals = np.concatenate([vals, self._price(C, *nodes)])
         else:
             vals = self._price(self._cauchy(), *nodes)
@@ -647,7 +667,7 @@ class _ExchangeLP:
             "lp.grid_pivots": sum(self.pivots[:1]),
             "lp.exchange_rounds": len(rounds), "lp.round_pivots_max": max(rounds, default=0),
             "lp.nodes_moved": self.moved, "lp.start_steps": self.steps,
-            "lp.pricings": self.pricings,
+            "lp.pricings": self.pricings, "lp.cauchy_rows": self.cauchy_rows,
         })
 
 
@@ -697,9 +717,26 @@ def _nearest_distance(points, xs):
     return np.minimum(np.abs(xs - pts[right - 1]), np.abs(xs - pts[right]))
 
 
+def _end_derivs(nodes, xs):
+    """(P, P') at bracket ends xs: an end at a node t_i reads s_i and its
+    slope, all nodes' slopes computed at once (`_node_slopes`), and only
+    the other ends go to `_bary_derivs`."""
+    t, s = nodes[:2]
+    hit = xs[:, None] == t
+    on = hit.any(axis=1)
+    out = np.empty((2, xs.size))
+    out[:, ~on] = _bary_derivs(*nodes, xs[~on])
+    if on.any():
+        i = hit[on].argmax(axis=1)
+        out[:, on] = s[i], _node_slopes(*nodes)[i]
+    return out
+
+
 def _peaks(nodes, los, his, signs):
     """Maxima (xs, |P(xs)|) of |P| on the brackets [los, his] in lockstep,
     and the evaluations of P they took, each one over every lane open.
+    The bracket ends are one evaluation (`_end_derivs`: an end at a node
+    reads s_i and its node slope), each trial one `_bary_derivs` call.
 
     A lane is live when signs * P' rises at its low end and falls at its
     high end, else the better end wins.  Illinois steps on -signs * P'
@@ -708,7 +745,7 @@ def _peaks(nodes, los, his, signs):
     where |P| is concave, is at most _PEAK_GAIN, or when its bracket is at
     most 4 ulps wide: regula falsi cannot shrink two adjacent floats."""
     m = len(los)
-    P, dP = _bary_derivs(*nodes, np.concatenate([los, his]))
+    P, dP = _end_derivs(nodes, np.concatenate([los, his]))
     evals = 1
     best_x = np.where(abs(P[m:]) > abs(P[:m]), his, los)
     best_f = np.maximum(abs(P[m:]), abs(P[:m]))
@@ -736,9 +773,11 @@ def _scan_abs_max(nodes, E, points, values):
 
     Each discrete peak of |P| on an interval's sorted points, end points
     included, is polished by `_peaks` on the brackets to its two grid
-    neighbours, its evaluations of P counted in `lp.polish_evals`.  No grid
-    point lies inside a bracket, so an active point (|P| = 1 exactly) next
-    to a violation bounds the bracket instead of breaking its unimodality.
+    neighbours, its evaluations of P counted in `lp.polish_evals`.  Such a
+    peak is mostly a basis node, read with the other nodes' ends from
+    their slopes, computed once per scan.  No grid point lies inside a
+    bracket, so an active point (|P| = 1 exactly) next to a violation
+    bounds the bracket instead of breaking its unimodality.
     Returns the points found, the largest |P| over the grid and the
     polished peaks, and its x."""
     order = np.argsort(points)

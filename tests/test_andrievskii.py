@@ -338,6 +338,20 @@ class TestBruteForce:
         with pytest.raises(DomainError):
             brute_force_theorem1(-0.1, 0.4, 6, trials=0, seed=1)
 
+    def test_parked_starts_drop_their_cauchy_buffer(self, monkeypatch):
+        # the starts the best-first loop leaves on its queue hold no Cauchy
+        # matrix, so only the LP being refined holds one
+        real, rest = andrievskii._best_first, []
+
+        def spy(*args):
+            done, left = real(*args)
+            rest.extend(left.values())
+            return done, left
+
+        monkeypatch.setattr(andrievskii, "_best_first", spy)
+        brute_force_theorem1(-0.1, 0.4, 6, trials=25, seed=20250808)
+        assert rest and all(lp.basis is not None and lp._C is None for lp in rest)
+
     @pytest.mark.parametrize("x0, n, seed", [
         (-0.1, 6, 20250808), (-0.15, 8, 7), (-0.15, 12, 1), (-0.3, 10, 99)])
     def test_start_bound_keeps_the_report(self, x0, n, seed, monkeypatch):

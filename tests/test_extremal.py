@@ -211,8 +211,8 @@ class TestStructure:
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
 class TestPricingCache:
-    """Each LP keeps one Cauchy matrix, refilled in place when the basis
-    rows change and by one column per pivot, and prices each basis once:
+    """Each LP keeps one slot-major Cauchy matrix, refilled in place only
+    in the rows whose basis node moved, and prices each basis once:
     the next reader of a basis reuses its last values of P, and a grid
     grown since prices only its new rows.  Pricing from scratch must give
     the same bytes, and every value read, reused or not, must lie within
@@ -229,7 +229,7 @@ class TestPricingCache:
         monkeypatch.setattr(
             extremal._ExchangeLP, "_price",
             lambda self, C, t, s, logw, signw: bary_values(
-                t, s, logw, signw, self.points[len(self.points) - len(C):]),
+                t, s, logw, signw, self.points[len(self.points) - C.shape[1]:]),
         )
 
     @staticmethod
@@ -290,6 +290,67 @@ class TestPricingCache:
         moved = lp.exchange()
         assert moved > 0
         TestExchangeStep._check(lp.points, x0, start, lp.basis, moved)
+
+    @staticmethod
+    def _scratch_cauchy(lp):
+        """The slot-major matrix 1/(x_j - t_i) of the LP's basis, filled from
+        scratch, each node's own entry 0."""
+        rows = [j >> 1 for j in lp.basis]
+        with np.errstate(divide="ignore"):
+            C = 1.0 / (lp.points - lp.points[rows][:, None])
+        C[np.arange(lp.r), rows] = 0.0
+        return C
+
+    def test_refill_writes_only_the_moved_rows(self, monkeypatch):
+        # After every refill, by `_cauchy` or by a pivot's `_cauchy_column`,
+        # the kept buffer holds the bytes of a fill from scratch, and
+        # `_cauchy` rewrites exactly the rows of the slots whose node moved.
+        # On two-gap(0.3) at n = 100 the start's steps move 84, 75, 67, 48,
+        # 21, 1 and 0 nodes; E(-0.3, 0.4) at n = 100 pivots twice.
+        LP = extremal._ExchangeLP
+        cauchy, column, step = LP._cauchy, LP._cauchy_column, LP.step
+        scratch = TestPricingCache._scratch_cauchy
+        written, refills, pivots, moves = None, [], [], []
+
+        def cauchy_spy(self):
+            nonlocal written
+            before, written = self._C_rows and list(self._C_rows), []
+            C = cauchy(self)
+            moved = [i for i, j in enumerate(self.basis) if before is None or before[i] != j >> 1]
+            assert written == moved
+            assert C.tobytes() == scratch(self).tobytes()
+            refills.append(len(written))
+            written = None
+            return C
+
+        def column_spy(self, i):
+            column(self, i)
+            if written is not None:
+                written.append(i)
+            elif self._C is not None:       # a pivot's refill
+                assert self._C.tobytes() == scratch(self).tobytes()
+                pivots.append(i)
+
+        def step_spy(self):
+            moved = self.moved
+            step(self)
+            moves.append(self.moved - moved)
+
+        monkeypatch.setattr(LP, "_cauchy", cauchy_spy)
+        monkeypatch.setattr(LP, "_cauchy_column", column_spy)
+        monkeypatch.setattr(LP, "step", step_spy)
+        with _stats.collect() as counts:
+            solve_extremal(TWO_GAP, -0.4, 100, extension=False)
+        assert moves == [84, 75, 67, 48, 21, 1, 0]
+        # a first fill of all 101 rows, then one row per node moved; each
+        # exchange round's re-solve fills a new buffer on the grown grid
+        assert refills == [101, *moves[:-1], 101, 101]
+        assert counts["lp.cauchy_rows"] == sum(refills)
+        refills.clear()
+        with _stats.collect() as counts:
+            solve_extremal(make_gap_set(GapParams(-0.3, 0.4)), -0.3, 100, extension=False)
+        assert len(pivots) == counts["lp.pivots"] == 2
+        assert counts["lp.cauchy_rows"] == sum(refills) + len(pivots)
 
 
 @pytest.mark.parametrize("m", [1, 2, 7, 400])
@@ -712,6 +773,95 @@ class TestCertificate:
 
 # the six pinned sets of TestNewtonPolish (the benchmark's oracle sets)
 PINNED = dict(list(TestNewtonPolish.CASES.items())[:6])
+
+
+class TestNodeSlopes:
+    """P'(t_i) = sum_{k != i} (w_k / w_i) (s_k - s_i) / (t_i - t_k) has one
+    kernel, `_node_slopes`: the exchange scan reads its bracket ends at
+    basis nodes from it, computed once for all nodes, instead of passing
+    them to `_bary_derivs`, whose node-hit branch and `dvalue_dendpoint`
+    read it too."""
+
+    @staticmethod
+    def _scans(monkeypatch, E, x0, n):
+        """(nodes, points, values, result) of every exchange scan of a solve,
+        and the points of each of its calls of `_bary_derivs`: the first
+        at the bracket ends, then one per lockstep Illinois step."""
+        scan, derivs, scans = extremal._scan_abs_max, extremal._bary_derivs, []
+        calls = None
+
+        def scan_spy(nodes, E, points, values):
+            nonlocal calls
+            calls = []
+            res = scan(nodes, E, points, values)
+            scans.append((nodes, points, values, res, calls))
+            calls = None
+            return res
+
+        def derivs_spy(*args):
+            if calls is not None:
+                calls.append(np.asarray(args[-1], dtype=float))
+            return derivs(*args)
+
+        monkeypatch.setattr(extremal, "_scan_abs_max", scan_spy)
+        monkeypatch.setattr(extremal, "_bary_derivs", derivs_spy)
+        solve_extremal(E, x0, n, extension=False)
+        monkeypatch.setattr(extremal, "_bary_derivs", derivs)
+        monkeypatch.setattr(extremal, "_scan_abs_max", scan)
+        return scans
+
+    @pytest.mark.parametrize("n", [12, 50, 100])
+    @pytest.mark.parametrize("case", PINNED)
+    def test_scan_passes_no_node_to_bary_derivs(self, case, n, monkeypatch):
+        # A bracket end at a node is read from the node slopes.  An
+        # Illinois trial that rounds onto such an end (once on these 18
+        # solves, remez(0.4) at n = 12) takes `_bary_derivs`'s node hit.
+        E, x0 = PINNED[case]
+        scans = self._scans(monkeypatch, E, x0, n)
+        assert len(scans) >= 2
+        for nodes, points, values, _, calls in scans:
+            t = nodes[0]
+            order = np.argsort(points)
+            av = np.abs(values[order])
+            # the nodes do end brackets: most are discrete peaks of |P|
+            at = np.searchsorted(points[order], t)
+            inner = (at > 0) & (at < av.size - 1)
+            peaks = (av[at[inner]] >= av[at[inner] - 1]) & (av[at[inner]] >= av[at[inner] + 1])
+            assert np.count_nonzero(peaks) >= t.size // 2
+            assert calls[0].size and not np.isin(calls[0], t).any()
+
+    @pytest.mark.parametrize("n", [12, 50, 100])
+    @pytest.mark.parametrize("case", PINNED)
+    def test_scan_matches_evaluating_every_bracket_end(self, case, n, monkeypatch):
+        # against the scan that evaluates all four ends of each peak's two
+        # brackets by `_bary_derivs`: the worst |P| within 2 ulps of
+        # max(1, |P|), its x within 2 ulps and the polished peaks within 4
+        E, x0 = PINNED[case]
+        scans = self._scans(monkeypatch, E, x0, n)
+        monkeypatch.setattr(extremal, "_end_derivs",
+                            lambda nodes, xs: extremal._bary_derivs(*nodes, xs))
+        for nodes, points, values, (xp, worst, worst_x), _ in scans:
+            ref_xp, ref_worst, ref_x = extremal._scan_abs_max(nodes, E, points, values)
+            assert abs(worst - ref_worst) <= 2.0 * np.spacing(max(1.0, ref_worst))
+            assert abs(worst_x - ref_x) <= 2.0 * np.spacing(abs(ref_x))
+            assert np.all(np.abs(xp - ref_xp) <= 4.0 * np.spacing(np.abs(ref_xp)))
+
+    @pytest.mark.parametrize("n", [12, 50, 100])
+    @pytest.mark.parametrize("case", PINNED)
+    def test_dvalue_dendpoint_is_the_node_hit_formula(self, case, n):
+        # byte for byte the arithmetic of `_bary_derivs`'s node hit that
+        # `dvalue_dendpoint` went through before it read `_node_slopes`
+        E, x0 = PINNED[case]
+        res = solve_extremal(E, x0, n, extension=False)
+        t, s, logw, signw = res._nodes
+        slopes = extremal._node_slopes(t, s, logw, signw)
+        for i, e in enumerate(res.active_points):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                node = (signw * signw[[i], None] * np.exp(logw - logw[[i], None])
+                        * (s - s[[i], None]) / (t[[i], None] - t))
+            slope = np.where(np.isnan(node), 0.0, node).sum(axis=1)[0]
+            assert slopes[i] == slope
+            assert res.dvalue_dendpoint(e) == -res.dual_weights[i] * s[i] * slope
 
 
 def _lambda_signs(points, basis, x0):
