@@ -18,8 +18,9 @@ bounded for interior ones), and a seeded brute-force search for random
 multi-gap sets that would beat the best structured configuration (the
 structure theorem predicts none).  Its trials go through a best-first loop
 (`_best_first`) on upper bounds of log M_n: each trial is keyed by the
-interpolation bound of its LP start (see `extremal`), and the trials that
-can neither set a new maximum nor violate are dropped with no simplex run.
+interpolation bound of its LP start, all started in one pass (see
+`extremal`), and the trials that can neither set a new maximum nor
+violate are dropped with no simplex run.
 """
 
 from __future__ import annotations
@@ -37,7 +38,7 @@ from ._search import illinois_many
 from .chebyshev import remez_poly_value
 from .envelope import _interior_max, upper_envelope
 from .errors import DomainError
-from .extremal import _ExchangeLP, _finish, solve_extremal
+from .extremal import _ExchangeLP, _finish, _start, solve_extremal
 from .green import c_rows, g_rows, green_single_interval, omega_rows
 from .intervals import CompactSet, GapParams, make_gap_set, random_multigap_set
 
@@ -126,32 +127,29 @@ def _best_first(x0, n, sets, cap=math.inf):
     """Finish, highest bound first, the sets whose M_n(x0, E) may exceed
     min(largest value finished, cap).
 
-    Each pass refines the set on top of the queue, keyed by an upper bound
-    on log M_n (+inf before its LP start): an unstarted one gets its
-    quantile basis and a started one a Remez step, each re-keyed by its
-    basis's bound log sum_i |l_i(x0)|; a converged one is finished
-    (`extremal._finish`).  An LP parked on the queue keeps its values of P
-    but drops its Cauchy buffer, so only the one being refined holds one.
+    Every set's LP start is placed first, all in one `extremal._start`,
+    and keyed by its basis's bound log sum_i |l_i(x0)|, an upper bound on
+    log M_n.  Each pass refines the set on top of the queue: a Remez step,
+    re-keyed by its new bound, or, once converged, `extremal._finish`.  An
+    LP parked on the queue keeps its values of P but drops its Cauchy
+    buffer, so only the one being refined holds one.
     The loop stops once the top key +
     log1p(_PRUNE_MARGIN) is at most the log of that minimum, so no set left
     can reach it.  Returns {i: result} of the finished sets and {i: LP} of
     the started ones left.
     """
-    heap = [(-math.inf, i) for i in range(len(sets))]   # sorted, so a heap
-    done, started = {}, {}
-    log_top = -math.inf
+    started = dict(enumerate(_ExchangeLP(E, n, x0) for E in sets))
+    _start(list(started.values()))
+    heap = sorted((-lp.log_bound, i) for i, lp in started.items())   # sorted, so a heap
+    done, log_top = {}, -math.inf
     while heap and math.log1p(_PRUNE_MARGIN) - heap[0][0] > min(log_top, math.log(cap)):
         _, i = heapq.heappop(heap)
-        lp = started.get(i)
-        if lp is None:
-            lp = started[i] = _ExchangeLP(sets[i], n, x0)
-            lp._initial_basis()
-        elif lp.converged:
+        lp = started[i]
+        if lp.converged:
             done[i] = _finish(started.pop(i), extension=False)
             log_top = max(log_top, math.log(done[i].value))
             continue
-        else:
-            lp.step()
+        lp.step()
         lp.drop_cauchy()
         heapq.heappush(heap, (-lp.log_bound, i))
     return done, started
@@ -358,8 +356,8 @@ def brute_force_theorem1(x0: float, delta: float, n: int, trials: int,
     checks M_n(x0, E) <= L_n + 10*_VALUE_TOL.  Violations are collected and
     reported, never raised: they would indicate either solver inaccuracy or
     a counterexample to the structure theorem, and both deserve eyes.
-    The trials go through `_best_first` with no bound before their LP
-    starts, which leaves unsolved every set whose start bounds M_n by at
+    The trials go through `_best_first`, which starts all their LPs in one
+    pass and leaves unsolved every set whose start bounds M_n by at
     most min(largest value, violation bound) / (1 + _PRUNE_MARGIN): it can
     change neither `max_ratio` nor the violations, which are listed in
     trial order.

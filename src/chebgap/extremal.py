@@ -26,14 +26,16 @@ pivots or none, so seeds from a neighbouring solve would save nothing.
 
 Every basis of the start bounds M_n: a P with |P| <= 1 on E has P(x0) =
 sum_i P(t_i) l_i(x0) <= sum_i |l_i(x0)|.  The start keeps that bound of its
-current basis in `log_bound` and is resumable: `_initial_basis` places the
-quantile nodes and each `step` takes one exchange step, which keeps every
-sign s_i = sign l_i(x0) and moves nodes only to where s_i P >= 1, so the
-bound only falls.  So a caller ranking many candidates (the best-first
-loop of `andrievskii`) refines only the one whose bound is highest,
-finishes it by `_finish` (the start's remaining steps, the grid simplex
-and the exchange rounds, exactly as `solve_extremal` runs them) and drops
-the rest unsolved.
+current basis in `log_bound` and is resumable: `_start` places the
+quantile nodes of a list of LPs, their equilibrium measures and CDFs
+computed together (`_Equilibria`), and each `step` takes one exchange
+step, which keeps every sign s_i = sign l_i(x0) and moves nodes only to
+where s_i P >= 1, so the bound only falls; the start ends on a step that
+does not lower it.  A caller ranking many candidates (the best-first loop
+of `andrievskii`) starts them all at once, refines only the one whose
+bound is highest, finishes it by `_finish` (the start's remaining steps,
+the grid simplex and the exchange rounds, as `solve_extremal` runs them)
+and drops the rest unsolved.
 A grid end lo + length*1.0 can miss hi by an ulp, where |P| may exceed 1 by
 about ulp * |P'|; the callers' margin of 1 + 1e-6 covers that.
 
@@ -201,76 +203,104 @@ class FeasibilityReport:
 # ----------------------------------------------------------------------
 
 
-def _equilibrium(E):
-    """The equilibrium measure of E: (q, cdf), q a `Chebyshev` series on the
-    hull of E's bands and cdf(xs) = mu(E n (-inf, x]).
+_THETA = math.pi * (np.arange(64) + 0.5) / 64    # the charts' midpoint angles
+_J = np.arange(1, 64)
+_COSINES = np.cos(np.outer(_J, _THETA)) / 32     # cosine coefficients 1..63
+_POINT_BLOCK = 4096       # grid points per chunk of LPs started together
 
-    Its density is |q(x)| / (pi sqrt|R(x)|), R = prod (x - e) over the band
-    ends e, q of degree (bands - 1) with integral q / sqrt|R| = 0 over every
-    gap, scaled so that the band masses sum to 1.  On a band or gap,
+
+class _Equilibria:
+    """The equilibrium measures of a list of sets, computed together.
+
+    Each density is |q(x)| / (pi sqrt|R(x)|), R = prod (x - e) over the
+    band ends e, q of degree (bands - 1) with integral q / sqrt|R| = 0 over
+    every gap, scaled so that the band masses sum to 1.  On a band or gap,
     x = m + h cos(theta) turns dx / sqrt|R| into dtheta / sqrt(prod of
     |x - e| over the other ends), even, periodic and smooth in theta unless
     another end is close; its cosine series from 64 midpoint samples gives
-    the gap integrals (its mean) and, term by term, a band's mass up to x,
-    whose sine series cdf sums by Clenshaw's recurrence over the points
-    inside all bands at once.  In the Chebyshev basis of the hull the gap
-    conditions stay well conditioned at any number of bands.  Touching
-    intervals merge; zero-length ones carry no mass."""
-    bands = []
-    for iv in E.intervals:
-        if bands and iv.lo <= bands[-1][1]:
-            bands[-1][1] = max(bands[-1][1], iv.hi)
-        elif iv.length > 0.0:
-            bands.append([iv.lo, iv.hi])
-    ends = np.ravel(bands)
-    k = len(bands)
-    theta = math.pi * (np.arange(64) + 0.5) / 64
-    j = np.arange(1, 64)
-    cosines = np.cos(np.outer(j, theta)) / 32
+    the gap integrals (its mean) and, term by term, a band's mass up to x.
+    The sets with k bands share each step: their charts are one (sets,
+    2k - 1, 64) array, R a product taken one end at a time, the gap
+    conditions (in the Chebyshev basis of each hull, well conditioned at
+    any number of bands) one stacked solve.  Touching intervals merge;
+    zero-length ones carry no mass, and a set of points has none."""
 
-    def chart(i):   # x(theta) on [ends[i], ends[i+1]], dx / sqrt|R| per dtheta
-        x = 0.5 * (ends[i] + ends[i + 1]) + 0.5 * (ends[i + 1] - ends[i]) * np.cos(theta)
-        R = np.ones_like(x)
-        for e in np.delete(ends, [i, i + 1]):
-            R *= np.abs(x - e)
-        return x, 1.0 / np.sqrt(R)
+    def __init__(self, sets):
+        ends = []
+        for E in sets:
+            bands = []
+            for iv in E.intervals:
+                if bands and iv.lo <= bands[-1][1]:
+                    bands[-1][1] = max(bands[-1][1], iv.hi)
+                elif iv.length > 0.0:
+                    bands.append([iv.lo, iv.hi])
+            ends.append(np.ravel(bands))
+        k = np.array([e.size // 2 for e in ends], dtype=int)
+        self.coef = [np.ones(1)] * len(sets)
+        c0, cj = [np.empty(0)] * len(sets), [np.empty((0, _J.size))] * len(sets)
+        cheb = np.polynomial.chebyshev
+        for kk in np.unique(k[k > 0]):
+            group = np.flatnonzero(k == kk)
+            e = np.array([ends[i] for i in group])
+            lo, hi = e[:, :-1, None], e[:, 1:, None]
+            x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(_THETA)
+            R = np.ones_like(x)
+            for i in range(2 * kk):     # charts i - 1 and i end at end i
+                f = np.abs(x - e[:, i, None, None])
+                f[:, max(i - 1, 0):i + 1] = 1.0
+                R *= f
+            w = 1.0 / np.sqrt(R)
+            # u = off + scl x maps each hull onto [-1, 1]
+            off, scl = np.polynomial.polyutils.mapparms((e[:, :1, None], e[:, -1:, None]), (-1, 1))
+            V = cheb.chebvander(off + scl * x[:, 1::2], kk - 1)     # on the gap charts
+            M = (np.swapaxes(V, -1, -2) @ w[:, 1::2, :, None])[..., 0]
+            coef = np.hstack([np.linalg.solve(M[..., :-1], -M[..., -1:])[..., 0],
+                              np.ones((group.size, 1))])
+            density = np.abs(cheb.chebval(off + scl * x[:, ::2], coef.T[:, :, None, None],
+                                          tensor=False)) * w[:, ::2] / math.pi
+            mean = density.mean(axis=-1)
+            cos = (_COSINES @ density[..., None])[..., 0] / _J
+            for i, c, m, a, t in zip(group, coef, mean, cos, math.pi * mean.sum(axis=-1)):
+                self.coef[i], c0[i], cj[i] = c / t, m / t, a / t
+        # band tables over all sets: set i's bands are rows row0[i] to row0[i + 1]
+        self.ends, self.row0 = np.concatenate(ends), np.cumsum([0, *k])
+        self.below = np.concatenate([np.append(0.0, np.cumsum(c * math.pi)) for c in c0])
+        self.c0 = np.concatenate(c0)
+        self.cj = np.ascontiguousarray(np.concatenate(cj).T[::-1])   # j = 63 first
 
-    # q's coefficients in the Chebyshev basis of the hull, u = off + scl x
-    cheb = np.polynomial.chebyshev
-    hull = ends[[0, -1]] if k else [-1.0, 1.0]
-    off, scl = np.polynomial.polyutils.mapparms(hull, [-1.0, 1.0])
-    coef = np.ones(1)
-    if k > 1:
-        M = np.array([cheb.chebvander(off + scl * x, k - 1).T @ w
-                      for x, w in map(chart, range(1, 2 * k - 1, 2))])
-        coef = np.append(np.linalg.solve(M[:, :-1], -M[:, -1]), 1.0)
-    c0, cj = np.empty(k), np.empty((j.size, k))
-    for i in range(k):
-        x, w = chart(2 * i)
-        density = np.abs(cheb.chebval(off + scl * x, coef)) * w / math.pi
-        c0[i], cj[:, i] = density.mean(), cosines @ density / j
-    total = math.pi * c0.sum() if k else 1.0    # a set of points has no mass
-    c0, cj = c0 / total, cj / total
-    below = np.concatenate([[0.0], np.cumsum(c0 * math.pi)])   # mass of the bands before
+    def cdf(self, xs):
+        """mu(E n (-inf, x]) at the points xs[i] of each set i (1-D arrays).
 
-    def cdf(xs):
-        xs = np.asarray(xs, dtype=float)
-        flat = xs.ravel()
-        band = np.searchsorted(ends[1::2], flat, side="right")
-        mass = below[band]
-        inside = np.flatnonzero(band < k)
-        inside = inside[ends[2 * band[inside]] < flat[inside]]
-        band, x = band[inside], flat[inside]
-        th = 2.0 * np.arctan2(np.sqrt(ends[2 * band + 1] - x), np.sqrt(x - ends[2 * band]))
+        A point inside a band adds that band's sine series to the mass of
+        the bands before: one Clenshaw recurrence runs over the points
+        inside the bands of all sets at once, each point reading its own
+        band's coefficients."""
+        sizes = [len(x) for x in xs]
+        of = np.repeat(np.arange(len(xs)), sizes)      # each point's set
+        band = [np.searchsorted(self.ends[2 * a + 1:2 * b:2], x, side="right")
+                for a, b, x in zip(self.row0, self.row0[1:], xs)]
+        row = self.row0[of] + np.concatenate(band)
+        x = np.concatenate(xs)
+        mass = self.below[row + of]
+        inside = np.flatnonzero(row < self.row0[of + 1])
+        inside = inside[self.ends[2 * row[inside]] < x[inside]]
+        row, x = row[inside], x[inside]
+        th = 2.0 * np.arctan2(np.sqrt(self.ends[2 * row + 1] - x), np.sqrt(x - self.ends[2 * row]))
         # sum_j cj_j sin(j th) = b_1 sin(th) by Clenshaw's recurrence
         b1 = b2 = np.zeros(x.size)
         two_cos = 2.0 * np.cos(th)
-        for row in cj[::-1, band]:
-            b1, b2 = row + two_cos * b1 - b2, b1
-        mass[inside] += c0[band] * (math.pi - th) - b1 * np.sin(th)
-        return mass.reshape(xs.shape)
+        for coefs in self.cj:
+            b1, b2 = coefs[row] + two_cos * b1 - b2, b1
+        mass[inside] += self.c0[row] * (math.pi - th) - b1 * np.sin(th)
+        return np.split(mass, np.cumsum(sizes)[:-1])
 
-    return np.polynomial.Chebyshev(coef / total, domain=hull), cdf
+
+def _equilibrium(E):
+    """(q, cdf) of E alone, from `_Equilibria`: q a `Chebyshev` series on
+    the hull of E's bands and cdf(xs) = mu(E n (-inf, x])."""
+    eq = _Equilibria([E])
+    q = np.polynomial.Chebyshev(eq.coef[0], domain=eq.ends[[0, -1]] if eq.ends.size else [-1, 1])
+    return q, lambda xs: eq.cdf([np.ravel(xs).astype(float)])[0].reshape(np.shape(xs))[()]
 
 
 # ----------------------------------------------------------------------
@@ -427,40 +457,21 @@ class _ExchangeLP:
         self.drop_cauchy()
 
     def _initial_basis(self):
-        """The start basis, before its Remez steps (`step`).
-
-        The nodes are the grid points nearest the quantiles k/n of the
-        equilibrium measure of E.  Signs s_i = sign l_i(x0) make every
-        lam_i = |l_i(x0)| > 0: basic feasible.
-        """
-        order = np.argsort(self.points)
-        pts = self.points[order]
-        m = len(pts)
-        if m < self.r:
-            raise SolverError(f"grid supplies {m} points for {self.r} coefficients")
-        F = np.maximum.accumulate(_equilibrium(self.E)[1](pts))
-        q = np.linspace(0.0, 1.0, self.r)
-        j = np.clip(np.searchsorted(F, q), 1, m - 1)
-        j -= q - F[j - 1] < F[j] - q
-        # distinct points, in order
-        k = np.arange(self.r)
-        idx = np.minimum(np.maximum.accumulate(j - k), m - self.r) + k
-        t = pts[idx]
-        lhat, L = _lagrange_scaled(t, *_bary_logweights(t), self.x0)
-        self.basis = (2 * order[idx] + (lhat < 0.0)).tolist()
-        self.log_bound = _log_abs_sum(lhat, L)
+        """`_start` of this LP alone: its basis before the Remez steps."""
+        _start([self])
 
     def step(self):
         """One exchange step of the start, moving its nodes to the extrema
         of P on their side of x0 (`exchange`), and the new basis's bound
-        into `log_bound`.  The start has converged once a step moves no node
-        or _REFINE_ROUNDS steps have run."""
-        moved = self.exchange()
-        self.steps += 1
-        self.converged = not moved or self.steps == _REFINE_ROUNDS
-        if moved:
+        into `log_bound`.  The start has converged once a step does not
+        lower the bound, as when it moves no node or a rounding tie moves one
+        back and forth, or _REFINE_ROUNDS steps have run."""
+        bound = self.log_bound
+        if self.exchange():
             t, _, logw, signw = self._state()
             self.log_bound = _log_abs_sum(*_lagrange_scaled(t, logw, signw, self.x0))
+        self.steps += 1
+        self.converged = self.log_bound >= bound or self.steps == _REFINE_ROUNDS
 
     def _state(self):
         """The basis nodes (t, s, logw, signw), computed once per basis."""
@@ -669,6 +680,37 @@ class _ExchangeLP:
             "lp.nodes_moved": self.moved, "lp.start_steps": self.steps,
             "lp.pricings": self.pricings, "lp.cauchy_rows": self.cauchy_rows,
         })
+
+
+def _start(lps):
+    """Place every LP's start basis, before its Remez steps: the LPs go
+    through one `_Equilibria` and its `cdf` in chunks of about _POINT_BLOCK
+    grid points, which bounds the temporaries, and each LP's basis and
+    bound are those of its start alone.
+
+    The nodes are the grid points nearest the quantiles k/n of the
+    equilibrium measure of E.  Signs s_i = sign l_i(x0) make every
+    lam_i = |l_i(x0)| > 0: basic feasible.
+    """
+    chunk, size = [], 0
+    for lp in lps:
+        if len(lp.points) < lp.r:
+            raise SolverError(f"grid supplies {len(lp.points)} points for {lp.r} coefficients")
+        chunk.append(lp)
+        size += len(lp.points)
+        if size < _POINT_BLOCK and lp is not lps[-1]:
+            continue
+        orders = [np.argsort(c.points) for c in chunk]
+        cdfs = _Equilibria([c.E for c in chunk]).cdf([c.points[o] for c, o in zip(chunk, orders)])
+        for c, order, F in zip(chunk, orders, cdfs):
+            F, q = np.maximum.accumulate(F), np.linspace(0.0, 1.0, c.r)
+            j = np.clip(np.searchsorted(F, q), 1, len(F) - 1)
+            j -= q - F[j - 1] < F[j] - q
+            k = np.arange(c.r)      # distinct points, in order
+            idx = order[np.minimum(np.maximum.accumulate(j - k), len(F) - c.r) + k]
+            lhat, L = _lagrange_scaled(c.points[idx], *_bary_logweights(c.points[idx]), c.x0)
+            c.basis, c.log_bound = (2 * idx + (lhat < 0.0)).tolist(), _log_abs_sum(lhat, L)
+        chunk, size = [], 0
 
 
 def _outward(x, x0):

@@ -352,6 +352,15 @@ class TestBruteForce:
         brute_force_theorem1(-0.1, 0.4, 6, trials=25, seed=20250808)
         assert rest and all(lp.basis is not None and lp._C is None for lp in rest)
 
+    def test_best_first_decisions_are_pinned(self):
+        # the sets that are finished, left bounded and stepped, as before
+        # their starts were batched
+        with _stats.collect() as counts:
+            rep = brute_force_theorem1(-0.1, 0.4, 6, trials=200, seed=20250808)
+        assert (rep.reference_value, rep.max_ratio, rep.violations) == (
+            5.9271137026239025, 0.9926929671655236, ())
+        assert (counts["lp.solves"], counts["lp.bounded"], counts["lp.start_steps"]) == (3, 199, 62)
+
     @pytest.mark.parametrize("x0, n, seed", [
         (-0.1, 6, 20250808), (-0.15, 8, 7), (-0.15, 12, 1), (-0.3, 10, 99)])
     def test_start_bound_keeps_the_report(self, x0, n, seed, monkeypatch):

@@ -1036,6 +1036,15 @@ class TestExchangeStep:
             solve_extremal(CompactSet((Interval(-0.2, 1.0),)), -1.0, n, extension=False)
         assert counts["lp.start_steps"] <= 2
 
+    def test_start_ends_on_a_step_that_does_not_lower_its_bound(self):
+        # at n = 4 two grid points have exact |P| = 1 -+ 7.1e-17 under each
+        # other's basis, and the rounded pricing moved one node back and
+        # forth, the bound alternating by 1 ulp, on all 8 steps of the cap
+        with _stats.collect() as counts:
+            res = solve_extremal(CompactSet((Interval(-0.2, 1.0),)), -1.0, 4, extension=False)
+        assert counts["lp.start_steps"] <= 2
+        assert res.value == 194.58024691358023     # as with the 8-step cycle
+
     def test_infeasible_basis_is_left_unmoved(self):
         E, x0, n = TWO_GAP, -0.4, 12
         lp = extremal._ExchangeLP(E, n, x0)
@@ -1142,13 +1151,27 @@ def chebyshev_preimage(k, u, v):
     return CompactSet(tuple(map(tuple, ends.reshape(-1, 2))))
 
 
+def per_set_equilibria(equilibrium):
+    """A stand-in for `extremal._Equilibria` in the LP start, each set's
+    cdf taken from equilibrium(E) = (q, cdf)."""
+
+    class PerSet:
+        def __init__(self, sets):
+            self.cdfs = [equilibrium(E)[1] for E in sets]
+
+        def cdf(self, xs):
+            return [cdf(x) for cdf, x in zip(self.cdfs, xs, strict=True)]
+
+    return PerSet
+
+
 @pytest.mark.filterwarnings("ignore::RuntimeWarning")
 def test_empty_ratio_test_states_the_solver(monkeypatch):
     # on the 100-band preimage, started from the monomial solve for q that
     # broke down there (D8), the entering direction has no positive entry,
     # so the ratio test is empty; the error states the solver as the
     # NaN-ratio error does, where "max() arg is an empty sequence" once was
-    monkeypatch.setattr(extremal, "_equilibrium", monomial_equilibrium)
+    monkeypatch.setattr(extremal, "_Equilibria", per_set_equilibria(monomial_equilibrium))
     E = chebyshev_preimage(100, -0.8, 0.7)
     x0 = 0.5 * sum(E.gaps()[50])
     with pytest.raises(SolverError, match=r"simplex direction unbounded at n = 100 on \d+ grid "
@@ -1373,6 +1396,44 @@ class TestEquilibriumStart:
         ref = extremal._ExchangeLP(E, n, x0)
         ref._initial_basis()
         assert lp.basis == ref.basis
+
+    @pytest.mark.parametrize("n", [12, 50, 100, 200])
+    def test_batched_start_nodes_match_the_sine_matrix_sum(self, n, monkeypatch):
+        # all pinned sets started together, against each one's cdf summed
+        # by the sine matrix on its q
+        lps = [extremal._ExchangeLP(E, n, x0) for E, x0 in PINNED.values()]
+        extremal._start(lps)
+        q = {E: extremal._equilibrium(E)[0] for E, _ in PINNED.values()}
+        monkeypatch.setattr(extremal, "_Equilibria", per_set_equilibria(
+            lambda E: (q[E], lambda xs: equilibrium_cdf(E, q[E], xs))))
+        for (E, x0), lp in zip(PINNED.values(), lps, strict=True):
+            ref = extremal._ExchangeLP(E, n, x0)
+            ref._initial_basis()
+            assert lp.basis == ref.basis
+
+    # one to five bands, touching intervals, points, a set of points and
+    # the 48-band preimage; each (set, x0) but the last at two degrees
+    PREIMAGE = chebyshev_preimage(48, -0.2, 0.6)
+    BATCH = [
+        *[(E, x0, n) for E, x0 in PINNED.values() for n in (6, 50)],
+        *[(E, 0.5 * sum(E.gaps()[0]), n) for E in (SEED205, FOUR_GAP) for n in (12, 24)],
+        *[(CompactSet(((-1.0, 0.0), (0.0, 0.5), (0.5, 1.0))), 1.5, n) for n in (6, 12)],
+        *[(CompactSet(TWO_GAP.intervals + ((-0.4, -0.4), (0.25, 0.25))), -0.1, n)
+          for n in (6, 12)],
+        *[(CompactSet(tuple((v, v) for v in np.linspace(-0.9, 0.9, 10))), 0.95, n)
+          for n in (4, 8)],
+        (PREIMAGE, 0.5 * sum(PREIMAGE.gaps()[5]), 48),
+    ]
+
+    def test_batched_start_equals_the_lone_start(self):
+        for order in (self.BATCH, self.BATCH[::-1]):
+            lps = [extremal._ExchangeLP(E, n, x0) for E, x0, n in order]
+            extremal._start(lps)
+            for (E, x0, n), lp in zip(order, lps, strict=True):
+                lone = extremal._ExchangeLP(E, n, x0)
+                lone._initial_basis()
+                assert lp.basis == lone.basis
+                assert lp.log_bound.hex() == lone.log_bound.hex()
 
     @pytest.mark.parametrize("n", [0, 1, 12, 50, 200])
     @pytest.mark.parametrize("case", PINNED)
