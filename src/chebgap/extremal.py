@@ -239,7 +239,7 @@ class _Equilibria:
         self.coef = [np.ones(1)] * len(sets)
         c0, cj = [np.empty(0)] * len(sets), [np.empty((0, _J.size))] * len(sets)
         cheb = np.polynomial.chebyshev
-        for kk in np.unique(k[k > 0]):
+        for kk in sorted(set(k.tolist()) - {0}):     # np.unique would import numpy.ma
             group = np.flatnonzero(k == kk)
             e = np.array([ends[i] for i in group])
             lo, hi = e[:, :-1, None], e[:, 1:, None]

@@ -1385,28 +1385,17 @@ class TestEquilibriumStart:
             assert abs(value - equilibrium_cdf(E, q, x)) <= 1e-15
 
     @pytest.mark.parametrize("n", [12, 50, 100, 200])
-    @pytest.mark.parametrize("case", PINNED)
+    @pytest.mark.parametrize("case", [*PINNED, "all"])
     def test_start_nodes_match_the_sine_matrix_sum(self, case, n, monkeypatch):
-        E, x0 = PINNED[case]
-        lp = extremal._ExchangeLP(E, n, x0)
-        lp._initial_basis()
-        q, _ = extremal._equilibrium(E)
-        monkeypatch.setattr(extremal, "_equilibrium",
-                            lambda E: (q, lambda xs: equilibrium_cdf(E, q, xs)))
-        ref = extremal._ExchangeLP(E, n, x0)
-        ref._initial_basis()
-        assert lp.basis == ref.basis
-
-    @pytest.mark.parametrize("n", [12, 50, 100, 200])
-    def test_batched_start_nodes_match_the_sine_matrix_sum(self, n, monkeypatch):
-        # all pinned sets started together, against each one's cdf summed
-        # by the sine matrix on its q
-        lps = [extremal._ExchangeLP(E, n, x0) for E, x0 in PINNED.values()]
+        # each pinned set started alone, and all of them started together,
+        # against each one's start from its cdf summed by the sine matrix on its q
+        sets = list(PINNED.values()) if case == "all" else [PINNED[case]]
+        lps = [extremal._ExchangeLP(E, n, x0) for E, x0 in sets]
         extremal._start(lps)
-        q = {E: extremal._equilibrium(E)[0] for E, _ in PINNED.values()}
+        q = {E: extremal._equilibrium(E)[0] for E, _ in sets}
         monkeypatch.setattr(extremal, "_Equilibria", per_set_equilibria(
             lambda E: (q[E], lambda xs: equilibrium_cdf(E, q[E], xs))))
-        for (E, x0), lp in zip(PINNED.values(), lps, strict=True):
+        for (E, x0), lp in zip(sets, lps, strict=True):
             ref = extremal._ExchangeLP(E, n, x0)
             ref._initial_basis()
             assert lp.basis == ref.basis
