@@ -123,7 +123,7 @@ def _check_point(x0, delta):
         raise DomainError(f"x0 must lie in [-1, 0], got {x0}")
 
 
-def _best_first(x0, n, sets, cap=math.inf):
+def _best_first(x0, n, sets, cap):
     """Finish, highest bound first, the sets whose M_n(x0, E) may exceed
     min(largest value finished, cap).
 

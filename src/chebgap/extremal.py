@@ -28,14 +28,14 @@ Every basis of the start bounds M_n: a P with |P| <= 1 on E has P(x0) =
 sum_i P(t_i) l_i(x0) <= sum_i |l_i(x0)|.  The start keeps that bound of its
 current basis in `log_bound` and is resumable: `_start` places the
 quantile nodes of a list of LPs, their equilibrium measures and CDFs
-computed together (`_Equilibria`), and each `step` takes one exchange
-step, which keeps every sign s_i = sign l_i(x0) and moves nodes only to
-where s_i P >= 1, so the bound only falls; the start ends on a step that
-does not lower it.  A caller ranking many candidates (the best-first loop
-of `andrievskii`) starts them all at once, refines only the one whose
-bound is highest, finishes it by `_finish` (the start's remaining steps,
-the grid simplex and the exchange rounds, as `solve_extremal` runs them)
-and drops the rest unsolved.
+computed together (`equilibrium._Equilibria`), and each `step` takes one
+exchange step, which keeps every sign s_i = sign l_i(x0) and moves nodes
+only to where s_i P >= 1, so the bound only falls; the start ends on a
+step that does not lower it.  A caller ranking many candidates (the
+best-first loop of `andrievskii`) starts them all at once, refines only
+the one whose bound is highest, finishes it by `_finish` (the start's
+remaining steps, the grid simplex and the exchange rounds, as
+`solve_extremal` runs them) and drops the rest unsolved.
 A grid end lo + length*1.0 can miss hi by an ulp, where |P| may exceed 1 by
 about ulp * |P'|; the callers' margin of 1 + 1e-6 covers that.
 
@@ -64,18 +64,21 @@ neighbours by lockstep Illinois steps on P' in the second form (`_peaks`;
 Berrut & Trefethen, SIAM Rev. 2004, section 9); the grid is the only
 sampling of E.  Most of those peaks are basis nodes, each ending two
 brackets, where P = s_i and P' has a closed form in the weights
-(`_node_slopes`): it is computed once for all n + 1 nodes, and only the
-bracket ends off the nodes are evaluated.  The rounds append the polished
-peaks as grid columns and take the start's exchange step on the grown
-grid, which keeps the node count on each side of x0 and the signs, so the
-moved basis stays feasible, and the simplex re-optimizes from it until
-the grid values and the polished peaks certify |P| <= 1 + 1e-10.
+(`_node_slopes`).  Both forms share one node-hit rule (`_node_hits`): a
+point on a node t_i reads s_i (and its slope), and rows are formed only
+for the other points.  The rounds append the polished peaks as grid
+columns and take the start's exchange step on the grown grid, which
+keeps the node count on each side of x0 and the signs, so the moved
+basis stays feasible, and the simplex re-optimizes from it until the
+grid values and the polished peaks certify |P| <= 1 + 1e-10.
 
 The answer is its active points and signs (t, s), with the dual weights
 lam_i = s_i l_i(x0), which sum to the value and give dM/de for an endpoint
 e of E by the envelope theorem (`dvalue_dendpoint`).  Off E it is evaluated
 in the first barycentric form l(x) sum_i s_i w_i / (x - t_i), l(x) kept in
-logs; the second form loses all digits in the gaps at degree 100.  The
+logs; the second form loses all digits in the gaps at degree 100.  Both
+forms take the quotients w_i / (x - t_i) as their entries, the weights
+scaled by their largest (`_lagrange_scaled`, `_bary_derivs`).  The
 n-extension P^{-1}([-1,1]) is bounded by the crossings of P = +-level,
 level just above the certified max_E |P|.  The signs s_i change n - 1
 times over the active points, so at most one root of P lies outside their
@@ -105,6 +108,7 @@ import numpy as np
 
 from . import _stats
 from ._search import illinois_many
+from .equilibrium import _Equilibria
 from .errors import DomainError, SolverError
 from .intervals import CompactSet, Interval, discretize
 
@@ -118,7 +122,8 @@ _REFINE_ROUNDS = 8        # cap on exchange rounds after the grid solve
 _FEAS_TOL = 1e-9          # promised bound 1 + _FEAS_TOL on |P| over E
 _ENDPOINT_ULPS = 4        # match of an endpoint against the active points
 _PEAK_GAIN = 1e-14        # bound on the |P| gain left that ends a peak lane
-_ROW_BLOCK = 256          # rows per block of the derivative temporaries
+_BLOCK_ENTRIES = 32768    # (rows x nodes) entries per block of either form's temporaries
+_POINT_BLOCK = 4096       # grid points per chunk of LPs started together
 
 
 @dataclass(frozen=True)
@@ -199,111 +204,6 @@ class FeasibilityReport:
 
 
 # ----------------------------------------------------------------------
-# Equilibrium measure
-# ----------------------------------------------------------------------
-
-
-_THETA = math.pi * (np.arange(64) + 0.5) / 64    # the charts' midpoint angles
-_J = np.arange(1, 64)
-_COSINES = np.cos(np.outer(_J, _THETA)) / 32     # cosine coefficients 1..63
-_POINT_BLOCK = 4096       # grid points per chunk of LPs started together
-
-
-class _Equilibria:
-    """The equilibrium measures of a list of sets, computed together.
-
-    Each density is |q(x)| / (pi sqrt|R(x)|), R = prod (x - e) over the
-    band ends e, q of degree (bands - 1) with integral q / sqrt|R| = 0 over
-    every gap, scaled so that the band masses sum to 1.  On a band or gap,
-    x = m + h cos(theta) turns dx / sqrt|R| into dtheta / sqrt(prod of
-    |x - e| over the other ends), even, periodic and smooth in theta unless
-    another end is close; its cosine series from 64 midpoint samples gives
-    the gap integrals (its mean) and, term by term, a band's mass up to x.
-    The sets with k bands share each step: their charts are one (sets,
-    2k - 1, 64) array, R a product taken one end at a time, the gap
-    conditions (in the Chebyshev basis of each hull, well conditioned at
-    any number of bands) one stacked solve.  Touching intervals merge;
-    zero-length ones carry no mass, and a set of points has none."""
-
-    def __init__(self, sets):
-        ends = []
-        for E in sets:
-            bands = []
-            for iv in E.intervals:
-                if bands and iv.lo <= bands[-1][1]:
-                    bands[-1][1] = max(bands[-1][1], iv.hi)
-                elif iv.length > 0.0:
-                    bands.append([iv.lo, iv.hi])
-            ends.append(np.ravel(bands))
-        k = np.array([e.size // 2 for e in ends], dtype=int)
-        self.coef = [np.ones(1)] * len(sets)
-        c0, cj = [np.empty(0)] * len(sets), [np.empty((0, _J.size))] * len(sets)
-        cheb = np.polynomial.chebyshev
-        for kk in sorted(set(k.tolist()) - {0}):     # np.unique would import numpy.ma
-            group = np.flatnonzero(k == kk)
-            e = np.array([ends[i] for i in group])
-            lo, hi = e[:, :-1, None], e[:, 1:, None]
-            x = 0.5 * (lo + hi) + 0.5 * (hi - lo) * np.cos(_THETA)
-            R = np.ones_like(x)
-            for i in range(2 * kk):     # charts i - 1 and i end at end i
-                f = np.abs(x - e[:, i, None, None])
-                f[:, max(i - 1, 0):i + 1] = 1.0
-                R *= f
-            w = 1.0 / np.sqrt(R)
-            # u = off + scl x maps each hull onto [-1, 1]
-            off, scl = np.polynomial.polyutils.mapparms((e[:, :1, None], e[:, -1:, None]), (-1, 1))
-            V = cheb.chebvander(off + scl * x[:, 1::2], kk - 1)     # on the gap charts
-            M = (np.swapaxes(V, -1, -2) @ w[:, 1::2, :, None])[..., 0]
-            coef = np.hstack([np.linalg.solve(M[..., :-1], -M[..., -1:])[..., 0],
-                              np.ones((group.size, 1))])
-            density = np.abs(cheb.chebval(off + scl * x[:, ::2], coef.T[:, :, None, None],
-                                          tensor=False)) * w[:, ::2] / math.pi
-            mean = density.mean(axis=-1)
-            cos = (_COSINES @ density[..., None])[..., 0] / _J
-            for i, c, m, a, t in zip(group, coef, mean, cos, math.pi * mean.sum(axis=-1)):
-                self.coef[i], c0[i], cj[i] = c / t, m / t, a / t
-        # band tables over all sets: set i's bands are rows row0[i] to row0[i + 1]
-        self.ends, self.row0 = np.concatenate(ends), np.cumsum([0, *k])
-        self.below = np.concatenate([np.append(0.0, np.cumsum(c * math.pi)) for c in c0])
-        self.c0 = np.concatenate(c0)
-        self.cj = np.ascontiguousarray(np.concatenate(cj).T[::-1])   # j = 63 first
-
-    def cdf(self, xs):
-        """mu(E n (-inf, x]) at the points xs[i] of each set i (1-D arrays).
-
-        A point inside a band adds that band's sine series to the mass of
-        the bands before: one Clenshaw recurrence runs over the points
-        inside the bands of all sets at once, each point reading its own
-        band's coefficients."""
-        sizes = [len(x) for x in xs]
-        of = np.repeat(np.arange(len(xs)), sizes)      # each point's set
-        band = [np.searchsorted(self.ends[2 * a + 1:2 * b:2], x, side="right")
-                for a, b, x in zip(self.row0, self.row0[1:], xs)]
-        row = self.row0[of] + np.concatenate(band)
-        x = np.concatenate(xs)
-        mass = self.below[row + of]
-        inside = np.flatnonzero(row < self.row0[of + 1])
-        inside = inside[self.ends[2 * row[inside]] < x[inside]]
-        row, x = row[inside], x[inside]
-        th = 2.0 * np.arctan2(np.sqrt(self.ends[2 * row + 1] - x), np.sqrt(x - self.ends[2 * row]))
-        # sum_j cj_j sin(j th) = b_1 sin(th) by Clenshaw's recurrence
-        b1 = b2 = np.zeros(x.size)
-        two_cos = 2.0 * np.cos(th)
-        for coefs in self.cj:
-            b1, b2 = coefs[row] + two_cos * b1 - b2, b1
-        mass[inside] += self.c0[row] * (math.pi - th) - b1 * np.sin(th)
-        return np.split(mass, np.cumsum(sizes)[:-1])
-
-
-def _equilibrium(E):
-    """(q, cdf) of E alone, from `_Equilibria`: q a `Chebyshev` series on
-    the hull of E's bands and cdf(xs) = mu(E n (-inf, x])."""
-    eq = _Equilibria([E])
-    q = np.polynomial.Chebyshev(eq.coef[0], domain=eq.ends[[0, -1]] if eq.ends.size else [-1, 1])
-    return q, lambda xs: eq.cdf([np.ravel(xs).astype(float)])[0].reshape(np.shape(xs))[()]
-
-
-# ----------------------------------------------------------------------
 # Barycentric helpers
 # ----------------------------------------------------------------------
 
@@ -328,26 +228,37 @@ def _node_slopes(t, s, logw, signw, i=slice(None)):
     return np.where(np.isnan(node), 0.0, node).sum(axis=1)
 
 
+def _node_hits(t, xs):
+    """The one node-hit rule of both barycentric forms: the points of xs
+    that equal a node, the node t_i each one hits, and the other points in
+    blocks of _BLOCK_ENTRIES // len(t) rows, which bound the (rows x nodes)
+    temporaries."""
+    order = t.argsort()
+    k = order[np.minimum(t.searchsorted(xs, sorter=order), t.size - 1)]
+    on = t[k] == xs
+    off = (~on).nonzero()[0]
+    rows = max(1, _BLOCK_ENTRIES // t.size)
+    return on, k[on], [off[lo:lo + rows] for lo in range(0, off.size, rows)]
+
+
 def _bary_derivs(t, s, logw, signw, xs):
     """(P, P') at xs of the interpolant of (t_i, s_i) in the second form
     (Berrut & Trefethen 2004, section 9), d_i = x - t_i, D = sum_i w_i / d_i:
-    P' = sum_i w_i (P - s_i) / d_i^2 / D.  A node hit x = t_i gives s_i and
-    `_node_slopes`.  Rows go in blocks."""
+    P' = sum_i w_i (P - s_i) / d_i^2 / D.  A node hit x = t_i (`_node_hits`)
+    gives s_i and its entry of `_node_slopes`, all nodes' computed at once
+    on any hit; rows are formed only for the other points."""
     xs = np.asarray(xs, dtype=float)
     wt = signw * np.exp(logw - logw.max())
+    on, i, blocks = _node_hits(t, xs)
     out = np.empty((2, xs.size))
-    with np.errstate(divide="ignore", invalid="ignore"):
-        for lo in range(0, xs.size, _ROW_BLOCK):
-            d = xs[lo:lo + _ROW_BLOCK, None] - t
-            C = wt / d
-            den = C.sum(axis=1)
-            p = (C @ s) / den
-            dp = np.einsum("ij,ij->i", C, (p[:, None] - s) / d) / den
-            if not np.isfinite(den).all():     # some row hits a node
-                k, i = np.nonzero(d == 0.0)
-                p[k] = s[i]
-                dp[k] = _node_slopes(t, s, logw, signw, i)
-            out[:, lo:lo + _ROW_BLOCK] = p, dp
+    if i.size:
+        out[:, on] = s[i], _node_slopes(t, s, logw, signw)[i]
+    for rows in blocks:
+        d = xs[rows, None] - t
+        C = wt / d
+        den = C.sum(axis=1)
+        p = (C @ s) / den
+        out[:, rows] = p, np.einsum("ij,ij->i", C, (p[:, None] - s) / d) / den
     return out
 
 
@@ -361,22 +272,19 @@ def _leading(s, logw, signw):
 def _lagrange_scaled(t, logw, signw, x):
     """(l_i(x) * exp(-L(x)), L(x)) with L(x) = sum_k log|x - t_k| + max_k log|w_k|.
 
-    The common factor exp(L(x)) is dropped so the entries stay O(1) even
-    when the Lagrange basis itself reaches the (huge) extremal value scale,
-    and the weights are scaled by their largest, which on a short set at
-    high degree is beyond the float range; ratios and signs are preserved
-    exactly.  x of shape (m, 1) gives m rows.
+    As l_i(x) = w_i / (x - t_i) prod_k (x - t_k), the entries are the
+    quotients sign(prod_k (x - t_k)) w_i / (x - t_i), with the weights, which
+    on a short set at high degree are beyond the float range, scaled by
+    their largest; they stay O(1) when l_i reaches the extremal value scale.
+    x of shape (m, 1) gives m rows.
     """
     d = x - t
-    ad = np.abs(d)
-    if np.any(ad == 0.0):
+    if np.any(d == 0.0):
         raise SolverError(f"evaluation point {x} coincides with a basis node")
-    log_ad = np.log(ad)
     top = logw.max()
-    L = log_ad.sum(axis=-1) + top
-    sign_prod = np.where((d < 0.0).sum(axis=-1) % 2 == 0, 1.0, -1.0)
-    lhat = signw * sign_prod[..., None] * np.sign(d) * np.exp(logw - top - log_ad)
-    return lhat, L
+    L = np.log(np.abs(d)).sum(axis=-1) + top
+    sign = np.where((d < 0.0).sum(axis=-1) % 2 == 0, 1.0, -1.0)
+    return sign[..., None] * (signw * np.exp(logw - top)) / d, L
 
 
 def _log_abs_sum(lhat, L):
@@ -387,21 +295,18 @@ def _log_abs_sum(lhat, L):
 def _lagrange_values(t, s, logw, signw, xs):
     """First-form barycentric values exp(L) * sum_i s_i l_i exp(-L) of the
     interpolant of (t_i, s_i), the log of the sum added to L so that neither
-    overflows alone; a value beyond the float range is +-inf.  An exact
-    node hit returns its sign."""
+    overflows alone; a value beyond the float range is +-inf.  A node hit
+    gives its sign (`_node_hits`)."""
     x = np.asarray(xs, dtype=float)
     flat = x.ravel()
+    on, i, blocks = _node_hits(t, flat)
     vals = np.empty(flat.size)
-    for lo in range(0, flat.size, 1024):  # bounds the (points x nodes) arrays
-        block = flat[lo:lo + 1024]
-        hit = block[:, None] == t
-        v = s[hit.argmax(axis=1)]
-        free = ~hit.any(axis=1)
-        lhat, L = _lagrange_scaled(t, logw, signw, block[free, None])
+    vals[on] = s[i]
+    for rows in blocks:
+        lhat, L = _lagrange_scaled(t, logw, signw, flat[rows, None])
         S = lhat @ s
         with np.errstate(divide="ignore", over="ignore"):
-            v[free] = np.sign(S) * np.exp(np.log(np.abs(S)) + L)
-        vals[lo:lo + 1024] = v
+            vals[rows] = np.sign(S) * np.exp(np.log(np.abs(S)) + L)
     return float(vals[0]) if x.ndim == 0 else vals.reshape(x.shape)
 
 
@@ -759,26 +664,10 @@ def _nearest_distance(points, xs):
     return np.minimum(np.abs(xs - pts[right - 1]), np.abs(xs - pts[right]))
 
 
-def _end_derivs(nodes, xs):
-    """(P, P') at bracket ends xs: an end at a node t_i reads s_i and its
-    slope, all nodes' slopes computed at once (`_node_slopes`), and only
-    the other ends go to `_bary_derivs`."""
-    t, s = nodes[:2]
-    hit = xs[:, None] == t
-    on = hit.any(axis=1)
-    out = np.empty((2, xs.size))
-    out[:, ~on] = _bary_derivs(*nodes, xs[~on])
-    if on.any():
-        i = hit[on].argmax(axis=1)
-        out[:, on] = s[i], _node_slopes(*nodes)[i]
-    return out
-
-
 def _peaks(nodes, los, his, signs):
     """Maxima (xs, |P(xs)|) of |P| on the brackets [los, his] in lockstep,
     and the evaluations of P they took, each one over every lane open.
-    The bracket ends are one evaluation (`_end_derivs`: an end at a node
-    reads s_i and its node slope), each trial one `_bary_derivs` call.
+    The bracket ends are one `_bary_derivs` call, each trial one more.
 
     A lane is live when signs * P' rises at its low end and falls at its
     high end, else the better end wins.  Illinois steps on -signs * P'
@@ -787,7 +676,7 @@ def _peaks(nodes, los, his, signs):
     where |P| is concave, is at most _PEAK_GAIN, or when its bracket is at
     most 4 ulps wide: regula falsi cannot shrink two adjacent floats."""
     m = len(los)
-    P, dP = _end_derivs(nodes, np.concatenate([los, his]))
+    P, dP = _bary_derivs(*nodes, np.concatenate([los, his]))
     evals = 1
     best_x = np.where(abs(P[m:]) > abs(P[:m]), his, los)
     best_f = np.maximum(abs(P[m:]), abs(P[:m]))
@@ -817,9 +706,10 @@ def _scan_abs_max(nodes, E, points, values):
     included, is polished by `_peaks` on the brackets to its two grid
     neighbours, its evaluations of P counted in `lp.polish_evals`.  Such a
     peak is mostly a basis node, read with the other nodes' ends from
-    their slopes, computed once per scan.  No grid point lies inside a
-    bracket, so an active point (|P| = 1 exactly) next to a violation
-    bounds the bracket instead of breaking its unimodality.
+    their slopes, computed once per scan by `_bary_derivs`'s node-hit
+    rule.  No grid point lies inside a bracket, so an active point
+    (|P| = 1 exactly) next to a violation bounds the bracket instead of
+    breaking its unimodality.
     Returns the points found, the largest |P| over the grid and the
     polished peaks, and its x."""
     order = np.argsort(points)

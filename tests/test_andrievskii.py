@@ -358,7 +358,7 @@ class TestBruteForce:
         with _stats.collect() as counts:
             rep = brute_force_theorem1(-0.1, 0.4, 6, trials=200, seed=20250808)
         assert (rep.reference_value, rep.max_ratio, rep.violations) == (
-            5.9271137026239025, 0.9926929671655236, ())
+            5.9271137026239025, 0.9926929671655238, ())
         assert (counts["lp.solves"], counts["lp.bounded"], counts["lp.start_steps"]) == (3, 199, 62)
 
     @pytest.mark.parametrize("x0, n, seed", [

@@ -11,7 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebgap import _stats, extremal
+from chebgap import _stats, equilibrium, extremal
 from chebgap.chebyshev import cheb_T, remez_constant, remez_poly_value
 from chebgap.errors import DomainError, SolverError
 from chebgap.extremal import (
@@ -139,6 +139,22 @@ class TestStructure:
         # exact node hits return the sign
         assert np.array_equal(res.evaluate(np.array(res.active_points)),
                               np.array(res.active_signs, dtype=float))
+
+    @pytest.mark.parametrize("E, x0", [(TWO_GAP, -0.4), (make_gap_set(GapParams(-0.3, 0.4)), -0.3)],
+                             ids=["two-gap(0.3)", "E(-0.3,0.4)"])
+    def test_first_form_where_it_is_ill_conditioned(self, E, x0):
+        # Off E, where |P| runs up to 1e44 at n = 100, the first form's
+        # entries w_i / (x - t_i) hold P within 1e-10 of max(1, |P|) of the
+        # 2^-256 interpolant (measured: at most 2.8e-13 on these points):
+        # 16 points in the gaps, crowding their ends, and 16 beyond the
+        # hull, 1e-6 to 0.5 out.
+        res = solve_extremal(E, x0, 100, extension=False)
+        u = 0.5 - 0.5 * np.cos(np.linspace(0.0, math.pi, 16 // len(E.gaps()) + 2)[1:-1])
+        far = 10.0 ** -np.linspace(0.3, 6.0, 8)
+        xs = np.concatenate([*(lo + (hi - lo) * u for lo, hi in E.gaps()), -1.0 - far, 1.0 + far])
+        exact = np.array([float(fixed_point_interpolant(res.active_points, res.active_signs, x)[0])
+                          for x in xs])
+        assert np.all(np.abs(res.evaluate(xs) - exact) <= 1e-10 * np.maximum(1.0, np.abs(exact)))
 
     def test_grid_refinement_convergence(self, monkeypatch):
         E = make_gap_set(GapParams(-0.3, 0.4))
@@ -777,10 +793,9 @@ PINNED = dict(list(TestNewtonPolish.CASES.items())[:6])
 
 class TestNodeSlopes:
     """P'(t_i) = sum_{k != i} (w_k / w_i) (s_k - s_i) / (t_i - t_k) has one
-    kernel, `_node_slopes`: the exchange scan reads its bracket ends at
-    basis nodes from it, computed once for all nodes, instead of passing
-    them to `_bary_derivs`, whose node-hit branch and `dvalue_dendpoint`
-    read it too."""
+    kernel, `_node_slopes`: the node-hit rule of `_bary_derivs`, which the
+    exchange scan's bracket ends at basis nodes take, reads it, and so does
+    `dvalue_dendpoint`."""
 
     @staticmethod
     def _scans(monkeypatch, E, x0, n):
@@ -812,15 +827,15 @@ class TestNodeSlopes:
 
     @pytest.mark.parametrize("n", [12, 50, 100])
     @pytest.mark.parametrize("case", PINNED)
-    def test_scan_passes_no_node_to_bary_derivs(self, case, n, monkeypatch):
-        # A bracket end at a node is read from the node slopes.  An
-        # Illinois trial that rounds onto such an end (once on these 18
-        # solves, remez(0.4) at n = 12) takes `_bary_derivs`'s node hit.
+    def test_node_hits_read_the_node_slopes(self, case, n, monkeypatch):
+        # At the scan's bracket ends that are nodes, `_bary_derivs` gives
+        # s_i and `_node_slopes` byte for byte, and at the others what a
+        # call on those points alone gives: no row is formed at a node.
         E, x0 = PINNED[case]
         scans = self._scans(monkeypatch, E, x0, n)
         assert len(scans) >= 2
         for nodes, points, values, _, calls in scans:
-            t = nodes[0]
+            t, s = nodes[:2]
             order = np.argsort(points)
             av = np.abs(values[order])
             # the nodes do end brackets: most are discrete peaks of |P|
@@ -828,23 +843,16 @@ class TestNodeSlopes:
             inner = (at > 0) & (at < av.size - 1)
             peaks = (av[at[inner]] >= av[at[inner] - 1]) & (av[at[inner]] >= av[at[inner] + 1])
             assert np.count_nonzero(peaks) >= t.size // 2
-            assert calls[0].size and not np.isin(calls[0], t).any()
-
-    @pytest.mark.parametrize("n", [12, 50, 100])
-    @pytest.mark.parametrize("case", PINNED)
-    def test_scan_matches_evaluating_every_bracket_end(self, case, n, monkeypatch):
-        # against the scan that evaluates all four ends of each peak's two
-        # brackets by `_bary_derivs`: the worst |P| within 2 ulps of
-        # max(1, |P|), its x within 2 ulps and the polished peaks within 4
-        E, x0 = PINNED[case]
-        scans = self._scans(monkeypatch, E, x0, n)
-        monkeypatch.setattr(extremal, "_end_derivs",
-                            lambda nodes, xs: extremal._bary_derivs(*nodes, xs))
-        for nodes, points, values, (xp, worst, worst_x), _ in scans:
-            ref_xp, ref_worst, ref_x = extremal._scan_abs_max(nodes, E, points, values)
-            assert abs(worst - ref_worst) <= 2.0 * np.spacing(max(1.0, ref_worst))
-            assert abs(worst_x - ref_x) <= 2.0 * np.spacing(abs(ref_x))
-            assert np.all(np.abs(xp - ref_xp) <= 4.0 * np.spacing(np.abs(ref_xp)))
+            ends = calls[0]
+            hit = ends[:, None] == t
+            on = hit.any(axis=1)
+            assert np.count_nonzero(on) >= t.size // 2 and not on.all()
+            P, dP = extremal._bary_derivs(*nodes, ends)
+            i = hit[on].argmax(axis=1)
+            assert P[on].tobytes() == s[i].tobytes()
+            assert dP[on].tobytes() == extremal._node_slopes(*nodes)[i].tobytes()
+            off = extremal._bary_derivs(*nodes, ends[~on])
+            assert P[~on].tobytes() == off[0].tobytes() and dP[~on].tobytes() == off[1].tobytes()
 
     @pytest.mark.parametrize("n", [12, 50, 100])
     @pytest.mark.parametrize("case", PINNED)
@@ -1202,14 +1210,15 @@ def test_extension_keeps_the_root_beyond_R():
 def test_extension_keeps_a_component_one_ulp_wide():
     # D10, cause 2: near x = 2.635, |P'| is about 2e16, so no float has
     # |P| <= level and a midpoint test dropped the component; the crossings
-    # pair up into a bracket a few ulps wide.  The first form's rounding
-    # (about 10 in P there) can put the exact root an ulp or so beyond it.
+    # pair up into a bracket an ulp or a few wide.  The first form's
+    # rounding (about 10 in P there) can put the exact root an ulp or so
+    # beyond it.
     res = solve_extremal(make_gap_set(GapParams(-0.3, 0.4)), -0.3, 24)
     assert res.case_tag == "right_interval"
     far = res.n_extension.intervals[-1]
-    assert (far.lo, far.hi) == (2.6353259462609953, 2.6353259462609966)
+    assert (far.lo, far.hi) == (2.6353259462609966, 2.635325946260997)
     ulp = math.ulp(far.lo)
-    assert far.hi == far.lo + 3 * ulp
+    assert far.hi == far.lo + ulp
     lo, hi = exact_interpolant(res.active_points, res.active_signs,
                                [far.lo - 4 * ulp, far.hi + 4 * ulp])
     assert lo * hi < 0
@@ -1320,20 +1329,20 @@ class TestStartBound:
 
 class TestEquilibriumStart:
     """A cold solve starts from the grid points nearest the quantiles of the
-    equilibrium measure of E (`extremal._equilibrium`), with exact signs."""
+    equilibrium measure of E (`equilibrium._equilibrium`), with exact signs."""
 
     @pytest.mark.parametrize("lo, hi", [(-1.0, 1.0), (-0.2, 1.0), (0.3, 0.7)])
     def test_one_interval_quantiles_are_chebyshev_lobatto(self, lo, hi):
         n = 24
         x = lo + (hi - lo) * 0.5 * (1.0 - np.cos(np.pi * np.arange(n + 1) / n))
-        _, cdf = extremal._equilibrium(CompactSet((Interval(lo, hi),)))
+        _, cdf = equilibrium._equilibrium(CompactSet((Interval(lo, hi),)))
         assert np.abs(cdf(x) - np.arange(n + 1) / n).max() <= 1e-14
 
     @pytest.mark.parametrize("a", [0.1, 0.3, 0.6])
     def test_symmetric_two_bands_closed_form(self, a):
         x = np.linspace(a, 1.0, 101)
         exact = 0.5 + 0.5 * (1.0 - np.arccos((2.0 * x**2 - 1.0 - a * a) / (1.0 - a * a)) / np.pi)
-        q, cdf = extremal._equilibrium(CompactSet((Interval(-1.0, -a), Interval(a, 1.0))))
+        q, cdf = equilibrium._equilibrium(CompactSet((Interval(-1.0, -a), Interval(a, 1.0))))
         assert np.abs(cdf(x) - exact).max() <= 1e-14
         assert np.abs(cdf(-x[::-1]) - (1.0 - exact[::-1])).max() <= 1e-14
         assert abs(q.roots()[0]) <= 1e-15
@@ -1341,14 +1350,14 @@ class TestEquilibriumStart:
     @pytest.mark.parametrize("alpha, delta", [
         (-0.3, 0.4), (-0.1, 0.4), (-0.5 + 1e-9, 0.4), (0.0, 0.5), (-0.7, 0.25)])
     def test_gap_zero_is_the_green_critical_point(self, alpha, delta):
-        q, _ = extremal._equilibrium(make_gap_set(GapParams(alpha, delta)))
+        q, _ = equilibrium._equilibrium(make_gap_set(GapParams(alpha, delta)))
         assert q.degree() == 1
         assert q.roots()[0] == pytest.approx(critical_point_c(alpha, delta), abs=1e-15)
 
     @pytest.mark.parametrize("case", list(PINNED) + ["seed205"])
     def test_total_mass_is_one(self, case):
         E = SEED205 if case == "seed205" else PINNED[case][0]
-        q, cdf = extremal._equilibrium(E)
+        q, cdf = equilibrium._equilibrium(E)
         assert cdf(E.hull.lo) == 0.0
         assert cdf(E.hull.hi) == pytest.approx(1.0, abs=1e-14)
         zeros = np.sort(q.roots().real)
@@ -1356,12 +1365,12 @@ class TestEquilibriumStart:
 
     def test_touching_and_point_intervals_carry_no_extra_mass(self):
         x = np.linspace(-1.0, 1.0, 41)
-        _, whole = extremal._equilibrium(CompactSet((Interval(-1.0, 1.0),)))
-        _, split = extremal._equilibrium(CompactSet((
+        _, whole = equilibrium._equilibrium(CompactSet((Interval(-1.0, 1.0),)))
+        _, split = equilibrium._equilibrium(CompactSet((
             Interval(-1.0, 0.0), Interval(0.0, 0.5), Interval(0.5, 1.0))))
         assert np.abs(split(x) - whole(x)).max() <= 1e-14
-        _, two = extremal._equilibrium(TWO_GAP)
-        _, dotted = extremal._equilibrium(CompactSet(TWO_GAP.intervals + (
+        _, two = equilibrium._equilibrium(TWO_GAP)
+        _, dotted = equilibrium._equilibrium(CompactSet(TWO_GAP.intervals + (
             Interval(-0.4, -0.4), Interval(0.25, 0.25))))
         assert np.abs(dotted(x) - two(x)).max() <= 1e-14
 
@@ -1373,7 +1382,7 @@ class TestEquilibriumStart:
     def test_cdf_matches_the_sine_matrix_sum(self, bands, n):
         # the LP grid (m = 140 to 2022 points), the band ends and points off E
         E = self.BANDS[bands]
-        q, cdf = extremal._equilibrium(E)
+        q, cdf = equilibrium._equilibrium(E)
         xs = np.concatenate([discretize(E, extremal._grid_density(n, bands)),
                              [v for iv in E.intervals for v in (iv.lo, iv.hi)],
                              np.linspace(-1.2, 1.2, 25)])
@@ -1392,7 +1401,7 @@ class TestEquilibriumStart:
         sets = list(PINNED.values()) if case == "all" else [PINNED[case]]
         lps = [extremal._ExchangeLP(E, n, x0) for E, x0 in sets]
         extremal._start(lps)
-        q = {E: extremal._equilibrium(E)[0] for E, _ in sets}
+        q = {E: equilibrium._equilibrium(E)[0] for E, _ in sets}
         monkeypatch.setattr(extremal, "_Equilibria", per_set_equilibria(
             lambda E: (q[E], lambda xs: equilibrium_cdf(E, q[E], xs))))
         for (E, x0), lp in zip(sets, lps, strict=True):

@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from chebgap import green
 from chebgap.envelope import x0_many
 from chebgap.errors import DomainError, QuadratureError
-from chebgap.extremal import _equilibrium
+from chebgap.equilibrium import _equilibrium
 from chebgap.green import (
     c_cdot_rows,
     c_dot,
