@@ -39,7 +39,7 @@ from .chebyshev import remez_poly_value
 from .envelope import _interior_max, upper_envelope
 from .errors import DomainError
 from .extremal import _ExchangeLP, _finish, _start, solve_extremal
-from .green import c_rows, g_rows, green_single_interval, omega_rows
+from .green import c_cdot_rows, g_dg_rows, green_single_interval, omega_rows
 from .intervals import CompactSet, GapParams, make_gap_set, random_multigap_set
 
 BEST_REMEZ = "remez"
@@ -161,26 +161,28 @@ def _lattice(n, delta, lo, hi):
     (`green.omega_rows`), increasing from 0 to 1/2 at alpha = 0.
 
     Every k strictly between n omega(lo) and n omega(hi) is found by one
-    lockstep Illinois search on n omega - k, one `c_rows` quadrature per
-    step, to |n omega - k| <= _VALUE_TOL/10.  hi joins when it is alpha = 0
-    at even n, as omega(0) = 1/2.  Returns (alphas, c(alphas)), ascending.
+    lockstep Illinois search on n omega - k, one `c_cdot_rows` quadrature
+    per step, to |n omega - k| <= _VALUE_TOL/10.  hi joins when it is
+    alpha = 0 at even n, as omega(0) = 1/2.  Returns (alphas, c, cdot),
+    ascending.
     """
     ends = np.array([lo, hi])
-    f_lo, f_hi = n * omega_rows(ends, delta, c_rows(ends, delta))
+    cc_ends = np.array(c_cdot_rows(ends, delta))
+    f_lo, f_hi = n * omega_rows(ends, delta, cc_ends[0])
     if hi == 0.0:
         f_hi = 0.5 * n
     ks = np.arange(math.floor(f_lo) + 1, math.ceil(f_hi), dtype=float)
-    x, cx = np.empty(len(ks)), np.empty(len(ks))
+    x, cc = np.empty(len(ks)), np.empty((2, len(ks)))
 
     def f(xs, lanes):
-        x[lanes], cx[lanes] = xs, c_rows(xs, delta)
-        return n * omega_rows(xs, delta, cx[lanes]) - ks[lanes]
+        x[lanes], cc[:, lanes] = xs, c_cdot_rows(xs, delta)
+        return n * omega_rows(xs, delta, cc[0, lanes]) - ks[lanes]
 
     illinois_many(f, np.full(len(ks), lo), np.full(len(ks), hi), f_lo - ks, f_hi - ks,
                   lambda a, b, fx: np.abs(fx) <= 0.1 * _VALUE_TOL)
     if hi == 0.0 and n % 2 == 0:
-        x, cx = np.append(x, hi), np.append(cx, c_rows(ends[1:], delta))
-    return x, cx
+        x, cc = np.append(x, hi), np.append(cc, cc_ends[:, 1:], axis=1)
+    return x, *cc
 
 
 def L_n_delta(x0: float, delta: float, n: int) -> AndrievskiiResult:
@@ -245,10 +247,11 @@ def L_n_delta(x0: float, delta: float, n: int) -> AndrievskiiResult:
         return profile[alpha], slope[alpha]
 
     if hi > lo:
-        alphas, cs = _lattice(n, delta, lo, hi)
+        alphas, cs, cds = _lattice(n, delta, lo, hi)
         lattice = len(alphas)
         if lattice:
-            profile.update(zip(alphas.tolist(), np.cosh(n * g_rows(alphas, delta, x0, cs)).tolist()))
+            g = g_dg_rows(alphas, delta, x0, cs, cds)[0]
+            profile.update(zip(alphas.tolist(), np.cosh(n * g).tolist()))
         cands = [(v, a, None) for a, v in profile.items()]
         # only the branch (p, q) holding alpha* can beat a lattice value
         pts = [lo, *profile] + ([] if hi in profile else [hi])

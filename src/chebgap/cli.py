@@ -172,12 +172,13 @@ def cmd_diagram(args) -> int:
         _emit(args, diagram_to_json(result) + "\n")
     else:
         lo = args.delta - 1.0 + 1e-6
-        alpha_grid = np.concatenate([
+        alpha_grid = np.sort(np.concatenate([
             lo + (0.0 - lo) * np.linspace(0.0, 1.0, 49) ** 2.0,
             np.linspace(lo, 0.0, 17)[1:-1],
-        ])
-        pts = [p for p in akhiezer_curve(args.delta, np.unique(alpha_grid))
-               if p is not None]
+        ]))
+        # repeats dropped by a mask: np.unique would import numpy.ma
+        alpha_grid = alpha_grid[np.append(True, alpha_grid[1:] != alpha_grid[:-1])]
+        pts = [p for p in akhiezer_curve(args.delta, alpha_grid) if p is not None]
         pts.sort()
         _emit(args, render_svg(result, pts))
     return 0

@@ -39,7 +39,6 @@ from .green import (
     _check_gap,
     c_cdot_rows,
     g_dg_rows,
-    g_rows,
     green_single_interval,
 )
 
@@ -123,7 +122,7 @@ def x0_many(alphas, delta: float):
     if ok.size == 0:
         return out
     al = alphas[ok]
-    c, cd, _, _ = c_cdot_rows(al, delta)
+    c, cd = c_cdot_rows(al, delta)
     a, b = al - delta, al + delta
     h = np.maximum(1e-8 * (b - a), 2e-10)
     lo, hi = a + h, b - h
@@ -167,7 +166,7 @@ def akhiezer_curve(delta, alpha_grid):
     ok = np.flatnonzero(~np.isnan(x0))
     out = [None] * len(alphas)
     if ok.size:
-        y = g_rows(alphas[ok], delta, x0[ok])
+        y = g_dg_rows(alphas[ok], delta, x0[ok])[0]
         for i, yi in zip(ok, y):
             out[i] = (float(x0[i]), float(yi))
     return out
@@ -182,7 +181,7 @@ def _shared_alpha_grid(delta: float):
 def _shared_c(delta: float):
     """(c, cdot) rows on _shared_alpha_grid(delta), reused by every x of one
     delta."""
-    return np.array(c_cdot_rows(_shared_alpha_grid(delta), delta)[:2])
+    return np.array(c_cdot_rows(_shared_alpha_grid(delta), delta))
 
 
 def _interior_max(delta: float, x: float):
@@ -194,7 +193,7 @@ def _interior_max(delta: float, x: float):
     x counts as slope +-inf, and a best alpha at a range end whose slope
     points out of the range is the maximum.  One-lane `illinois_many` steps
     on -dG/dalpha close that bracket to _ALPHA_TOL, each at the cost of one
-    c, cdot and one G, dG/dalpha quadrature, and the best G seen is kept.
+    quadrature for c, cdot, G and dG/dalpha, and the best G seen is kept.
 
     Returns (alpha, value, at_clip) or None when no alpha admits x in its
     gap.  at_clip flags maximizers stuck at the clipped left boundary, where
@@ -221,20 +220,19 @@ def _interior_max(delta: float, x: float):
         cand, cc_cand = cand[::stride], cc_cand[:, ::stride]
     if cand.size < 16:
         alphas = np.linspace(lo, hi, _COARSE_ALPHA)
-        cc = c_cdot_rows(alphas, delta)[:2]
+        vals, slopes = g_dg_rows(alphas, delta, x)
     else:
         alphas = np.concatenate(([lo], cand, [hi]))
-        cc_ends = np.array(c_cdot_rows(alphas[[0, -1]], delta)[:2])
+        cc_ends = np.array(c_cdot_rows(alphas[[0, -1]], delta))
         cc = np.concatenate([cc_ends[:, :1], cc_cand, cc_ends[:, 1:]], axis=1)
-
-    vals, slopes = g_dg_rows(alphas, delta, x, *cc)
+        vals, slopes = g_dg_rows(alphas, delta, x, *cc)
     i = int(np.argmax(vals))
     best = [alphas[i], vals[i]]
     j, k = sorted((i, i + 1 if slopes[i] > 0.0 else i - 1))
     if 0 <= j and k < len(alphas) and slopes[j] > 0.0 > slopes[k]:
 
         def neg_slope(al, _):
-            g, s = g_dg_rows(al, delta, x, *c_cdot_rows(al, delta)[:2])
+            g, s = g_dg_rows(al, delta, x)
             if g[0] > best[1]:
                 best[:] = al[0], g[0]
             return -s

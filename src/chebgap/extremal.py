@@ -889,8 +889,9 @@ def n_extension(result: ExtremalResult, E: CompactSet):
 
     ends = np.array([[iv.lo, iv.hi] for iv in E.intervals])
     s_out = np.cosh(np.linspace(0.0, math.acosh(R), max(257, 6 * deg)))
-    xs = np.unique(np.concatenate([-s_out, np.cos(np.linspace(math.pi, 0.0, max(1024, 30 * deg))),
-                                   s_out, ends.ravel()]))
+    xs = np.sort(np.concatenate([-s_out, np.cos(np.linspace(math.pi, 0.0, max(1024, 30 * deg))),
+                                 s_out, ends.ravel()]))
+    xs = xs[np.append(True, xs[1:] != xs[:-1])]     # np.unique would import numpy.ma
     ps = evaluate(xs)
     # P is monotone between neighbouring samples except across a peak of
     # |P|, and a peak sampled below the level may rise above it between

@@ -15,11 +15,24 @@ c = alpha - delta * u / v with
     v = integral_0^pi 1/sqrt(1 - xi^2) dpsi.
 
 G is linear in c: G(x) = (alpha - c) V(x) - delta U(x), where U and V are
-the integrals of u and v taken from phi(x) instead of 0.  The
-alpha-derivatives needed by the envelope layer reduce to the same kind of
-integrals: dG/dalpha = I1 + I2 - cdot * I3 and cdot = 1 + det/v^2 (see the
-individual functions).  The psi-substitution removes the square-root
-singularities at the gap edges.  What is left is a spike near psi = 0 when
+the integrals of u and v taken from phi(x) instead of 0.
+
+Every row integrates one integrand,
+
+    (cos psi, 1, 1/(1 + xi), 1/(1 - xi)) / sqrt(1 - xi^2),
+
+over [0, pi] or [phi(x), pi], which gives four integrals (U, V, K+, K-).
+c, cdot = dc/dalpha, G and dG/dalpha are algebra on them, with no c inside
+an integrand.  cdot = 1 + (J1 V - J2 J3)/V^2 over (0, pi), with
+J1 = K- - V, J2 = (K- - K+)/2 and J3 = (1 + alpha) V - delta U, and
+dG/dalpha = I1 + I2 - cdot V over the tails, where
+I1 = ((1 + c) K+ + (1 - c) K-)/2 follows from
+1 - c xi = ((1 + c)(1 - xi) + (1 - c)(1 + xi))/2, a sum of positive terms
+that cancels nothing where c and xi both near -1, and I2 is closed-form
+(see dalpha_green).
+
+The psi-substitution removes the square-root singularities at the gap
+edges.  What is left is a spike near psi = 0 when
 the gap approaches -1: 1 + xi = (1+a) + 2 delta sin^2(psi/2) is about
 (1+a)(1 + (psi/eps)^2) with eps = sqrt(2(1+a)/delta), so the integrands
 vary on the scale eps there.  Every integral is therefore taken in tau,
@@ -28,12 +41,12 @@ is O(1) wide; away from it tau grows like log(psi), and for large eps the
 map is nearly linear.
 
 All integrals run through one adaptive Gauss-Legendre engine over rows: row
-r integrates several integrands over its own tau-range, and all rows share
+r integrates the four components over its own tau-range, and all rows share
 one panel partition of the unit interval, mapped affinely onto each range,
-so a whole alpha family costs one quadrature, and so do c and G together
-(rows over psi in [0, pi] and [phi(x), pi]).  The array cores `c_rows`,
-`c_cdot_rows`, `g_rows` and `g_dg_rows` give c, cdot, G, and G with
-dG/dalpha over an alpha array (x broadcast); the scalar functions are
+so a whole alpha family costs one quadrature, and so do c, cdot, G and
+dG/dalpha together (rows over psi in [0, pi] and [phi(x), pi]).  The two
+array cores `c_cdot_rows` and `g_dg_rows` give c with cdot, and G with
+dG/dalpha, over an alpha array (x broadcast); the scalar functions are
 one-row calls of them, and `omega_rows` turns c into the equilibrium mass
 of the left band.
 Nothing is cached per (alpha, delta): a caller that reuses c, such as the
@@ -73,7 +86,7 @@ class GreenEval:
 
     dg_dalpha is None when x sits within ENDPOINT_REFUSAL of a gap endpoint
     (the derivative diverges there).  err_estimate is a crude upper bound on
-    the accumulated quadrature error of the bundle.
+    the accumulated quadrature error of c, cdot and G.
     """
 
     g: float
@@ -178,9 +191,8 @@ def integrate_adaptive(f, lo, hi):
 
 
 # ----------------------------------------------------------------------
-# Stable integrand pieces: alpha and the per-row parameters arrive as
-# (rows, 1) columns, or as floats for one row, against (rows, m) abscissae;
-# each integrand returns its components as a (k, rows, m) array
+# The one integrand: alpha arrives as a (rows, 1) column against (rows, m)
+# abscissae
 # ----------------------------------------------------------------------
 
 
@@ -198,49 +210,31 @@ def _one_pm_xi(alpha, delta, phi):
     return one_plus, one_minus
 
 
-def _uv(phi, alpha, delta):
-    op, om = _one_pm_xi(alpha, delta, phi)
-    inv = 1.0 / np.sqrt(op * om)
-    return np.array([np.cos(phi) * inv, inv])
+def _rows(alpha, delta, lo):
+    """(U, V, K+, K-) over [lo[r], pi] and their error estimates, two
+    (4, rows) arrays: the integrals of (cos psi, 1, 1/(1+xi), 1/(1-xi)) /
+    sqrt(1 - xi^2).
 
-
-def _uvj(phi, alpha, delta):
-    op, om = _one_pm_xi(alpha, delta, phi)
-    cos = np.cos(phi)
-    xi = alpha - delta * cos
-    sq = np.sqrt(op * om)
-    return np.array(
-        [cos / sq, 1.0 / sq, xi / (om * sq), xi / (op * om * sq), np.sqrt(op / om)]
-    )
-
-
-def _uv_i1(phi, alpha, delta, c):
-    op, om = _one_pm_xi(alpha, delta, phi)
-    cos = np.cos(phi)
-    sq = np.sqrt(op * om)
-    return np.array([cos / sq, 1.0 / sq, (1.0 - c * (alpha - delta * cos)) / (op * om * sq)])
-
-
-def _rows(integrand, alpha, delta, lo, hi, *params):
-    """Integrate integrand(psi, alpha, delta, *params) over [lo[r], hi[r]].
-
-    alpha, lo, hi and params are arrays with one entry per row.  Every row
-    is integrated in tau, psi = eps*sinh(tau) with its own
-    eps = sqrt(2(1+a)/delta), over [asinh(lo/eps), asinh(hi/eps)], with the
-    Jacobian eps*cosh(tau); all rows share one quadrature.
+    alpha and lo are arrays with one entry per row.  Every row is integrated
+    in tau, psi = eps*sinh(tau) with its own eps = sqrt(2(1+a)/delta), over
+    [asinh(lo/eps), asinh(pi/eps)], with the Jacobian eps*cosh(tau); all
+    rows share one quadrature.
     """
     eps = np.sqrt(2.0 * (1.0 + alpha - delta) / delta)
-    al, ep, cols = alpha[:, None], eps[:, None], [p[:, None] for p in params]
+    al, ep = alpha[:, None], eps[:, None]
 
     def f(tau):
-        return integrand(ep * np.sinh(tau), al, delta, *cols) * (ep * np.cosh(tau))
+        psi = ep * np.sinh(tau)
+        op, om = _one_pm_xi(al, delta, psi)
+        inv = 1.0 / np.sqrt(op * om)
+        return np.array([np.cos(psi) * inv, inv, inv / op, inv / om]) * (ep * np.cosh(tau))
 
-    return integrate_adaptive(f, np.arcsinh(lo / eps), np.arcsinh(hi / eps))
+    return integrate_adaptive(f, np.arcsinh(lo / eps), np.arcsinh(math.pi / eps))
 
 
 def _admissible(alpha, delta):
-    """alpha in (delta-1, 0], elementwise, with 1 + a > 0 as the integrands
-    compute it: within an ulp of delta - 1 it can round to 0, and eps = 0
+    """alpha in (delta-1, 0], elementwise, with 1 + a > 0 as the integrand
+    computes it: within an ulp of delta - 1 it can round to 0, and eps = 0
     leaves no range to integrate in tau."""
     return (delta - 1.0 < alpha) & (alpha <= 0.0) & (1.0 + alpha - delta > 0.0)
 
@@ -266,22 +260,45 @@ def _check_closed_gap(alpha, delta, x):
 # ----------------------------------------------------------------------
 
 
-def _c_of(alpha, delta, u, v):
+def _c_cdot(alpha, delta, ints, errs):
+    """(c, cdot, err_c, err_cdot) from the complete integrals (U, V, K+, K-)
+    over (0, pi) and their errors, one entry per row.
+
+    c = alpha - delta U/V, and cdot = dc/dalpha = 1 + (J1 V - J2 J3) / V^2
+    with
+      J1 = int xi / ((1-xi) sqrt(1-xi^2))   = K- - V,
+      J2 = int xi / ((1-xi^2) sqrt(1-xi^2)) = (K- - K+)/2,
+      J3 = int (1+xi) / sqrt(1-xi^2)        = (1+alpha) V - delta U.
+    The error bounds carry the integrals' errors through to first order.  A
+    c outside the gap, or a cdot below 1 by more than its bound, raises
+    ConsistencyError: the gap geometry forces cdot > 1.
+    """
+    (u, v, kp, km), (eu, ev, ep, em) = ints, errs
     c = alpha - delta * u / v
-    if not ((alpha - delta < c) & (c < alpha + delta)).all():
-        r = int(np.argmin((alpha - delta < c) & (c < alpha + delta)))
+    inside = (alpha - delta < c) & (c < alpha + delta)
+    if not inside.all():
+        r = int(np.argmin(inside))
         raise ConsistencyError(
             f"critical point {c[r]} fell outside the gap "
             f"({alpha[r] - delta}, {alpha[r] + delta})"
         )
-    return c
+    j1, j2, j3 = km - v, 0.5 * (km - kp), (1.0 + alpha) * v - delta * u
+    e1, e2, e3 = em + ev, 0.5 * (em + ep), (1.0 + alpha) * ev + delta * eu
+    det = j1 * v - j2 * j3
+    cd = 1.0 + det / (v * v)
+    ec = delta * (eu + np.abs(u) * ev / v) / v
+    ecd = (e1 * v + np.abs(j1) * ev + e2 * np.abs(j3) + np.abs(j2) * e3
+           + 2.0 * np.abs(det) * ev / v) / (v * v)
+    low = cd <= 1.0 - np.maximum(1e-8, 10.0 * ecd)
+    if low.any():
+        raise ConsistencyError(f"computed cdot={cd[np.argmax(low)]} <= 1, outside theory")
+    return c, cd, ec, ecd
 
 
-def c_rows(alpha, delta):
-    """Critical points c(alpha) over an alpha array."""
-    n = len(alpha)
-    (u, v), _ = _rows(_uv, alpha, delta, np.zeros(n), np.full(n, math.pi))
-    return _c_of(alpha, delta, u, v)
+def c_cdot_rows(alpha, delta):
+    """(c, cdot) over an alpha array, from one quadrature of (U, V, K+, K-)
+    over (0, pi) (see _c_cdot)."""
+    return _c_cdot(alpha, delta, *_rows(alpha, delta, np.zeros(len(alpha))))[:2]
 
 
 def omega_rows(alpha, delta, c):
@@ -298,75 +315,42 @@ def omega_rows(alpha, delta, c):
     return f.mean(axis=1)
 
 
-def _cdot_err(ints, errs):
-    """Error bound of cdot from the five complete integrals and theirs."""
-    u, v, j1, j2, j3 = ints
-    eu, ev, e1, e2, e3 = errs
-    det = j1 * v - j2 * j3
-    return (e1 * v + abs(j1) * ev + e2 * abs(j3) + abs(j2) * e3) / (v * v) + 2.0 * abs(
-        det
-    ) * ev / v**3
-
-
-def c_cdot_rows(alpha, delta):
-    """(c, cdot, integrals, errors) over an alpha array, on shared panels.
-
-    cdot = dc/dalpha = 1 + (J1*v - J2*J3) / v^2 with
-      J1 = int xi / ((1-xi)   sqrt(1-xi^2)) dpsi,
-      J2 = int xi / ((1-xi^2) sqrt(1-xi^2)) dpsi,
-      J3 = int sqrt((1+xi)/(1-xi)) dpsi,
-      v  = int 1 / sqrt(1-xi^2) dpsi,
-    all over (0, pi); integrals and errors are the (5, rows) arrays of
-    (u, v, J1, J2, J3).  Monotonicity of the gap geometry forces cdot > 1.
-    """
-    n = len(alpha)
-    ints, errs = _rows(_uvj, alpha, delta, np.zeros(n), np.full(n, math.pi))
-    u, v, j1, j2, j3 = ints
-    c = _c_of(alpha, delta, u, v)
-    cd = 1.0 + (j1 * v - j2 * j3) / (v * v)
-    # the test below can only fail where cd <= 1, so the bound waits for that
-    if (cd <= 1.0).any():
-        low = cd <= 1.0 - np.maximum(1e-8, 10.0 * _cdot_err(ints, errs))
-        if low.any():
-            raise ConsistencyError(f"computed cdot={cd[np.argmax(low)]} <= 1, outside theory")
-    return c, cd, ints, errs
-
-
 def _phi(alpha, delta, x):
     """phi(x) = arccos((alpha - x)/delta), one entry per alpha."""
     return np.arccos(np.minimum(np.maximum((alpha - x) / delta, -1.0), 1.0))
 
 
-def _tail(integrand, alpha, delta, x, *params):
-    """Integrals of integrand from phi(x) to pi."""
+def _joint_rows(alpha, delta, x):
+    """One quadrature of the rows over (0, pi) and over [phi(x), pi]:
+    ((c, cdot, err_c, err_cdot), tail integrals, their errors)."""
     n = len(alpha)
-    return _rows(integrand, alpha, delta, _phi(alpha, delta, x), np.full(n, math.pi), *params)[0]
+    ints, errs = _rows(np.concatenate([alpha, alpha]), delta,
+                       np.concatenate([np.zeros(n), _phi(alpha, delta, x)]))
+    return _c_cdot(alpha, delta, ints[:, :n], errs[:, :n]), ints[:, n:], errs[:, n:]
 
 
-def g_rows(alpha, delta, x, c=None):
-    """G_{alpha,delta}(x) = (alpha - c) V - delta U over an alpha array; x
-    broadcasts and must lie in each row's closed gap.  When c(alpha) is not
-    given, rows over [0, pi] for it join the same quadrature."""
-    n = len(alpha)
-    if c is not None:
-        u, v = _tail(_uv, alpha, delta, x)
-        return (alpha - c) * v - delta * u
-    lo = np.concatenate([np.zeros(n), _phi(alpha, delta, x)])
-    (u, v), _ = _rows(_uv, np.concatenate([alpha, alpha]), delta, lo, np.full(2 * n, math.pi))
-    c = _c_of(alpha, delta, u[:n], v[:n])
-    return (alpha - c) * v[n:] - delta * u[n:]
-
-
-def g_dg_rows(alpha, delta, x, c, cd):
-    """(G, dG/dalpha) at x over an alpha array, given c and cdot, from one
-    quadrature of U, V = I3 and I1 (see dalpha_green); x broadcasts and must
-    lie in each row's closed gap.  Where x is a gap end, dG/dalpha reads
-    -inf at a and +inf at b."""
-    u, i3, i1 = _tail(_uv_i1, alpha, delta, x, c)
+def _g_dg(alpha, delta, x, c, cd, ints):
+    """(G, dG/dalpha) from c, cdot and the tails (U, V, K+, K-) over
+    [phi(x), pi] (see dalpha_green)."""
+    u, v, kp, km = ints
+    i1 = 0.5 * ((1.0 + c) * kp + (1.0 - c) * km)
     a, b = alpha - delta, alpha + delta
-    with np.errstate(divide="ignore"):
+    with np.errstate(divide="ignore", invalid="ignore"):
         i2 = (x - c) / np.sqrt((1.0 - x) * (1.0 + x) * (b - x) * (x - a))
-    return (alpha - c) * i3 - delta * u, i1 + i2 - cd * i3
+    return (alpha - c) * v - delta * u, i1 + i2 - cd * v
+
+
+def g_dg_rows(alpha, delta, x, c=None, cd=None):
+    """(G, dG/dalpha) at x over an alpha array, from one quadrature; x
+    broadcasts.  When c and cdot are not given, the rows for them join the
+    quadrature of the tails.  Where x is a gap end, dG/dalpha reads -inf at
+    a and +inf at b; where x lies outside a row's gap, G reads 0 and
+    dG/dalpha nan."""
+    if c is None:
+        (c, cd, _, _), ints, _ = _joint_rows(alpha, delta, x)
+    else:
+        ints, _ = _rows(alpha, delta, _phi(alpha, delta, x))
+    return _g_dg(alpha, delta, x, c, cd, ints)
 
 
 # ----------------------------------------------------------------------
@@ -378,7 +362,7 @@ def critical_point_c(alpha: float, delta: float) -> float:
     """Zero of the Green differential inside the gap (a, b)."""
     alpha, delta = float(alpha), float(delta)
     _check_gap(alpha, delta)
-    return float(c_rows(np.array([alpha]), delta)[0])
+    return float(c_cdot_rows(np.array([alpha]), delta)[0][0])
 
 
 def c_dot(alpha: float, delta: float) -> float:
@@ -395,7 +379,7 @@ def green_two_interval(alpha: float, delta: float, x: float) -> float:
     """
     alpha, delta = float(alpha), float(delta)
     _check_closed_gap(alpha, delta, x)
-    return float(g_rows(np.array([alpha]), delta, x)[0])
+    return float(g_dg_rows(np.array([alpha]), delta, x)[0][0])
 
 
 def green_single_interval(delta: float, x: float) -> float:
@@ -423,9 +407,11 @@ def dalpha_green(alpha: float, delta: float, x: float) -> float:
     """Partial derivative of the two-interval Green function in alpha.
 
     Computed as I1 + I2 - cdot * I3 with
-      I1 = int_{phi(x)}^pi (1 - c xi) / (1 - xi^2)^{3/2} dpsi,
+      I1 = int_{phi(x)}^pi (1 - c xi) / (1 - xi^2)^{3/2} dpsi
+         = ((1 + c) K+ + (1 - c) K-) / 2,
       I2 = (x - c) / sqrt((1 - x^2)(b - x)(x - a)),
-      I3 = int_{phi(x)}^pi 1 / sqrt(1 - xi^2) dpsi.
+      I3 = int_{phi(x)}^pi 1 / sqrt(1 - xi^2) dpsi = V,
+    the tails from phi(x), in one quadrature with the rows for c and cdot.
     Strictly increasing in x on (a, b), from -inf at a to +inf at b.
     """
     alpha, delta = float(alpha), float(delta)
@@ -438,27 +424,24 @@ def dalpha_green(alpha: float, delta: float, x: float) -> float:
             f"x={x} within {ENDPOINT_REFUSAL} of a gap endpoint; the boundary "
             f"term of dG/dalpha is singular there"
         )
-    al = np.array([alpha])
-    c, cd, _, _ = c_cdot_rows(al, delta)
-    return float(g_dg_rows(al, delta, x, c, cd)[1][0])
+    return float(g_dg_rows(np.array([alpha]), delta, x)[1][0])
 
 
 def green_eval(alpha: float, delta: float, x: float) -> GreenEval:
     """Bundle G, dG/dalpha, c, cdot at one point with an error estimate.
 
-    Two quadratures: c and cdot on shared panels over [0, pi], then G and
-    the two dG/dalpha integrals on shared panels over [phi(x), pi].
+    One quadrature: the rows for c and cdot over (0, pi) and the tails over
+    [phi(x), pi].  err_estimate carries the integrals' error estimates to c,
+    to cdot and to G = (alpha - c) V - delta U, and adds them up.
     """
     alpha, delta = float(alpha), float(delta)
     _check_closed_gap(alpha, delta, x)
     al = np.array([alpha])
-    c, cd, ints, errs = c_cdot_rows(al, delta)
-    g, dg = (float(v[0]) for v in g_dg_rows(al, delta, x, c, cd))
-    c, cd = float(c[0]), float(cd[0])
+    (c, cd, ec, ecd), ints, errs = _joint_rows(al, delta, x)
+    g, dg = _g_dg(al, delta, x, c, cd, ints)
+    c, cd, ec, ecd, g, dg, v, eu, ev = (
+        float(t[0]) for t in (c, cd, ec, ecd, g, dg, ints[1], errs[0], errs[1]))
     if _refused(alpha, delta, x):
         dg = None
-    ints, errs = ints[:, 0].tolist(), errs[:, 0].tolist()
-    (u, v, *_), (eu, ev, *_) = ints, errs
-    ec = delta * (eu / v + abs(u) * ev / (v * v))
-    err = ec * math.pi + _cdot_err(ints, errs) + max(_ABS_TOL, _REL_TOL * abs(g))
+    err = ec * (1.0 + v) + ecd + abs(alpha - c) * ev + delta * eu
     return GreenEval(g=g, dg_dalpha=dg, c=c, c_dot=cd, err_estimate=err)

@@ -32,11 +32,15 @@ def midpoint_green(alpha, delta, x, panels=1_000_000):
     return float((((xi - c) / np.sqrt(1.0 - xi * xi)).sum()) * h), c
 
 
-def _graded_uv(alpha, delta, lo, panels):
-    """(U, V): the integrals of cos(psi) w and w, w = 1/sqrt(1 - xi^2), over
-    [lo, pi], by a midpoint rule on the graded pieces [0, eps], [eps, 2 eps],
-    ..., [2^k eps, pi] cut at lo, eps = sqrt(2(1+a)/delta) being the width
-    of the psi = 0 spike.  1 -+ xi come from the half-angle forms, which keep
+def _graded_uv(alpha, delta, lo, panels, c=0.0):
+    """(U, V, J1, J2, J3, I1): the integrals of cos(psi) w, w, xi w/(1 - xi),
+    xi w/(1 - xi^2), (1 + xi) w and (1 - c xi) w/(1 - xi^2),
+    w = 1/sqrt(1 - xi^2), over [lo, pi], by a midpoint rule on the graded
+    pieces [0, eps], [eps, 2 eps], ..., [2^k eps, pi] cut at lo,
+    eps = sqrt(2(1+a)/delta) being the width of the psi = 0 spike.  The J's
+    and I1, with c inside its integrand, are the direct forms of the
+    integrals in cdot and dG/dalpha, which the package writes on
+    (U, V, K+, K-).  1 -+ xi come from the half-angle forms, which keep
     their relative accuracy when 1 + a is tiny."""
     eps = math.sqrt(2.0 * (1.0 + alpha - delta) / delta)
     breaks, t = [lo], eps
@@ -45,25 +49,43 @@ def _graded_uv(alpha, delta, lo, panels):
             breaks.append(t)
         t *= 2.0
     breaks.append(math.pi)
-    u = v = 0.0
+    out = np.zeros(6)
     for p0, p1 in zip(breaks, breaks[1:]):
         h = (p1 - p0) / panels
         psi = p0 + (np.arange(panels) + 0.5) * h
         one_plus = (1.0 + alpha - delta) + 2.0 * delta * np.sin(0.5 * psi) ** 2
         one_minus = (1.0 - alpha - delta) + 2.0 * delta * np.cos(0.5 * psi) ** 2
         w = 1.0 / np.sqrt(one_plus * one_minus)
-        u += float((np.cos(psi) * w).sum() * h)
-        v += float(w.sum() * h)
-    return u, v
+        xi = alpha - delta * np.cos(psi)
+        out += h * np.array([(np.cos(psi) * w).sum(), w.sum(), (xi * w / one_minus).sum(),
+                             (xi * w / (one_plus * one_minus)).sum(), (one_plus * w).sum(),
+                             ((1.0 - c * xi) * w / (one_plus * one_minus)).sum()])
+    return out.tolist()
 
 
 def graded_midpoint_green(alpha, delta, x, panels=50_000):
     """(G(x), c) by the graded midpoint rule; resolves 1 + a down to 1e-12."""
-    u, v = _graded_uv(alpha, delta, 0.0, panels)
+    u, v, *_ = _graded_uv(alpha, delta, 0.0, panels)
     c = alpha - delta * u / v
     phix = math.acos(min(1.0, max(-1.0, (alpha - x) / delta)))
-    u_x, v_x = _graded_uv(alpha, delta, phix, panels)
+    u_x, v_x, *_ = _graded_uv(alpha, delta, phix, panels)
     return (alpha - c) * v_x - delta * u_x, c
+
+
+def graded_cdot_dgreen(alpha, delta, xs, panels=50_000):
+    """(cdot, [dG/dalpha(x) for x in xs]) by the graded midpoint rule, from
+    cdot = 1 + (J1 V - J2 J3) / V^2 and dG/dalpha = I1 + I2 - cdot V(x),
+    I2 = (x - c) / sqrt((1 - x^2)(b - x)(x - a)) (see _graded_uv)."""
+    u, v, j1, j2, j3, _ = _graded_uv(alpha, delta, 0.0, panels)
+    c = alpha - delta * u / v
+    cdot = 1.0 + (j1 * v - j2 * j3) / (v * v)
+    a, b = alpha - delta, alpha + delta
+    dg = []
+    for x in xs:
+        phix = math.acos(min(1.0, max(-1.0, (alpha - x) / delta)))
+        _, v_x, *_, i1 = _graded_uv(alpha, delta, phix, panels, c)
+        dg.append(i1 + (x - c) / math.sqrt((1.0 - x * x) * (b - x) * (x - a)) - cdot * v_x)
+    return cdot, dg
 
 
 def dense_stationary_scan(alpha, delta, nodes=4096, scan=10_000):

@@ -17,7 +17,7 @@ from chebgap.chebyshev import cheb_T, remez_constant, remez_poly_value
 from chebgap.envelope import _interior_max
 from chebgap.errors import DomainError, SolverError
 from chebgap.extremal import solve_extremal
-from chebgap.green import c_rows, g_rows, omega_rows
+from chebgap.green import c_cdot_rows, g_dg_rows, omega_rows
 from chebgap.intervals import GapParams, make_gap_set
 
 
@@ -109,7 +109,7 @@ class TestLnDelta:
         left, right = res.dvalue_dalpha
         assert 0.0 < left < 1e-4 and -1e-4 < right < 0.0
         alpha = np.array([res.best_alpha])
-        k = 24 * omega_rows(alpha, 0.2, c_rows(alpha, 0.2))[0]
+        k = 24 * omega_rows(alpha, 0.2, c_cdot_rows(alpha, 0.2)[0])[0]
         assert abs(k - round(k)) > 0.01
         for h in (-1e-4, 1e-4):
             E = make_gap_set(GapParams(res.best_alpha + h, 0.2))
@@ -172,7 +172,7 @@ class TestLnDelta:
             # maximum at lo: G rises toward lo on the first branch, so its
             # lattice end does not bound it, but cosh(n G) stays below Remez
             first = np.linspace(lo, andrievskii._lattice(n, delta, lo, hi)[0][0], 9)
-            g = g_rows(first, delta, x0, c_rows(first, delta))
+            g, _ = g_dg_rows(first, delta, x0, *c_cdot_rows(first, delta))
             assert np.all(np.diff(g) < 0.0)
             assert np.cosh(n * g).max() < res.remez_value
 
@@ -207,7 +207,7 @@ class TestLnDelta:
         delta = 0.4
         _, g_star, _ = _interior_max(delta, x0)
         alphas = np.linspace(delta - 1.0 + 1e-8, min(0.0, x0 + delta) - 1e-9, 2049)
-        g = g_rows(alphas, delta, x0, c_rows(alphas, delta))
+        g, _ = g_dg_rows(alphas, delta, x0, *c_cdot_rows(alphas, delta))
         assert g.max() <= g_star + 1e-12
 
     def test_degree_36(self):
@@ -252,14 +252,14 @@ class TestLattice:
     @pytest.mark.parametrize("delta", [0.2, 0.3, 0.4])
     def test_lattice_points_are_preimages(self, delta, n):
         lo = np.array([delta - 1.0 + 1e-4])
-        alphas, cs = andrievskii._lattice(n, delta, lo[0], 0.0)
+        alphas, cs, cds = andrievskii._lattice(n, delta, lo[0], 0.0)
         # every k above n omega(lo), the last k = n/2 at alpha = 0
-        k_lo = math.floor(n * omega_rows(lo, delta, c_rows(lo, delta))[0]) + 1
+        k_lo = math.floor(n * omega_rows(lo, delta, c_cdot_rows(lo, delta)[0])[0]) + 1
         k = n * omega_rows(alphas, delta, cs)
         assert np.abs(k - np.arange(k_lo, n // 2 + 1)).max() <= 1e-9
-        for alpha, c in zip(alphas, cs):
+        for alpha, c, cd in zip(alphas, cs, cds):
             x0 = alpha - 0.5 * delta
-            g = g_rows(np.array([alpha]), delta, x0, np.array([c]))[0]
+            g = g_dg_rows(np.array([alpha]), delta, x0, np.array([c]), np.array([cd]))[0][0]
             E = make_gap_set(GapParams(float(alpha), delta))
             value = solve_extremal(E, x0, n, extension=False).value
             assert value == pytest.approx(math.cosh(n * g), rel=10 * andrievskii._VALUE_TOL)

@@ -311,3 +311,24 @@ class TestArgumentHandling:
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(argv)
         assert (rc, out, err) == (exc.value.code, *capsys.readouterr())
+
+
+@pytest.mark.parametrize("argv", [
+    ["extremal", "--set=[[-1,-0.7],[0.1,1]]", "--x0=-0.3", "--n=12"],
+    ["diagram", "--delta=0.3", "--points=20", "--format=svg"],
+])
+def test_a_run_leaves_numpy_ma_unimported(argv):
+    # np.unique imports numpy.ma, which costs a fresh process about 0.7 MB
+    # of peak RSS; the n-extension's sample and the SVG alpha grid drop
+    # their repeats by a sort and a mask instead
+    script = ("import sys\n"
+              "from chebgap.cli import main\n"
+              f"assert main({argv!r}) == 0\n"
+              "print('numpy.ma' in sys.modules, file=sys.stderr)\n")
+    src = str(Path(green.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        p for p in (src, os.environ.get("PYTHONPATH")) if p))
+    proc = subprocess.run([sys.executable, "-c", script], capture_output=True, text=True,
+                          env=env, timeout=60)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr.strip() == "False"

@@ -4,8 +4,10 @@ import tracemalloc
 import numpy as np
 import pytest
 
-from chebgap import _stats
+from chebgap import _stats, envelope
+from chebgap.andrievskii import L_n_delta
 from chebgap.envelope import (
+    _interior_max,
     akhiezer_curve,
     delta_star,
     diagram,
@@ -17,8 +19,8 @@ from chebgap.envelope import (
     x0_of_alpha,
     x_star,
 )
-from chebgap.errors import DomainError, SolverError
-from chebgap.green import green_single_interval, green_two_interval
+from chebgap.errors import DomainError, QuadratureError, SolverError
+from chebgap.green import c_cdot_rows, green_single_interval, green_two_interval
 
 from _oracles import dense_stationary_scan
 
@@ -189,6 +191,16 @@ class TestUpperEnvelope:
             upper_envelope(0.4, 0.0)
         assert counts["quad.calls"] <= 8
 
+    def test_each_polish_step_is_one_quadrature(self):
+        # the rows for c and cdot join the tails of G and dG/dalpha; the
+        # scan takes two, one for c and cdot at the range ends beside the
+        # cached grid rows and one for G and dG/dalpha
+        envelope._shared_c(0.4)
+        with _stats.collect() as counts:
+            _interior_max(0.4, -0.2)
+        assert counts["search.illinois_many.evals"] > 0
+        assert counts["quad.calls"] == 2 + counts["search.illinois_many.evals"]
+
     def test_domain(self):
         with pytest.raises(DomainError):
             upper_envelope(0.4, 0.5)
@@ -237,10 +249,12 @@ class TestSwitchingPoint:
         assert -1.0 < xs < -0.8
 
     def test_quadratures(self):
-        # bisection to _SWITCH_TOL needs 350 quadratures
+        # bisection to _SWITCH_TOL needs 350 quadratures, and 91 were taken
+        # while each polish step of the alpha maximum spent one quadrature on
+        # c and cdot and one on G and dG/dalpha
         with _stats.collect() as counts:
             switching_point(0.4)
-        assert counts["quad.calls"] <= 170
+        assert counts["quad.calls"] <= 70
 
 
 class TestXStar:
@@ -338,3 +352,24 @@ class TestDiagram:
     def test_grid_size_validation(self):
         with pytest.raises(DomainError):
             diagram(0.4, 1)
+
+
+class TestNearOneDelta:
+    # The 256-row c grid of one delta (`envelope._shared_c`) ran past the
+    # 4,096-panel cap at delta = 0.99 while cdot came from three more
+    # integrands; on (U, V, K+, K-) it takes a few dozen panels.
+    def test_delta_099_returns(self):
+        assert upper_envelope(0.99, -0.5).phi > 0.0
+        assert len(diagram(0.99, 40).rows) == 40
+        assert L_n_delta(0.0, 0.99, 6).value > 1.0
+
+    @pytest.mark.xfail(raises=QuadratureError, strict=True)
+    def test_delta_09999_grid_rows_converge(self):
+        # D12: the sinh map grades only the psi = 0 end of each row.  At
+        # delta = 0.9999 the clip row alone takes 1,407 panel estimates, and
+        # the grid's first two rows together exceed the cap.  So
+        # upper_envelope(0.9999, -0.5) raises too, after 3.6 s and a peak
+        # RSS of 1.2 GB in the 256-row batch, which is why the rows are
+        # tried here and not the envelope
+        rows = envelope._shared_alpha_grid(0.9999)[:2]
+        c_cdot_rows(rows, 0.9999)

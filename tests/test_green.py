@@ -10,18 +10,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from chebgap import green
+from chebgap import _stats, green
 from chebgap.envelope import x0_many
 from chebgap.errors import DomainError, QuadratureError
 from chebgap.equilibrium import _equilibrium
 from chebgap.green import (
     c_cdot_rows,
     c_dot,
-    c_rows,
     critical_point_c,
     dalpha_green,
     g_dg_rows,
-    g_rows,
     green_eval,
     green_single_interval,
     green_two_interval,
@@ -31,7 +29,7 @@ from chebgap.green import (
 
 from chebgap.intervals import GapParams, make_gap_set
 
-from _oracles import graded_midpoint_green, midpoint_c, midpoint_green
+from _oracles import graded_cdot_dgreen, graded_midpoint_green, midpoint_c, midpoint_green
 
 # dyadic (alpha, delta) pairs: gap endpoints and arccos arguments are exact
 DYADIC_PAIRS = [
@@ -80,8 +78,8 @@ class TestQuadratureEngine:
             "from chebgap import green\n"
             "green._ABS_TOL = green._REL_TOL = 1e-15\n"
             "try:\n"
-            "    green.g_rows(np.array([0.08191127746681023]), 0.8216638489288124,\n"
-            "                 -0.45055982073913825)\n"
+            "    green.g_dg_rows(np.array([0.08191127746681023]), 0.8216638489288124,\n"
+            "                    -0.45055982073913825)\n"
             "except green.QuadratureError as exc:\n"
             "    print(exc)\n"
         )
@@ -139,33 +137,31 @@ class TestArrayCores:
     X = -0.25
 
     def test_c_and_cdot_match_scalar_functions(self):
-        c = c_rows(self.ALPHAS, self.DELTA)
-        c2, cd, _, _ = c_cdot_rows(self.ALPHAS, self.DELTA)
+        c, cd = c_cdot_rows(self.ALPHAS, self.DELTA)
         for r, al in enumerate(self.ALPHAS):
             assert c[r] == pytest.approx(critical_point_c(al, self.DELTA), rel=1e-13)
-            assert c2[r] == pytest.approx(c[r], rel=1e-13)
             assert cd[r] == pytest.approx(c_dot(al, self.DELTA), rel=1e-12)
 
     def test_g_and_dg_match_scalar_functions(self):
-        c, cd, _, _ = c_cdot_rows(self.ALPHAS, self.DELTA)
-        g = g_rows(self.ALPHAS, self.DELTA, self.X, c)
-        g2, dg = g_dg_rows(self.ALPHAS, self.DELTA, self.X, c, cd)
-        assert g2 == pytest.approx(g, abs=1e-13)
+        c, cd = c_cdot_rows(self.ALPHAS, self.DELTA)
+        g, dg = g_dg_rows(self.ALPHAS, self.DELTA, self.X, c, cd)
         for r, al in enumerate(self.ALPHAS):
             assert g[r] == pytest.approx(green_two_interval(al, self.DELTA, self.X), abs=1e-13)
             assert dg[r] == pytest.approx(dalpha_green(al, self.DELTA, self.X), abs=1e-11)
-        # without c, the rows for c join the quadrature of G
-        assert g_rows(self.ALPHAS, self.DELTA, self.X) == pytest.approx(g, abs=1e-13)
+        # without c and cdot, the rows for them join the quadrature of G
+        g2, dg2 = g_dg_rows(self.ALPHAS, self.DELTA, self.X)
+        assert g2 == pytest.approx(g, abs=1e-13)
+        assert dg2 == pytest.approx(dg, abs=1e-11)
         # at the gap ends a and b, dG/dalpha reads -inf and +inf
         al = np.array([-0.3, -0.3])
         ends = np.array([-0.3 - self.DELTA, -0.3 + self.DELTA])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            _, dg_end = g_dg_rows(al, self.DELTA, ends, *c_cdot_rows(al, self.DELTA)[:2])
+            _, dg_end = g_dg_rows(al, self.DELTA, ends, *c_cdot_rows(al, self.DELTA))
         assert dg_end.tolist() == [-math.inf, math.inf]
         # x broadcasts: one x per row
         xs = self.ALPHAS + 0.5 * self.DELTA
-        g_x = g_rows(self.ALPHAS, self.DELTA, xs, c)
+        g_x = g_dg_rows(self.ALPHAS, self.DELTA, xs, c, cd)[0]
         for r, al in enumerate(self.ALPHAS):
             assert g_x[r] == pytest.approx(green_two_interval(al, self.DELTA, xs[r]), abs=1e-13)
 
@@ -177,17 +173,17 @@ class TestArrayCores:
             return integrate_adaptive(f, lo, hi)
 
         monkeypatch.setattr(green, "integrate_adaptive", spy)
-        c = c_rows(self.ALPHAS, self.DELTA)
-        g = g_rows(self.ALPHAS, self.DELTA, self.X)
+        c, _ = c_cdot_rows(self.ALPHAS, self.DELTA)
+        g, _ = g_dg_rows(self.ALPHAS, self.DELTA, self.X)
         assert sizes == [5, 10]
         for r, al in enumerate(self.ALPHAS):
             one = np.array([al])
-            assert c[r] == pytest.approx(c_rows(one, self.DELTA)[0], abs=1e-13)
-            assert g[r] == pytest.approx(g_rows(one, self.DELTA, self.X)[0], abs=1e-13)
+            assert c[r] == pytest.approx(c_cdot_rows(one, self.DELTA)[0][0], abs=1e-13)
+            assert g[r] == pytest.approx(g_dg_rows(one, self.DELTA, self.X)[0][0], abs=1e-13)
 
     def test_g_against_midpoint_oracle(self):
         alphas = self.ALPHAS[[0, 3]]
-        g = g_rows(alphas, self.DELTA, self.X, c_rows(alphas, self.DELTA))
+        g, _ = g_dg_rows(alphas, self.DELTA, self.X, *c_cdot_rows(alphas, self.DELTA))
         for r, al in enumerate(alphas):
             ref, c_ref = midpoint_green(al, self.DELTA, self.X)
             assert g[r] == pytest.approx(ref, abs=1e-9)
@@ -212,9 +208,9 @@ def test_g_rows_match_one_row_calls(delta, rows):
         for near, u, _ in rows
     ])
     xs = alphas + delta * np.array([t for *_, t in rows])
-    g = g_rows(alphas, delta, xs)
+    g, _ = g_dg_rows(alphas, delta, xs)
     for r in range(len(alphas)):
-        assert g[r] == pytest.approx(g_rows(alphas[[r]], delta, xs[r])[0], abs=1e-12)
+        assert g[r] == pytest.approx(g_dg_rows(alphas[[r]], delta, xs[r])[0][0], abs=1e-12)
 
 
 class TestNearBoundary:
@@ -225,12 +221,27 @@ class TestNearBoundary:
         delta = 0.4
         alpha = delta - 1.0 + gap
         xs = (alpha - delta) + np.array([1e-12, 1e-9, 1e-6, 1e-3, 0.4, 0.8 - 1e-6])
-        c = c_rows(np.array([alpha]), delta)[0]
-        g = g_rows(np.full(len(xs), alpha), delta, xs)
+        c = c_cdot_rows(np.array([alpha]), delta)[0][0]
+        g, _ = g_dg_rows(np.full(len(xs), alpha), delta, xs)
         for x, gx in zip(xs, g):
             g_ref, c_ref = graded_midpoint_green(alpha, delta, x)
             assert gx == pytest.approx(g_ref, abs=1e-9)
         assert c == pytest.approx(c_ref, abs=1e-9)
+
+    @pytest.mark.parametrize("gap", [1e-12, 1e-8, 1e-4, 0.3])
+    def test_cdot_and_dg_against_the_forms_with_c_inside(self, gap):
+        # cdot from J1 = K- - V, J2 = (K- - K+)/2 and J3 = (1 + alpha) V -
+        # delta U, and I1 = ((1 + c) K+ + (1 - c) K-)/2, against the graded
+        # midpoint rule on the integrands that these identities replace;
+        # they agreed within 2.5e-11 relative for cdot and 2.2e-10 for
+        # dG/dalpha
+        delta = 0.4
+        alpha = delta - 1.0 + gap
+        xs = (alpha - delta) + np.array([1e-9, 1e-6, 1e-3, 0.4, 0.8 - 1e-6])
+        cd_ref, dg_ref = graded_cdot_dgreen(alpha, delta, xs)
+        assert c_dot(alpha, delta) == pytest.approx(cd_ref, rel=1e-9)
+        _, dg = g_dg_rows(np.full(len(xs), alpha), delta, xs)
+        assert dg == pytest.approx(dg_ref, rel=1e-9)
 
     def test_alpha_within_an_ulp_of_the_clip_is_refused(self):
         # delta - 1 < alpha holds, but 1 + alpha - delta rounds to 0, which
@@ -444,6 +455,13 @@ class TestGreenEval:
         assert ev.g >= -ev.err_estimate
         assert -0.7 < ev.c < 0.1
 
+    def test_one_quadrature_each(self):
+        # the rows for c and cdot join the tails of G and dG/dalpha
+        for call in (green_eval, dalpha_green):
+            with _stats.collect() as counts:
+                call(-0.3, 0.4, -0.2)
+            assert counts["quad.calls"] == 1
+
     def test_endpoint_has_no_derivative(self):
         ev = green_eval(0.0, 0.5, 0.5)
         assert ev.g == 0.0
@@ -463,7 +481,7 @@ class TestOmega:
     @staticmethod
     def _omega(alpha, delta):
         al = np.atleast_1d(np.asarray(alpha, dtype=float))
-        return omega_rows(al, delta, c_rows(al, delta))
+        return omega_rows(al, delta, c_cdot_rows(al, delta)[0])
 
     @pytest.mark.parametrize("delta", [0.02, 0.1, 0.3, 0.5, 0.8])
     def test_half_at_the_symmetric_gap(self, delta):
@@ -473,7 +491,7 @@ class TestOmega:
     def test_64_points_match_4096(self, delta):
         # from the alpha clip of L_n_delta, where the band is 1e-4 long, to 0
         al = np.linspace(delta - 1.0 + 1e-4, 0.0, 41)
-        c = c_rows(al, delta)
+        c, _ = c_cdot_rows(al, delta)
         a, b = al - delta, al + delta
         theta = math.pi * (np.arange(4096) + 0.5) / 4096
         x = (0.5 * (a - 1.0))[:, None] - (0.5 * (a + 1.0))[:, None] * np.cos(theta)
